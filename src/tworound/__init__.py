@@ -10,7 +10,7 @@ from .selection import (
     sample_subset,
     to_exclusion_Y,
 )
-from .secondround import AllocationRule, myerson_payment, u2
+from .secondround import AllocationRule, settle_round, u2
 from .engine import (
     AuctionResult,
     BidProfile,

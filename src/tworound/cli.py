@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from typing import Sequence
@@ -49,9 +50,17 @@ def _error(kind: str, message: str) -> None:
     print(json.dumps({"error": kind, "message": message}), file=sys.stderr)
 
 
-def _default_seed() -> int:
+def _seed(args) -> int:
+    """``--seed``, else ``TWOROUND_SEED``, else the experiments' default seed."""
+    if args.seed is not None:
+        return args.seed
     env = os.environ.get(SEED_ENV_VAR)
-    return int(env) if env else experiments.DEFAULT_SEED
+    if not env:
+        return experiments.DEFAULT_SEED
+    try:
+        return int(env)
+    except ValueError:
+        raise SchemaError(f"{SEED_ENV_VAR} must be an integer, got {env!r}") from None
 
 
 def _load_json(path: str):
@@ -80,8 +89,10 @@ def _load_vector(path: str, key: str) -> list[float]:
     doc = _load_json(path)
     if isinstance(doc, dict):
         doc = doc.get(key)
-    if not isinstance(doc, list) or not all(isinstance(x, (int, float)) for x in doc):
-        raise SchemaError(f"{path}: expected a list of numbers (or {{\"{key}\": [...]}})")
+    if not isinstance(doc, list) or not all(
+        isinstance(x, (int, float)) and math.isfinite(x) for x in doc
+    ):
+        raise SchemaError(f"{path}: expected a list of finite numbers (or {{\"{key}\": [...]}})")
     return [float(x) for x in doc]
 
 
@@ -191,7 +202,7 @@ def _cmd_analyze_ne(args) -> int:
 def _cmd_simulate(args) -> int:
     mech = _load_mechanism(args.mechanism)
     bids = _load_bids(args.bids)
-    rng = np.random.default_rng(args.seed)
+    rng = np.random.default_rng(_seed(args))
     results = []
     for _ in range(args.runs):
         res = simulate_run(mech, bids, rng)
@@ -211,9 +222,10 @@ THETA_VALUATION = (450, 400, 200)
 
 
 def _cmd_reproduce(args) -> int:
+    seed = _seed(args)
     if args.table == 2:
         config = experiments.ExperimentConfig(
-            valuations=GAP_VALUATIONS, thetas=(3,), draws=args.draws, seed=args.seed
+            valuations=GAP_VALUATIONS, thetas=(3,), draws=args.draws, seed=seed
         )
         rows = experiments.run_gap_experiment(config)
     elif args.table == 3:
@@ -221,7 +233,7 @@ def _cmd_reproduce(args) -> int:
             valuations=(THETA_VALUATION,),
             thetas=(3, 4, 5, 6),
             draws=args.draws,
-            seed=args.seed,
+            seed=seed,
         )
         rows = experiments.run_theta_experiment(config)
     else:
@@ -229,7 +241,7 @@ def _cmd_reproduce(args) -> int:
             thetas=(3, 4, 5, 6),
             draws=args.draws,
             n_valuations=args.n_valuations,
-            seed=args.seed,
+            seed=seed,
         )
         rows = experiments.run_random_valuation_experiment(config)
     if args.out:
@@ -270,13 +282,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="sampled single runs of a mechanism")
     p.add_argument("--mechanism", required=True)
     p.add_argument("--bids", required=True)
-    p.add_argument("--seed", type=int, default=_default_seed())
+    p.add_argument("--seed", type=int, default=None)
     p.add_argument("--runs", type=int, default=1)
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("reproduce", help="run a revenue experiment table")
     p.add_argument("--table", type=int, choices=(2, 3, 4), required=True)
-    p.add_argument("--seed", type=int, default=_default_seed())
+    p.add_argument("--seed", type=int, default=None)
     p.add_argument("--draws", type=int, default=10_000)
     p.add_argument("--n-valuations", type=int, default=1_000)
     p.add_argument("--out", default=None)

@@ -18,9 +18,7 @@ from dataclasses import dataclass
 from itertools import combinations_with_replacement
 from typing import Sequence
 
-import numpy as np
-
-from .engine import Mechanism
+from .engine import Mechanism, settle
 from .selection import marginal_probabilities
 
 MARGINAL_ATOL = 1e-9
@@ -88,67 +86,30 @@ def check_dsic(mech: Mechanism) -> DsicVerdict:
     return DsicVerdict(is_dsic=True, violated_condition=None)
 
 
-def _deviator_utility_tables(
-    mech: Mechanism, opponent_bids: Sequence[float], grid: Sequence[float]
-):
+def _deviator_utility_tables(mech: Mechanism, opponent_bids: Sequence[float]):
     """Per (first-round position, second-round bid) allocation/payment tables.
 
     Opponents bid the same value in both rounds.  The deviator has bidder
-    id 0 and wins all tie-breaks against opponents (id ascending), which is
-    the engine's tie policy; its utility for value v is
-    v * X[p, s] - P[p, s].
+    id 0 and so takes the better first-round position against an equal
+    opponent bid (the engine's id tie-break); second-round ties follow
+    first-round position.  Its utility for value v is v * X[p, s] - P[p, s].
     """
-    theta, alpha = mech.theta, mech.alpha
-    x = mech.allocation
     opp_sorted = sorted(opponent_bids, reverse=True)
+    top = opp_sorted[: mech.theta - 1]
 
     def deviator_position(b: float) -> int:
-        # Equal-bid opponents rank below the deviator (id tie-break).
         return 1 + sum(1 for ob in opp_sorted if ob > b)
 
     tables: dict[tuple[int, float], tuple[float, float]] = {}
 
     def table(p: int, s: float) -> tuple[float, float]:
         key = (p, s)
-        if key in tables:
-            return tables[key]
-        if p > theta:
-            tables[key] = (0.0, 0.0)
-            return tables[key]
-        # Opponents at positions other than p, in position order.
-        opp_by_pos = {}
-        pos = 1
-        for ob in opp_sorted:
-            if pos == p:
-                pos += 1
-            if pos > theta:
-                break
-            opp_by_pos[pos] = ob
-            pos += 1
-        X = 0.0
-        P = 0.0
-        for subset, prob in mech.selection.probs.items():
-            if prob == 0.0 or p not in subset:
-                continue
-            entrants = [(s, p, 0)]
-            for q in subset:
-                if q != p:
-                    entrants.append((opp_by_pos[q], q, 1))
-            entrants.sort(key=lambda t: (-t[0], t[1], t[2]))
-            sorted_bids = [t[0] for t in entrants]
-            rank = next(i for i, t in enumerate(entrants, start=1) if t[2] == 0)
-            alloc = x.prob(rank)
-            if alloc == 0.0:
-                continue
-            beta = x.beta
-            pay = 0.0
-            for j in range(rank, beta + 1):
-                nxt = x.prob(j + 1) if j < beta else 0.0
-                s_next = sorted_bids[j] if j < alpha else 0.0
-                pay += s_next * (x.prob(j) - nxt)
-            X += prob * alloc
-            P += prob * pay
-        tables[key] = (X, P)
+        if key not in tables:
+            if p > mech.theta:
+                tables[key] = (0.0, 0.0)
+            else:
+                X, P = settle(mech, top[: p - 1] + [s] + top[p - 1 :])
+                tables[key] = (X[p - 1], P[p - 1])
         return tables[key]
 
     return deviator_position, table
@@ -177,7 +138,7 @@ def find_deviation(
         raise ResourceLimitError(f"need n >= theta={mech.theta}")
 
     for opp in combinations_with_replacement(reversed(grid), n - 1):
-        position_of, table = _deviator_utility_tables(mech, opp, grid)
+        position_of, table = _deviator_utility_tables(mech, opp)
         for v in grid:
             p_truth = position_of(v)
             Xt, Pt = table(p_truth, v)

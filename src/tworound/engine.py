@@ -8,12 +8,13 @@ noise.  Single sampled runs are available for simulation-style checks.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
-from .secondround import AllocationRule, myerson_payment
+from .secondround import AllocationRule, settle_round
 from .selection import SelectionDistribution, sample_subset
 
 UTILITY_ATOL = 1e-9
@@ -85,8 +86,8 @@ class BidProfile:
         s = tuple(float(v) for v in self.second_round)
         if len(b) != len(s):
             raise ConfigurationError("first/second round bid vectors differ in length")
-        if any(v < 0 for v in b + s):
-            raise ConfigurationError("bids must be nonnegative")
+        if not all(0 <= v < math.inf for v in b + s):
+            raise ConfigurationError("bids must be finite and nonnegative")
         object.__setattr__(self, "first_round", b)
         object.__setattr__(self, "second_round", s)
 
@@ -131,98 +132,74 @@ def first_round_positions(mech: Mechanism, bids: BidProfile) -> list[int]:
     return order[: mech.theta]
 
 
-def _subset_evaluation(
-    mech: Mechanism,
-    positions: Sequence[int],
-    bids: BidProfile,
-    subset: tuple[int, ...],
-) -> tuple[dict[int, float], dict[int, float], int | None]:
-    """Per-bidder allocation and payment inside one advanced subset.
+def settle(mech: Mechanism, s: Sequence[float]) -> tuple[list[float], list[float]]:
+    """Expected allocation and payment of every first-round position.
 
-    Returns (allocation by bidder id, payment by bidder id, top-rank bidder).
-    Second-round ties break by first-round position, then bidder id.
+    ``s[p - 1]`` is the second-round bid of the bidder at position p.  Returns
+    ``(X, P)`` indexed the same way, so that bidder's expected utility at
+    value v is v * X[p - 1] - P[p - 1].  Second-round ties go to the better
+    first-round position.
     """
-    entrants = []  # (bid, first-round position, bidder id)
-    for pos in subset:
-        bidder = positions[pos - 1]
-        entrants.append((bids.second_round[bidder], pos, bidder))
-    entrants.sort(key=lambda t: (-t[0], t[1], t[2]))
-    sorted_bids = [t[0] for t in entrants]
-    alloc: dict[int, float] = {}
-    pay: dict[int, float] = {}
-    top_bidder = None
-    for rank, (_, _, bidder) in enumerate(entrants, start=1):
-        a = mech.allocation.prob(rank)
-        if a > 0:
-            alloc[bidder] = a
-            pay[bidder] = myerson_payment(sorted_bids, mech.allocation, rank)
-            if rank == 1:
-                top_bidder = bidder
-    return alloc, pay, top_bidder
+    x = mech.allocation
+    alloc, beta = x.x, x.beta
+    X = [0.0] * mech.theta
+    P = [0.0] * mech.theta
+    for subset, prob in mech.selection.probs.items():
+        if prob == 0.0:
+            continue
+        order, pay = settle_round([s[q - 1] for q in subset], x)
+        for r in range(beta):
+            k = subset[order[r]] - 1
+            X[k] += prob * alloc[r]
+            P[k] += prob * pay[r]
+    return X, P
 
 
-def _check_line_of_competition(
-    mech: Mechanism,
-    positions: Sequence[int],
-    bids: BidProfile,
-    subset: tuple[int, ...],
-) -> None:
-    """Assert s_beta >= b_{theta-alpha+beta} for one advanced subset."""
-    s_sorted = sorted((bids.second_round[positions[p - 1]] for p in subset), reverse=True)
-    s_beta = s_sorted[mech.beta - 1]
-    b_ref = bids.first_round[positions[mech.competition_rank - 1]]
-    if s_beta < b_ref - UTILITY_ATOL:
-        raise AssertionError(
-            f"line of competition violated: s_beta={s_beta} < b_ref={b_ref} "
-            f"(subset={subset})"
-        )
+def _entrants(positions: Sequence[int], bids: BidProfile, subset: tuple[int, ...]):
+    """Bidder ids and second-round bids of one advanced subset, in position order."""
+    ids = [positions[p - 1] for p in subset]
+    return ids, [bids.second_round[i] for i in ids]
 
 
 def enumerate_outcomes(mech: Mechanism, bids: BidProfile) -> list[SubsetOutcome]:
     positions = first_round_positions(mech, bids)
     outcomes = []
     for subset, prob in mech.selection.probs.items():
-        alloc, pay, top_bidder = _subset_evaluation(mech, positions, bids, subset)
-        outcomes.append(
-            SubsetOutcome(
-                subset=subset,
-                probability=prob,
-                winner_rank=1 if top_bidder is not None else None,
-                winner_bidder=top_bidder,
-                payment=sum(pay.values()),
-            )
-        )
+        ids, s = _entrants(positions, bids, subset)
+        order, pay = settle_round(s, mech.allocation)
+        outcomes.append(SubsetOutcome(subset, prob, 1, ids[order[0]], sum(pay)))
     return outcomes
+
+
+def _utilities(mech: Mechanism, values: Sequence[float], bids: BidProfile) -> list[float]:
+    """Exact expected utility of every bidder; 0 outside the top theta."""
+    if len(values) != bids.n:
+        raise ConfigurationError("values and bid profile differ in length")
+    positions = first_round_positions(mech, bids)
+    X, P = settle(mech, [bids.second_round[i] for i in positions])
+    utils = [0.0] * bids.n
+    for k, i in enumerate(positions):
+        utils[i] = values[i] * X[k] - P[k]
+    return utils
 
 
 def expected_utility(
     mech: Mechanism, values: Sequence[float], bids: BidProfile, bidder: int
 ) -> float:
     """Exact expected utility of one bidder over all advancing subsets."""
-    if len(values) != bids.n:
-        raise ConfigurationError("values and bid profile differ in length")
-    positions = first_round_positions(mech, bids)
-    if bidder not in positions:
-        return 0.0
-    total = 0.0
-    for subset, prob in mech.selection.probs.items():
-        if prob == 0.0:
-            continue
-        alloc, pay, _ = _subset_evaluation(mech, positions, bids, subset)
-        if bidder in alloc:
-            total += prob * (values[bidder] * alloc[bidder] - pay[bidder])
-    return total
+    return _utilities(mech, values, bids)[bidder]
 
 
 def expected_revenue(mech: Mechanism, bids: BidProfile) -> float:
     """Probability-weighted total payment over all advancing subsets."""
-    return sum(o.probability * o.payment for o in enumerate_outcomes(mech, bids))
+    positions = first_round_positions(mech, bids)
+    return sum(settle(mech, [bids.second_round[i] for i in positions])[1])
 
 
 def evaluate(mech: Mechanism, values: Sequence[float], bids: BidProfile) -> AuctionResult:
     """Full exact evaluation: utilities, revenue and the per-subset table."""
     outcomes = tuple(enumerate_outcomes(mech, bids))
-    utils = tuple(expected_utility(mech, values, bids, i) for i in range(bids.n))
+    utils = tuple(_utilities(mech, values, bids))
     revenue = sum(o.probability * o.payment for o in outcomes)
     return AuctionResult(expected_utilities=utils, expected_revenue=revenue, outcomes=outcomes)
 
@@ -235,24 +212,26 @@ def simulate_run(
     The subset is sampled; payments within the subset are the exact expected
     payments of the rule, and the realized winner is sampled from the
     allocation probabilities.  Every run asserts the line-of-competition
-    invariant.
+    invariant s_beta >= b_{theta-alpha+beta}.
     """
     positions = first_round_positions(mech, bids)
     subset = sample_subset(mech.selection, rng)
-    _check_line_of_competition(mech, positions, bids, subset)
-    alloc, pay, _ = _subset_evaluation(mech, positions, bids, subset)
-    bidders = list(alloc.keys())
-    weights = [alloc[b] for b in bidders]
-    leftover = 1.0 - sum(weights)
-    winner: int | None = None
-    if bidders:
-        idx = rng.choice(len(bidders) + 1, p=[*weights, max(leftover, 0.0)])
-        if idx < len(bidders):
-            winner = bidders[idx]
+    ids, s = _entrants(positions, bids, subset)
+    order, pay = settle_round(s, mech.allocation)
+    s_beta = s[order[mech.beta - 1]]
+    b_ref = bids.first_round[positions[mech.competition_rank - 1]]
+    if s_beta < b_ref - UTILITY_ATOL:
+        raise AssertionError(
+            f"line of competition violated: s_beta={s_beta} < b_ref={b_ref} "
+            f"(subset={subset})"
+        )
+    weights = list(mech.allocation.x[: mech.beta])
+    idx = rng.choice(len(weights) + 1, p=[*weights, max(1.0 - sum(weights), 0.0)])
+    winner = ids[order[idx]] if idx < len(weights) else None
     return AuctionResult(
         expected_utilities=(),
-        expected_revenue=sum(pay.values()),
+        expected_revenue=sum(pay),
         realized_subset=subset,
         realized_winner=winner,
-        realized_payment=sum(pay.values()),
+        realized_payment=sum(pay),
     )

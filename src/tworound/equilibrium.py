@@ -527,6 +527,8 @@ def n12_position_bids(params: N12Params, ordering: tuple[int, int, int]) -> tupl
     return bids
 
 
+# Hand-expanded instead of engine.settle: a third of its cost on these tiny
+# mechanisms, and criterion 10 relies on it being derived apart from the engine.
 def _n12_position_utility(
     params: N12Params, w: float, my_pos: int, others_desc: Sequence[float]
 ) -> float:

@@ -12,12 +12,13 @@ ranks with positive allocation.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
 
 class ContractViolation(ValueError):
-    """Input violates a documented precondition (e.g. unsorted bids)."""
+    """Input violates a documented precondition (e.g. a wrong bid count)."""
 
 
 @dataclass(frozen=True)
@@ -30,6 +31,8 @@ class AllocationRule:
         x = tuple(float(v) for v in self.x)
         if not x:
             raise ContractViolation("allocation vector must be non-empty")
+        if not all(math.isfinite(v) for v in x):
+            raise ContractViolation(f"allocation probabilities must be finite: {x}")
         if any(b > a + 1e-15 for a, b in zip(x, x[1:])):
             raise ContractViolation(f"allocation must be non-increasing: {x}")
         if x[-1] < 0:
@@ -52,50 +55,27 @@ class AllocationRule:
         return self.x[rank - 1] if 1 <= rank <= self.alpha else 0.0
 
 
-def myerson_payment(sorted_bids: Sequence[float], x: AllocationRule, rank: int) -> float:
-    """Expected payment of the bidder at ``rank`` (1-based) given sorted bids.
+def settle_round(bids: Sequence[float], x: AllocationRule) -> tuple[list[int], list[float]]:
+    """Rank the advanced bidders and price every rank.
 
-    ``sorted_bids`` are the second-round bids in non-increasing order, one per
-    advanced bidder.  Ranks with zero allocation pay nothing.
+    ``bids`` holds one second-round bid per advanced bidder in tie-priority
+    order: of two equal bids, the earlier one ranks higher.  Returns
+    ``(order, pay)``: ``order[r]`` indexes ``bids`` for the bidder at rank
+    r + 1 and ``pay[r]`` is that rank's payment, 0 for ranks without
+    allocation.
     """
-    alpha = x.alpha
-    if len(sorted_bids) != alpha:
-        raise ContractViolation(
-            f"expected {alpha} bids, got {len(sorted_bids)}"
-        )
-    if any(b > a + 1e-12 for a, b in zip(sorted_bids, sorted_bids[1:])):
-        raise ContractViolation(f"bids must be sorted non-increasing: {sorted_bids}")
-    if not 1 <= rank <= alpha:
-        raise ContractViolation(f"rank {rank} out of range 1..{alpha}")
-    beta = x.beta
-    if x.prob(rank) == 0.0:
-        return 0.0
-
-    def bid(j: int) -> float:
-        return sorted_bids[j - 1] if j <= alpha else 0.0
-
+    alloc = x.x
+    alpha = len(alloc)
+    if len(bids) != alpha:
+        raise ContractViolation(f"expected {alpha} bids, got {len(bids)}")
+    # sorted() is stable under reverse=True, so equal bids keep their order.
+    order = sorted(range(alpha), key=bids.__getitem__, reverse=True)
+    pay = [0.0] * alpha
     total = 0.0
-    for j in range(rank, beta + 1):
-        x_next = x.prob(j + 1) if j < beta else 0.0
-        total += bid(j + 1) * (x.prob(j) - x_next)
-    return total
-
-
-def second_round_rank(
-    own_bid: float,
-    own_key: tuple,
-    others: Sequence[tuple[float, tuple]],
-) -> int:
-    """1-based rank of ``own_bid`` among all second-round bids.
-
-    Ties are broken by the sort key (first-round position, then bidder id):
-    the smaller key wins the tie.
-    """
-    rank = 1
-    for bid, key in others:
-        if bid > own_bid or (bid == own_bid and key < own_key):
-            rank += 1
-    return rank
+    for r in range(alpha - 2, -1, -1):
+        total += bids[order[r + 1]] * (alloc[r] - alloc[r + 1])
+        pay[r] = total
+    return order, pay
 
 
 def u2(
@@ -108,20 +88,16 @@ def u2(
 ) -> float:
     """Expected second-round utility value * x_rank - p_rank of one bidder.
 
-    ``other_bids`` are the remaining advanced bidders' bids (any order).  Tie
-    keys default to treating the caller as the highest-priority bidder.
+    ``other_bids`` are the remaining advanced bidders' bids (any order).  Ties
+    go to the smaller key; the default keys make the caller the
+    highest-priority bidder.
     """
-    if own_bid < 0 or any(b < 0 for b in other_bids):
-        raise ContractViolation("bids must be nonnegative")
-    if other_keys is None:
-        other_keys = [(1, i + 1) for i in range(len(other_bids))]
-    rank = second_round_rank(own_bid, own_key, list(zip(other_bids, other_keys)))
-    alloc = x.prob(rank)
-    if alloc == 0.0:
-        return 0.0
-    merged = sorted(
-        [(own_bid, own_key)] + list(zip(other_bids, other_keys)),
-        key=lambda t: (-t[0], t[1]),
-    )
-    sorted_bids = [b for b, _ in merged]
-    return value * alloc - myerson_payment(sorted_bids, x, rank)
+    bids = [own_bid, *other_bids]
+    if not all(0 <= b < math.inf for b in bids):
+        raise ContractViolation("bids must be finite and nonnegative")
+    keys = [own_key, *(other_keys or [(1, i + 1) for i in range(len(other_bids))])]
+    # Stable: the caller, listed first, keeps priority over an equal key.
+    prio = sorted(range(len(keys)), key=keys.__getitem__)
+    order, pay = settle_round([bids[i] for i in prio], x)
+    rank = next(r for r, k in enumerate(order) if prio[k] == 0)
+    return value * x.prob(rank + 1) - pay[rank]

@@ -58,13 +58,16 @@ class SelectionDistribution:
             if tkey in canonical:
                 raise SelectionError(f"duplicate subset {tkey}")
             canonical[tkey] = float(p)
+        valid = set(subsets)
         missing = [s for s in subsets if s not in canonical]
-        extra = [s for s in canonical if s not in set(subsets)]
+        extra = [s for s in canonical if s not in valid]
         if missing or extra:
             raise SelectionError(
                 f"subset keys do not match C({self.theta},{self.alpha}): "
                 f"missing={missing[:3]} extra={extra[:3]}"
             )
+        if not all(math.isfinite(p) for p in canonical.values()):
+            raise SelectionError("subset probabilities must be finite")
         if any(p < -SIMPLEX_ATOL for p in canonical.values()):
             raise SelectionError("negative subset probability")
         total = sum(canonical.values())
@@ -138,6 +141,8 @@ class ExclusionY:
 
     def __post_init__(self) -> None:
         vec = tuple(float(v) for v in self.y_vec)
+        if not all(math.isfinite(v) for v in vec):
+            raise SelectionError(f"exclusion probabilities must be finite: {vec}")
         if any(v < -SIMPLEX_ATOL for v in vec):
             raise SelectionError("negative exclusion probability")
         if abs(sum(vec) - 1.0) > NORMALIZE_ATOL:

@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -77,6 +78,12 @@ class TestValidate:
     def test_missing_file_exits_2(self, capsys):
         assert main(["validate", "--mechanism", "/no/such/file.json"]) == EXIT_SCHEMA
 
+    def test_non_finite_values_exit_2(self, tmp_path, capsys):
+        values = write_json(tmp_path, "values.json", [450, math.nan, 200])
+        assert main(["validate", "--values", values]) == EXIT_SCHEMA
+        (line,) = capsys.readouterr().err.splitlines()
+        assert json.loads(line)["error"] == "schema"
+
 
 class TestCheckDsic:
     def test_dsic_mechanism_exits_0(self, dsic_mech_file, capsys):
@@ -103,6 +110,17 @@ class TestCheckDsic:
             ["check-dsic", "--mechanism", dsic_mech_file, "--oracle", "--grid", "oops"]
         )
         assert code == EXIT_SCHEMA
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_probability_exits_2(self, tmp_path, bad, capsys):
+        doc = n11_mechanism(ExclusionY((0.4, 0.2, 0.2, 0.2))).to_json_dict()
+        doc["probs"][0]["p"] = bad  # json.dumps writes NaN / Infinity
+        mech = write_json(tmp_path, "nan.json", doc)
+        assert main(["check-dsic", "--mechanism", mech, "--oracle"]) == EXIT_SCHEMA
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert json.loads(line)["error"] == "schema"
 
     def test_missing_mechanism_flag_exits_1(self, capsys):
         assert main(["check-dsic"]) == EXIT_USAGE
@@ -222,6 +240,14 @@ class TestReproduce:
         main(["reproduce", "--table", "2", "--draws", "400", "--seed", "4242"])
         explicit = capsys.readouterr().out
         assert with_env == explicit
+
+    def test_bad_seed_env_var_exits_2(self, monkeypatch, capsys):
+        monkeypatch.setenv(SEED_ENV_VAR, "abc")
+        assert main(["reproduce", "--table", "2", "--draws", "400"]) == EXIT_SCHEMA
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert json.loads(line)["error"] == "schema"
 
     def test_invalid_table_exits_1(self, capsys):
         assert main(["reproduce", "--table", "9"]) == EXIT_USAGE

@@ -15,6 +15,7 @@ from tworound.dsic import (
 )
 from tworound.engine import Mechanism
 from tworound.secondround import AllocationRule
+from tworound.selection import SelectionDistribution
 
 GRID = list(range(0, 9))
 
@@ -100,6 +101,25 @@ class TestFindDeviation:
             find_deviation(m, GRID, n=7)
         with pytest.raises(ResourceLimitError):
             find_deviation(m, GRID, n=3)
+
+
+class TestTieBreaks:
+    @staticmethod
+    def _search(theta, subset, x):
+        m = Mechanism(theta, len(subset), SelectionDistribution.point_mass(theta, subset), AllocationRule(x))
+        w = find_deviation(m, list(range(5)))
+        assert verify_witness(m, w) == pytest.approx(w.gain, abs=1e-12)
+        return (w.value, w.first_round_bid, w.second_round_bid, w.opponent_bids, w.gain)
+
+    def test_deviator_takes_first_round_ties(self):
+        # Only position 1 advances: matching the opponent's top bid of 4 is
+        # already enough to take it.
+        assert self._search(2, (1,), (1.0,)) == (1.0, 4.0, 4.0, (4.0,), 1.0)
+
+    def test_second_round_ties_follow_first_round_position(self):
+        # The deviator bids 0 and sits at position 3 against the position-2
+        # opponent's 3: a second-round 3 only ties and loses, so 4 is needed.
+        assert self._search(3, (2, 3), (1.0, 0.0)) == (4.0, 0.0, 4.0, (4.0, 3.0), 1.0)
 
 
 class TestAgreement:

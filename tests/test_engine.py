@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -45,6 +47,15 @@ class TestMechanism:
         assert again.allocation.x == m.allocation.x
 
 
+class TestBidProfile:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_non_finite(self, bad):
+        with pytest.raises(ConfigurationError):
+            BidProfile((5.0, bad), (5.0, 5.0))
+        with pytest.raises(ConfigurationError):
+            BidProfile((5.0, 4.0), (5.0, bad))
+
+
 class TestFirstRound:
     def test_sorted_by_bid_then_id(self):
         m = n11_mech((0.6, 0.25, 0.15))
@@ -55,6 +66,30 @@ class TestFirstRound:
         m = n11_mech((0.6, 0.25, 0.15))
         with pytest.raises(ConfigurationError):
             first_round_positions(m, BidProfile((5, 3), (5, 3)))
+
+
+class TestTieBreaks:
+    def test_second_round_tie_goes_to_better_first_round_position(self, rng):
+        m = Mechanism(3, 3, SelectionDistribution.uniform(3, 3), AllocationRule((1.0, 0.0, 0.0)))
+        # Bidder 1 holds position 1 and bidder 0 position 2; both bid 12 in round two.
+        bids = BidProfile((9, 10, 8), (12, 12, 5))
+        values = (15.0, 15.0, 5.0)
+        (outcome,) = enumerate_outcomes(m, bids)
+        assert outcome.winner_bidder == 1
+        assert outcome.payment == pytest.approx(12.0)
+        assert expected_utility(m, values, bids, 1) == pytest.approx(3.0)
+        assert expected_utility(m, values, bids, 0) == 0.0
+        assert simulate_run(m, bids, rng).realized_winner == 1
+
+    def test_first_round_tie_goes_to_lower_bidder_id(self, rng):
+        # Only positions 1 and 3 advance, so of two equal first-round bids
+        # only the one at position 1 reaches the second round.
+        m = Mechanism(3, 2, SelectionDistribution.point_mass(3, (1, 3)), AllocationRule((1.0, 0.0)))
+        bids = BidProfile((9, 9, 8), (9, 9, 8))
+        values = (9.0, 9.0, 8.0)
+        assert expected_utility(m, values, bids, 0) == pytest.approx(1.0)
+        assert expected_utility(m, values, bids, 1) == 0.0
+        assert simulate_run(m, bids, rng).realized_winner == 0
 
 
 class TestExpectedUtility:

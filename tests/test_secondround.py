@@ -1,16 +1,11 @@
 import itertools
+import math
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tworound.secondround import (
-    AllocationRule,
-    ContractViolation,
-    myerson_payment,
-    second_round_rank,
-    u2,
-)
+from tworound.secondround import AllocationRule, ContractViolation, settle_round, u2
 
 
 def _grid_allocations():
@@ -39,43 +34,53 @@ class TestAllocationRule:
         with pytest.raises(ContractViolation):
             AllocationRule((0.5, -0.1))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_non_finite(self, bad):
+        with pytest.raises(ContractViolation):
+            AllocationRule((bad, 0.0))
+
     def test_prob_out_of_range_is_zero(self):
         x = AllocationRule((0.7, 0.3))
         assert x.prob(3) == 0.0
         assert x.prob(1) == 0.7
 
 
+def _rank(bids, x, entrant=0):
+    """1-based second-round rank of ``bids[entrant]`` (bids in tie-priority order)."""
+    order, _ = settle_round(bids, x)
+    return order.index(entrant) + 1
+
+
 class TestMyersonPayment:
+    """The payments ``settle_round`` gives each rank."""
+
     def test_second_price_degenerate(self):
         x = AllocationRule((1.0, 0.0, 0.0))
-        assert myerson_payment((10, 8, 5), x, 1) == pytest.approx(8)
-        assert myerson_payment((10, 8, 5), x, 2) == 0.0
+        _, pay = settle_round((10, 8, 5), x)
+        assert pay[0] == pytest.approx(8)
+        assert pay[1] == 0.0
 
     def test_hand_evaluated_two_winner_rule(self):
         x = AllocationRule((0.7, 0.3, 0.0))
-        assert myerson_payment((10, 8, 5), x, 1) == pytest.approx(4.7)
-        assert myerson_payment((10, 8, 5), x, 2) == pytest.approx(1.5)
-        assert myerson_payment((10, 8, 5), x, 3) == 0.0
+        _, pay = settle_round((10, 8, 5), x)
+        assert pay[0] == pytest.approx(4.7)
+        assert pay[1] == pytest.approx(1.5)
+        assert pay[2] == 0.0
 
     def test_top_rank_pays_runner_up(self):
         v2, v3 = 350.0, 200.0
         x = AllocationRule((1.0, 0.0))
-        assert myerson_payment((v2, v3), x, 1) == pytest.approx(v3)
+        assert settle_round((v2, v3), x)[1][0] == pytest.approx(v3)
 
     def test_boundary_bid_treated_as_zero(self):
         # With full support, the bottom rank's threshold bid is s_{alpha+1} = 0.
         x = AllocationRule((0.5, 0.3, 0.2))
-        assert myerson_payment((9, 6, 3), x, 3) == pytest.approx(0.0)
-
-    def test_unsorted_bids_rejected(self):
-        x = AllocationRule((0.7, 0.3, 0.0))
-        with pytest.raises(ContractViolation):
-            myerson_payment((5, 8, 10), x, 1)
+        assert settle_round((9, 6, 3), x)[1][2] == pytest.approx(0.0)
 
     def test_wrong_length_rejected(self):
         x = AllocationRule((0.7, 0.3, 0.0))
         with pytest.raises(ContractViolation):
-            myerson_payment((10, 8), x, 1)
+            settle_round((10, 8), x)
 
     @given(
         st.lists(st.integers(0, 20), min_size=2, max_size=4),
@@ -97,20 +102,24 @@ class TestMyersonPayment:
         if all(v == 0 for v in raw):
             raw = [1.0] + [0.0] * (alpha - 1)
         x = AllocationRule(tuple(raw))
+        _, pay = settle_round(bids, x)
         for rank in range(1, alpha + 1):
-            p = myerson_payment(bids, x, rank)
+            p = pay[rank - 1]
             assert p >= -1e-12
             assert p <= bids[rank - 1] * x.prob(rank) + 1e-9
 
 
 class TestSecondRoundRank:
+    """The rank order ``settle_round`` gives; ties go to the earlier entrant."""
+
+    X3 = AllocationRule((1.0, 0.0, 0.0))
+
     def test_strict_ordering(self):
-        assert second_round_rank(9, (0, 0), [(10, (1, 1)), (5, (1, 2))]) == 2
+        assert _rank((9, 10, 5), self.X3) == 2
 
     def test_tie_resolved_by_key(self):
-        others = [(7, (1, 1)), (7, (2, 2))]
-        assert second_round_rank(7, (0, 0), others) == 1
-        assert second_round_rank(7, (3, 3), others) == 3
+        assert _rank((7, 7, 7), self.X3, entrant=0) == 1
+        assert _rank((7, 7, 7), self.X3, entrant=2) == 3
 
 
 class TestU2:
@@ -149,8 +158,5 @@ class TestU2:
             for others in itertools.product(grid, repeat=alpha - 1):
                 probs = []
                 for s in grid:
-                    rank = second_round_rank(
-                        s, (0, 0), [(b, (1, i + 1)) for i, b in enumerate(others)]
-                    )
-                    probs.append(x.prob(rank))
+                    probs.append(x.prob(_rank((s, *others), x)))
                 assert all(b >= a for a, b in zip(probs, probs[1:]))

@@ -53,6 +53,11 @@ class TestSelectionDistribution:
         )
         assert sum(d.probs.values()) == pytest.approx(1.0, abs=1e-12)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_non_finite(self, bad):
+        with pytest.raises(SelectionError):
+            SelectionDistribution(3, 2, {(1, 2): bad, (1, 3): 0.5, (2, 3): 0.5})
+
     def test_rejects_missing_subsets(self):
         with pytest.raises(SelectionError):
             SelectionDistribution(3, 2, {(1, 2): 0.5, (1, 3): 0.5})
@@ -111,6 +116,11 @@ class TestExclusionIndexing:
     def test_round_trip_is_exact(self):
         y = ExclusionY((0.6, 0.25, 0.15))
         assert to_exclusion_Y(from_exclusion_Y(y)).y_vec == y.y_vec
+
+    @pytest.mark.parametrize("bad", [math.nan, -math.inf])
+    def test_rejects_non_finite(self, bad):
+        with pytest.raises(SelectionError):
+            ExclusionY((0.5, 0.5, bad))
 
     def test_mode_error_when_alpha_wrong(self):
         with pytest.raises(SelectionError):
