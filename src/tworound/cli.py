@@ -85,13 +85,18 @@ def _load_mechanism(path: str) -> Mechanism:
         raise SchemaError(f"invalid mechanism in {path}: {exc}") from exc
 
 
+def _is_number_list(doc) -> bool:
+    """A JSON list of finite numbers; booleans and numeric strings are not numbers."""
+    return isinstance(doc, list) and all(
+        isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x) for x in doc
+    )
+
+
 def _load_vector(path: str, key: str) -> list[float]:
     doc = _load_json(path)
     if isinstance(doc, dict):
         doc = doc.get(key)
-    if not isinstance(doc, list) or not all(
-        isinstance(x, (int, float)) and math.isfinite(x) for x in doc
-    ):
+    if not _is_number_list(doc):
         raise SchemaError(f"{path}: expected a list of finite numbers (or {{\"{key}\": [...]}})")
     return [float(x) for x in doc]
 
@@ -99,8 +104,14 @@ def _load_vector(path: str, key: str) -> list[float]:
 def _load_bids(path: str) -> BidProfile:
     doc = _load_json(path)
     try:
-        return BidProfile(tuple(doc["first_round"]), tuple(doc["second_round"]))
-    except (KeyError, TypeError, ConfigurationError) as exc:
+        rounds = (doc["first_round"], doc["second_round"])
+    except (KeyError, TypeError) as exc:
+        raise SchemaError(f"invalid bid profile in {path}: {exc}") from exc
+    if not all(_is_number_list(bids) for bids in rounds):
+        raise SchemaError(f"invalid bid profile in {path}: bids must be lists of finite numbers")
+    try:
+        return BidProfile(tuple(rounds[0]), tuple(rounds[1]))
+    except ConfigurationError as exc:
         raise SchemaError(f"invalid bid profile in {path}: {exc}") from exc
 
 

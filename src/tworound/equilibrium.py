@@ -402,6 +402,10 @@ class N12Params:
     def __post_init__(self) -> None:
         v = tuple(float(x) for x in self.v)
         Y = tuple(float(x) for x in self.Y)
+        x2 = float(self.x2)
+        for name, values in (("v", v), ("Y", Y), ("x2", (x2,))):
+            if not all(map(math.isfinite, values)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         if len(v) != 5 or any(b >= a for a, b in zip(v, v[1:])):
             raise ValueError(f"need five strictly descending valuations, got {v}")
         if v[-1] < 0:
@@ -410,8 +414,8 @@ class N12Params:
             raise ValueError(f"Y must be four probabilities summing to 1, got {Y}")
         if any(b >= a for a, b in zip(Y, Y[1:])) or Y[-1] <= 0:
             raise ValueError(f"Y must be strictly decreasing and positive, got {Y}")
-        if not 0 < self.x2 < 0.5:
-            raise ValueError(f"x2 must lie in (0, 0.5), got {self.x2}")
+        if not 0 < x2 < 0.5:
+            raise ValueError(f"x2 must lie in (0, 0.5), got {x2}")
         object.__setattr__(self, "v", v)
         object.__setattr__(self, "Y", Y)
         object.__setattr__(self, "b_overrides", dict(self.b_overrides))

@@ -10,15 +10,39 @@ class:
 * :func:`run_random_valuation_experiment` — valuations drawn uniformly at
   random, recording per valuation only the best revenue seen in each class.
 
-Y draws are independent uniform variates normalized to the simplex and then
-sorted descending; draws that fail the strict ordering constraint are
-discarded (and counted).  All runs are deterministic in the seed.
+A Y draw is theta independent uniform variates normalized to the simplex and
+sorted descending; draws that fail the strict ordering constraint, or sit
+exactly on the class boundary, are discarded (and counted).  All runs are
+deterministic in the seed.
+
+Every harness draws and classifies through :func:`_classify_draws`.  It draws
+``_CHUNK_ROWS`` rows at a time with ``rng.random((rows, theta))``, which reads
+the generator's stream exactly as one ``(n, theta)`` draw would.  Per chunk it
+copies the raw uniforms into contiguous columns, adds them up per row, sorts
+the columns ascending with an odd-even transposition network of elementwise
+minima and maxima, and only then divides by the row sum.  The results are
+bit-identical to normalizing first, sorting each row and summing the sorted
+rows with numpy:
+
+* both sums, the raw row sum and S = Y_1 + ... + Y_{theta-2} (largest entry
+  first), add their terms in the order numpy's row reduction uses
+  (:func:`_row_sum`); adding S from the smallest entry up changes last bits
+  from theta = 5 on;
+* division by the same positive sum is monotone, so ``sorted(w) / s`` and
+  ``sorted(w / s)`` hold the same doubles in the same order;
+* with the columns sorted, min(Y_1..Y_{theta-3}) > Y_{theta-1} follows from
+  Y_{theta-2} > Y_{theta-1}, so the ordering test reads three columns.
+
+Masks and revenues go into full-length arrays, so the class means and maxima
+reduce over the same sequences as a single batch would.  The tests keep the
+sort-based implementation as the reference and compare bit for bit.
 """
 
 from __future__ import annotations
 
 import csv
 import logging
+import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -29,6 +53,10 @@ from .equilibrium import DegenerateRatioError
 logger = logging.getLogger(__name__)
 
 DEFAULT_SEED = 20240501
+
+# Rows per Y chunk: large enough to amortise the per-column numpy calls, small
+# enough that a chunk's columns stay in a core's L2 cache.
+_CHUNK_ROWS = 8192
 
 
 @dataclass(frozen=True)
@@ -45,12 +73,21 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         if self.draws < 1:
             raise ValueError("draws must be >= 1")
+        if self.n_valuations < 1:
+            raise ValueError("n_valuations must be >= 1")
+        if not 0 < self.value_max < math.inf:
+            # value_max = 0 would make table 4's tie retry draw (0, 0, 0) forever.
+            raise ValueError(f"value_max must be positive and finite, got {self.value_max}")
         vals = tuple(tuple(float(x) for x in v) for v in self.valuations)
         for v in vals:
-            if len(v) != 3 or v[2] <= 0 or sorted(v, reverse=True) != list(v):
-                raise ValueError(f"valuations must be positive descending triples: {v}")
+            finite = all(map(math.isfinite, v))
+            if len(v) != 3 or not finite or v[2] <= 0 or sorted(v, reverse=True) != list(v):
+                raise ValueError(f"valuations must be finite positive descending triples: {v}")
+        thetas = tuple(int(t) for t in self.thetas)
+        if any(t < 3 for t in thetas):
+            raise ValueError(f"thetas must be >= 3 (a top block and two tail entries): {thetas}")
         object.__setattr__(self, "valuations", vals)
-        object.__setattr__(self, "thetas", tuple(int(t) for t in self.thetas))
+        object.__setattr__(self, "thetas", thetas)
 
 
 @dataclass(frozen=True)
@@ -72,41 +109,84 @@ class ExperimentRow:
         return 100.0 * (self.risky_avg_rev - self.truthful_avg_rev) / self.truthful_avg_rev
 
 
-def _draw_sorted_Y(rng: np.random.Generator, theta: int, n: int) -> np.ndarray:
-    """n simplex draws (normalized independent uniforms), sorted descending."""
-    w = rng.random((n, theta))
-    Y = w / w.sum(axis=1, keepdims=True)
-    Y.sort(axis=1)
-    return Y[:, ::-1]
+def _row_sum(cols: list[np.ndarray]) -> np.ndarray:
+    """Elementwise sum of ``cols`` in numpy's pairwise order for one row.
+
+    ``a.sum(axis=1)`` on a (rows, k) array adds each row's k entries left to
+    right when k < 8, and otherwise in eight interleaved partial sums (split
+    in halves above 128 entries); repeating that order over whole columns
+    gives the same bits.  The tests compare the result with numpy's own sum.
+    """
+    k = len(cols)
+    if k < 8:
+        out = cols[0].copy()
+        for col in cols[1:]:
+            out += col
+        return out
+    if k > 128:
+        half = k // 2 - (k // 2) % 8
+        return _row_sum(cols[:half]) + _row_sum(cols[half:])
+    stop = k - k % 8
+    r = [col.copy() for col in cols[:8]]
+    for i in range(8, stop, 8):
+        for j in range(8):
+            r[j] += cols[i + j]
+    out = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+    for col in cols[stop:]:
+        out += col
+    return out
 
 
-def _classify_batch(
-    Y: np.ndarray, v: tuple[float, float, float]
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
-    """Class masks and risky/truthful revenues for a batch of sorted Y draws.
+def _classify_draws(
+    rng: np.random.Generator, theta: int, n: int, v: tuple[float, float, float]
+) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, np.ndarray], int]:
+    """Draw ``n`` exclusion vectors Y and classify each against valuations ``v``.
 
     Returns (risky mask, truthful mask, (rev_risky, rev_truthful), discarded).
-    A draw is risky-class when the tail-gap ratio exceeds the valuation gap
-    ratio r = (v1-v2)/(v2-v3), truthful-class when it falls short; exact
-    boundaries and draws violating the strict ordering constraint are
-    discarded.
+    A draw is risky-class when the tail-gap ratio (Y_{theta-1} - Y_theta) / S
+    exceeds the valuation gap ratio r = (v1-v2)/(v2-v3), truthful-class when
+    it falls short; exact boundaries and draws violating the strict ordering
+    constraint are discarded.  S = Y_1 + ... + Y_{theta-2} is summed from the
+    largest entry down (as numpy sums a descending row), and
+    A = Y_{theta-1} + Y_theta.  Needs theta >= 3.
     """
     v1, v2, v3 = v
     if v2 == v3:
         raise DegenerateRatioError(f"v2 == v3 in {v}: gap ratio undefined")
-    theta = Y.shape[1]
-    ordered = (Y[:, theta - 3] > Y[:, theta - 2]) & (Y[:, theta - 2] > Y[:, theta - 1])
-    if theta > 3:
-        ordered &= Y[:, : theta - 3].min(axis=1) > Y[:, theta - 2]
-    S = Y[:, : theta - 2].sum(axis=1)
-    A = Y[:, theta - 2] + Y[:, theta - 1]
-    ratio = (Y[:, theta - 2] - Y[:, theta - 1]) / S
     r = (v1 - v2) / (v2 - v3)
-    risky = ordered & (ratio > r)
-    truthful = ordered & (ratio < r)
-    discarded = int(Y.shape[0] - risky.sum() - truthful.sum())
-    revenues = (S * v1 + A * v3, S * v2 + A * v3)
-    return risky, truthful, revenues, discarded
+    risky = np.empty(n, dtype=bool)
+    truthful = np.empty(n, dtype=bool)
+    rev_risky = np.empty(n)
+    rev_truthful = np.empty(n)
+    for start in range(0, n, _CHUNK_ROWS):
+        stop = min(start + _CHUNK_ROWS, n)
+        # One contiguous array per column; the row sums are taken in numpy's
+        # order (as w.sum(axis=1) would) before the columns are sorted
+        # ascending by an odd-even transposition network (theta rounds sort
+        # theta columns).
+        cols = list(np.ascontiguousarray(rng.random((stop - start, theta)).T))
+        total = _row_sum(cols)
+        spare = np.empty_like(total)
+        for round_ in range(theta):
+            for i in range(round_ % 2, theta - 1, 2):
+                lo, hi = cols[i], cols[i + 1]
+                np.minimum(lo, hi, out=spare)
+                np.maximum(lo, hi, out=hi)
+                cols[i], spare = spare, lo
+        for col in cols:
+            np.divide(col, total, out=col)
+        y_last, y_pen = cols[0], cols[1]
+        S = _row_sum(cols[:1:-1])
+        A = y_pen + y_last
+        ratio = (y_pen - y_last) / S
+        ordered = (cols[2] > y_pen) & (y_pen > y_last)
+        np.logical_and(ordered, ratio > r, out=risky[start:stop])
+        np.logical_and(ordered, ratio < r, out=truthful[start:stop])
+        A *= v3
+        np.add(S * v1, A, out=rev_risky[start:stop])
+        np.add(S * v2, A, out=rev_truthful[start:stop])
+    discarded = int(n - risky.sum() - truthful.sum())
+    return risky, truthful, (rev_risky, rev_truthful), discarded
 
 
 def _class_row(
@@ -146,8 +226,7 @@ def run_gap_experiment(config: ExperimentConfig) -> list[ExperimentRow]:
     rng = np.random.default_rng(config.seed)
     rows = []
     for idx, v in enumerate(config.valuations, start=1):
-        Y = _draw_sorted_Y(rng, theta, config.draws)
-        risky, truthful, revenues, discarded = _classify_batch(Y, v)
+        risky, truthful, revenues, discarded = _classify_draws(rng, theta, config.draws, v)
         rows.append(_class_row(f"gap-{idx}", v, theta, risky, truthful, revenues, discarded))
     return rows
 
@@ -160,8 +239,7 @@ def run_theta_experiment(config: ExperimentConfig) -> list[ExperimentRow]:
     rng = np.random.default_rng(config.seed)
     rows = []
     for idx, theta in enumerate(config.thetas, start=1):
-        Y = _draw_sorted_Y(rng, theta, config.draws)
-        risky, truthful, revenues, discarded = _classify_batch(Y, v)
+        risky, truthful, revenues, discarded = _classify_draws(rng, theta, config.draws, v)
         rows.append(_class_row(f"theta-{idx}", v, theta, risky, truthful, revenues, discarded))
     return rows
 
@@ -186,8 +264,7 @@ def run_random_valuation_experiment(config: ExperimentConfig) -> list[Experiment
             v = tuple(np.sort(rng.uniform(0.0, config.value_max, size=3))[::-1])
             while v[0] == v[1] or v[1] == v[2]:
                 v = tuple(np.sort(rng.uniform(0.0, config.value_max, size=3))[::-1])
-            Y = _draw_sorted_Y(rng, theta, config.draws)
-            risky, truthful, revenues, _ = _classify_batch(Y, v)
+            risky, truthful, revenues, _ = _classify_draws(rng, theta, config.draws, v)
             if not risky.any() or not truthful.any():
                 skipped += 1
                 continue

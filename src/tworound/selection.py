@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import combinations
 from typing import Iterable, Mapping, Sequence
 
@@ -92,6 +93,13 @@ class SelectionDistribution:
 
     def subsets(self) -> list[tuple[int, ...]]:
         return list(self.probs.keys())
+
+    @cached_property
+    def _sampling_table(self) -> tuple[list[tuple[int, ...]], np.ndarray]:
+        """Subsets and their normalized weights, built on the first draw."""
+        subsets = self.subsets()
+        weights = np.fromiter((self.probs[s] for s in subsets), dtype=float, count=len(subsets))
+        return subsets, weights / weights.sum()
 
     def to_json_dict(self) -> dict:
         return {
@@ -203,10 +211,8 @@ def from_exclusion_Y(y: ExclusionY) -> SelectionDistribution:
 
 def sample_subset(dist: SelectionDistribution, rng: np.random.Generator) -> tuple[int, ...]:
     """Draw one advancing subset according to the joint distribution."""
-    subsets = dist.subsets()
-    weights = np.fromiter((dist.probs[s] for s in subsets), dtype=float, count=len(subsets))
-    idx = rng.choice(len(subsets), p=weights / weights.sum())
-    return subsets[idx]
+    subsets, p = dist._sampling_table
+    return subsets[rng.choice(len(subsets), p=p)]
 
 
 def sample_simplex(k: int, rng: np.random.Generator) -> np.ndarray:

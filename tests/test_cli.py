@@ -84,6 +84,15 @@ class TestValidate:
         (line,) = capsys.readouterr().err.splitlines()
         assert json.loads(line)["error"] == "schema"
 
+    @pytest.mark.parametrize("bad", ["5", True, None, [5]])
+    def test_non_numeric_bids_exit_2(self, tmp_path, capsys, bad):
+        doc = {"first_round": [bad, 3, 2], "second_round": [5, 3, 2]}
+        assert main(["validate", "--bids", write_json(tmp_path, "bids.json", doc)]) == EXIT_SCHEMA
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert json.loads(line)["error"] == "schema"
+
 
 class TestCheckDsic:
     def test_dsic_mechanism_exits_0(self, dsic_mech_file, capsys):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -313,6 +315,16 @@ class TestN12Params:
             N12Params((450, 350, 300, 200, 100), (0.4, 0.3, 0.3, 0.0), 0.25)
         with pytest.raises(ValueError):
             N12Params((450, 350, 300, 200, 100), (0.4, 0.3, 0.2, 0.1), 0.5)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_inputs(self, bad):
+        v, Y, x2 = (450, 400, 300, 200, 100), (0.4, 0.3, 0.2, 0.1), 0.25
+        with pytest.raises(ValueError, match="^v must be finite"):
+            N12Params((bad,) + v[1:], Y, x2)
+        with pytest.raises(ValueError, match="^Y must be finite"):
+            N12Params(v, Y[:3] + (bad,), x2)
+        with pytest.raises(ValueError, match="^x2 must be finite"):
+            N12Params(v, Y, bad)
 
     def test_mechanism_shape(self, rng):
         params = random_n12_params(rng)

@@ -1,16 +1,18 @@
 import csv
+import hashlib
 
 import numpy as np
 import pytest
 
+from tworound.cli import main
 from tworound.equilibrium import DegenerateRatioError, n11_classify, n11_revenue
 from tworound.experiments import (
     CSV_COLUMNS,
     DEFAULT_SEED,
     ExperimentConfig,
     ExperimentRow,
-    _classify_batch,
-    _draw_sorted_Y,
+    _CHUNK_ROWS,
+    _classify_draws,
     run_gap_experiment,
     run_random_valuation_experiment,
     run_theta_experiment,
@@ -36,9 +38,51 @@ class TestConfig:
         with pytest.raises(ValueError):
             ExperimentConfig(valuations=((450, 350, 0),))
 
+    @pytest.mark.parametrize("top", [float("nan"), float("inf")])
+    def test_rejects_non_finite_valuations(self, top):
+        with pytest.raises(ValueError, match="finite"):
+            ExperimentConfig(valuations=((top, 350, 200),))
+
     def test_rejects_zero_draws(self):
         with pytest.raises(ValueError):
             ExperimentConfig(draws=0)
+
+    @pytest.mark.parametrize(
+        "field", [{"n_valuations": 0}, {"value_max": 0.0}, {"value_max": float("inf")}]
+    )
+    def test_rejects_empty_or_degenerate_valuation_draws(self, field):
+        with pytest.raises(ValueError):
+            ExperimentConfig(**field)
+
+    def test_rejects_theta_below_three(self):
+        with pytest.raises(ValueError, match="thetas must be >= 3"):
+            ExperimentConfig(valuations=((450, 400, 200),), thetas=(3, 2))
+
+
+def _draw_sorted_Y(rng: np.random.Generator, theta: int, n: int) -> np.ndarray:
+    """Reference: n simplex draws (normalized independent uniforms), sorted descending."""
+    w = rng.random((n, theta))
+    Y = w / w.sum(axis=1, keepdims=True)
+    Y.sort(axis=1)
+    return Y[:, ::-1]
+
+
+def _classify_batch(Y: np.ndarray, v: tuple[float, float, float]):
+    """Reference classification of sorted Y rows, one numpy expression per quantity."""
+    v1, v2, v3 = v
+    theta = Y.shape[1]
+    ordered = (Y[:, theta - 3] > Y[:, theta - 2]) & (Y[:, theta - 2] > Y[:, theta - 1])
+    if theta > 3:
+        ordered &= Y[:, : theta - 3].min(axis=1) > Y[:, theta - 2]
+    S = Y[:, : theta - 2].sum(axis=1)
+    A = Y[:, theta - 2] + Y[:, theta - 1]
+    ratio = (Y[:, theta - 2] - Y[:, theta - 1]) / S
+    r = (v1 - v2) / (v2 - v3)
+    risky = ordered & (ratio > r)
+    truthful = ordered & (ratio < r)
+    discarded = int(Y.shape[0] - risky.sum() - truthful.sum())
+    revenues = (S * v1 + A * v3, S * v2 + A * v3)
+    return risky, truthful, revenues, discarded
 
 
 class TestDrawSortedY:
@@ -50,11 +94,43 @@ class TestDrawSortedY:
         assert (Y >= 0).all()
 
 
+class TestClassifyDraws:
+    # theta 10 and 11 sum S with numpy's eight-way pairwise order.
+    @pytest.mark.parametrize("theta", [3, 4, 5, 6, 7, 8, 10, 11])
+    @pytest.mark.parametrize("n", [1, 3, _CHUNK_ROWS - 1, _CHUNK_ROWS + 1, 100_000])
+    @pytest.mark.parametrize("v", [(450.0, 350.0, 200.0), (812.5, 301.25, 17.0)])
+    def test_bit_identical_to_reference(self, theta, n, v):
+        seed = 1000 * theta + n
+        want = _classify_batch(_draw_sorted_Y(np.random.default_rng(seed), theta, n), v)
+        got = _classify_draws(np.random.default_rng(seed), theta, n, v)
+        np.testing.assert_array_equal(got[0], want[0])
+        np.testing.assert_array_equal(got[1], want[1])
+        for got_rev, want_rev in zip(got[2], want[2]):
+            np.testing.assert_array_equal(got_rev.view(np.int64), want_rev.view(np.int64))
+        assert got[3] == want[3]
+
+    def test_bit_identical_beyond_128_summands(self):
+        # numpy splits a row sum of more than 128 entries in halves.
+        want = _classify_batch(_draw_sorted_Y(np.random.default_rng(4), 140, 200), (9.0, 5.0, 1.0))
+        got = _classify_draws(np.random.default_rng(4), 140, 200, (9.0, 5.0, 1.0))
+        for got_rev, want_rev in zip(got[2], want[2]):
+            np.testing.assert_array_equal(got_rev.view(np.int64), want_rev.view(np.int64))
+
+    def test_reads_the_stream_like_one_draw(self):
+        rng = np.random.default_rng(9)
+        _classify_draws(rng, 5, 2 * _CHUNK_ROWS + 7, (450.0, 350.0, 200.0))
+        ref = np.random.default_rng(9)
+        ref.random((2 * _CHUNK_ROWS + 7, 5))
+        assert rng.random() == ref.random()
+
+
 class TestClassifyBatch:
-    def test_matches_pointwise_classification(self, rng):
+    def test_matches_pointwise_classification(self):
         v = (450.0, 350.0, 200.0)
-        Y = _draw_sorted_Y(rng, 3, 300)
-        risky, truthful, (rev_r, rev_t), discarded = _classify_batch(Y, v)
+        Y = _draw_sorted_Y(np.random.default_rng(12345), 3, 300)
+        risky, truthful, (rev_r, rev_t), discarded = _classify_draws(
+            np.random.default_rng(12345), 3, 300, v
+        )
         assert discarded == 300 - int(risky.sum()) - int(truthful.sum())
         for i in range(300):
             row = tuple(Y[i])
@@ -72,9 +148,28 @@ class TestClassifyBatch:
             assert rev == pytest.approx(n11_revenue(kind, *v, ExclusionY(row)))
 
     def test_degenerate_valuations_rejected(self, rng):
-        Y = _draw_sorted_Y(rng, 3, 10)
         with pytest.raises(DegenerateRatioError):
-            _classify_batch(Y, (450.0, 200.0, 200.0))
+            _classify_draws(rng, 3, 10, (450.0, 200.0, 200.0))
+
+
+# SHA-256 of `reproduce` stdout, recorded with the sort-based classifier the
+# kernel replaced (the reference functions above).
+GOLDEN_REPRODUCE = {
+    ("0", "2"): "ee8271fdb25a642b62d73947f4a1424325c553c19aa7829d70f6e971ae4e0f3f",
+    ("0", "3"): "a5fa30c81d3bb36a71deaea36c0ea0fa67c0034eaf1dff7cb974c3b358534371",
+    ("0", "4"): "648c8ca0a69218d398b16442028a737ad02fd8c3b0ca28b70a05bbd89d09cdd9",
+    ("7", "2"): "80fc6ea48f54222418b641f5c6de2e2ef270ca7d12dcb852d735e9f9a31d9879",
+    ("7", "3"): "e0da27b3323fe96e4b808d61868f039b133a5494feff5a265f54ba22f82c2282",
+    ("7", "4"): "1bd6e301da9c5e8b03430c02e61a2324b4dadbc8e44a668cb1779680622c170c",
+}
+
+
+@pytest.mark.parametrize("seed, table", sorted(GOLDEN_REPRODUCE))
+def test_reproduce_output_is_pinned(seed, table, capsys):
+    sizes = ["--n-valuations", "20", "--draws", "2000"] if table == "4" else ["--draws", "20000"]
+    assert main(["reproduce", "--table", table, *sizes, "--seed", seed]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_REPRODUCE[seed, table]
 
 
 @pytest.fixture(scope="module")

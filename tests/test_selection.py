@@ -158,6 +158,20 @@ class TestSampling:
         draws2 = [sample_subset(d, np.random.default_rng(11)) for _ in range(50)]
         assert draws1 == draws2
 
+    def test_same_draws_as_per_call_weights(self):
+        # A non-uniform (6,3) distribution; the reference rebuilds the
+        # normalized weight array on every draw.
+        subsets = enumerate_subsets(6, 3)
+        raw = np.random.default_rng(5).random(len(subsets))
+        d = SelectionDistribution(6, 3, dict(zip(subsets, raw / raw.sum())))
+        ref_rng, rng = np.random.default_rng(23), np.random.default_rng(23)
+        expected = []
+        for _ in range(50):
+            weights = np.array([d.probs[s] for s in d.subsets()])
+            expected.append(d.subsets()[ref_rng.choice(len(subsets), p=weights / weights.sum())])
+        assert [sample_subset(d, rng) for _ in range(50)] == expected
+        assert d._sampling_table is d._sampling_table
+
 
 class TestSampleSimplex:
     def test_single_coordinate(self, rng):
