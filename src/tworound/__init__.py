@@ -34,7 +34,6 @@ from .equilibrium import (
     n11_revenue,
     n11_supremum_bound,
     n12_check_rank,
-    n12_condition_functions,
 )
 from .experiments import (
     ExperimentConfig,

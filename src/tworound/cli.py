@@ -17,18 +17,10 @@ from typing import Sequence
 
 import numpy as np
 
-from . import equilibrium, experiments
-from .dsic import ResourceLimitError, check_dsic, find_deviation
+from . import experiments
+from .dsic import MAX_GRID_POINTS, ResourceLimitError, check_dsic, find_deviation
 from .engine import BidProfile, ConfigurationError, Mechanism, simulate_run
-from .equilibrium import (
-    DegenerateRatioError,
-    N12_ORDERINGS,
-    N12Params,
-    n11_classify,
-    n11_revenue,
-    n12_check_rank,
-)
-from .secondround import ContractViolation
+from .equilibrium import N12_ORDERINGS, N12Params, n11_classify, n11_revenue, n12_check_rank
 from .selection import ExclusionY, SelectionError
 
 EXIT_OK = 0
@@ -81,7 +73,7 @@ def _load_mechanism(path: str) -> Mechanism:
     doc = _load_json(path)
     try:
         return Mechanism.from_json_dict(doc)
-    except (SelectionError, ConfigurationError, ContractViolation, ValueError) as exc:
+    except ValueError as exc:
         raise SchemaError(f"invalid mechanism in {path}: {exc}") from exc
 
 
@@ -119,9 +111,14 @@ def _parse_grid(spec: str) -> list[float]:
     try:
         start, stop, step = (float(x) for x in spec.split(":"))
     except ValueError as exc:
-        raise SchemaError(f"grid must look like start:stop:step, got {spec!r}") from exc
+        raise SchemaError(f"--grid must look like start:stop:step, got {spec!r}") from exc
+    if not all(map(math.isfinite, (start, stop, step))):
+        raise SchemaError(f"--grid needs finite start:stop:step, got {spec!r}")
     if step <= 0 or stop < start:
-        raise SchemaError(f"bad grid bounds {spec!r}")
+        raise SchemaError(f"bad --grid bounds {spec!r}")
+    # np.arange below makes ceil of this many points.
+    if (stop + step / 2 - start) / step > MAX_GRID_POINTS:
+        raise SchemaError(f"--grid {spec!r} has more than {MAX_GRID_POINTS} points")
     return list(np.arange(start, stop + step / 2, step))
 
 
@@ -162,14 +159,7 @@ def _cmd_check_dsic(args) -> int:
             raise SchemaError(str(exc)) from exc
         doc["oracle_witness_found"] = witness is not None
         if witness is not None:
-            doc["oracle_witness"] = {
-                "value": witness.value,
-                "first_round_bid": witness.first_round_bid,
-                "second_round_bid": witness.second_round_bid,
-                "opponent_bids": list(witness.opponent_bids),
-                "gain": witness.gain,
-                "family": witness.family,
-            }
+            doc["oracle_witness"] = witness.to_json_dict()
     print(json.dumps(doc))
     return EXIT_OK if verdict.is_dsic else EXIT_NEGATIVE
 
@@ -183,7 +173,7 @@ def _cmd_analyze_ne(args) -> int:
         try:
             Y = ExclusionY(tuple(y_vec))
             cls = n11_classify(values[0], values[1], values[2], Y)
-        except (SelectionError, DegenerateRatioError, ValueError) as exc:
+        except ValueError as exc:
             raise SchemaError(str(exc)) from exc
         doc = cls.to_json_dict()
         if cls.truthful_ne:
@@ -203,7 +193,7 @@ def _cmd_analyze_ne(args) -> int:
     try:
         params = N12Params(tuple(values), tuple(y_vec), args.x2, overrides)
         reports = [n12_check_rank(params, ordering) for ordering in N12_ORDERINGS]
-    except (ValueError, equilibrium.FormulaDomainError) as exc:
+    except ValueError as exc:
         raise SchemaError(str(exc)) from exc
     doc = {"mode": "n12", "x2": args.x2, "ranks": [r.to_json_dict() for r in reports]}
     print(json.dumps(doc))
@@ -211,6 +201,8 @@ def _cmd_analyze_ne(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
+    if args.runs < 1:
+        raise SchemaError(f"--runs must be at least 1, got {args.runs}")
     mech = _load_mechanism(args.mechanism)
     bids = _load_bids(args.bids)
     rng = np.random.default_rng(_seed(args))
@@ -319,7 +311,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except SchemaError as exc:
         _error("schema", str(exc))
         return EXIT_SCHEMA
-    except (SelectionError, ConfigurationError, ContractViolation, ValueError) as exc:
+    except ValueError as exc:
         _error("invariant", str(exc))
         return EXIT_SCHEMA
 

@@ -23,6 +23,7 @@ from .selection import marginal_probabilities
 
 MARGINAL_ATOL = 1e-9
 GAIN_ATOL = 1e-9
+MAX_GRID_POINTS = 12
 
 
 class ResourceLimitError(ValueError):
@@ -48,26 +49,24 @@ class DeviationWitness:
     def family(self) -> str:
         return "conservative" if self.first_round_bid <= self.value else "risky"
 
+    def to_json_dict(self) -> dict:
+        return {
+            "value": self.value,
+            "first_round_bid": self.first_round_bid,
+            "second_round_bid": self.second_round_bid,
+            "opponent_bids": list(self.opponent_bids),
+            "gain": self.gain,
+            "family": self.family,
+        }
+
 
 @dataclass(frozen=True)
 class DsicVerdict:
     is_dsic: bool
     violated_condition: str | None  # None | "condition-1" | "condition-2"
-    witness: DeviationWitness | None = None
 
     def to_json_dict(self) -> dict:
-        doc: dict = {"is_dsic": self.is_dsic, "violated_condition": self.violated_condition}
-        if self.witness is not None:
-            w = self.witness
-            doc["witness"] = {
-                "value": w.value,
-                "first_round_bid": w.first_round_bid,
-                "second_round_bid": w.second_round_bid,
-                "opponent_bids": list(w.opponent_bids),
-                "gain": w.gain,
-                "family": w.family,
-            }
-        return doc
+        return {"is_dsic": self.is_dsic, "violated_condition": self.violated_condition}
 
 
 def check_dsic(mech: Mechanism) -> DsicVerdict:
@@ -130,8 +129,10 @@ def find_deviation(
     grid = sorted(float(g) for g in grid)
     if n is None:
         n = mech.theta
-    if len(grid) > 12:
-        raise ResourceLimitError(f"grid of {len(grid)} points exceeds the 12-point limit")
+    if len(grid) > MAX_GRID_POINTS:
+        raise ResourceLimitError(
+            f"grid of {len(grid)} points exceeds the {MAX_GRID_POINTS}-point limit"
+        )
     if n > 6:
         raise ResourceLimitError(f"n={n} exceeds the 6-bidder limit")
     if n < mech.theta:

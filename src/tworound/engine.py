@@ -105,7 +105,6 @@ class BidProfile:
 class SubsetOutcome:
     subset: tuple[int, ...]  # first-round positions advanced
     probability: float
-    winner_rank: int | None  # second-round rank receiving the top allocation
     winner_bidder: int | None
     payment: float  # total payment collected in this outcome
 
@@ -167,7 +166,7 @@ def enumerate_outcomes(mech: Mechanism, bids: BidProfile) -> list[SubsetOutcome]
     for subset, prob in mech.selection.probs.items():
         ids, s = _entrants(positions, bids, subset)
         order, pay = settle_round(s, mech.allocation)
-        outcomes.append(SubsetOutcome(subset, prob, 1, ids[order[0]], sum(pay)))
+        outcomes.append(SubsetOutcome(subset, prob, ids[order[0]], sum(pay)))
     return outcomes
 
 

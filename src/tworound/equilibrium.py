@@ -19,13 +19,12 @@ import math
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
-import numpy as np
-
 from .engine import BidProfile, Mechanism, expected_utility
 from .secondround import AllocationRule
-from .selection import ExclusionY, SelectionDistribution, from_exclusion_Y
+from .selection import ExclusionY, from_exclusion_Y
 
 EQ_ATOL = 1e-9
+_WITNESS_STEP = 0.01  # grid of the reported risky overbid
 
 
 class DegenerateRatioError(ValueError):
@@ -93,23 +92,21 @@ def is_nash_equilibrium(
     mech: Mechanism,
     values: Sequence[float],
     rank: RankProfile,
-    step: float | None = None,
-    tol: float = EQ_ATOL,
 ) -> tuple[bool, list[DeviationRecord]]:
     """Check a rank profile against all single-bidder position deviations.
 
     Bidders occupying competitive positions (<= theta - alpha + beta) may move
     to any other competitive position, or retreat just below the competition
-    line; moving to position t means bidding one step above the incumbent
-    position-t bid when moving up, and one step below it when moving down (the
-    minimal bid change that realizes position t).  Returns (no bidder strictly
-    gains, per-deviation utility table).
+    line; moving to position t means bidding one step (a tenth of the smallest
+    bid gap) above the incumbent position-t bid when moving up, and one step
+    below it when moving down (the minimal bid change that realizes position
+    t).  Returns (no bidder strictly gains, per-deviation utility table).
     """
     k = mech.competition_rank
     base = rank.to_profile()
     bids = rank.bids
     min_gap = min(a - b for a, b in zip(bids, bids[1:])) if len(bids) > 1 else 1.0
-    delta = min(step, min_gap / 2) if step is not None else min_gap / 10
+    delta = min_gap / 10
     # Targets: the competitive positions plus one slot below the line, which
     # realizes "stop competing" (its allocation probability is always zero).
     top = min(k, len(bids))
@@ -135,7 +132,7 @@ def is_nash_equilibrium(
             dev = BidProfile(tuple(first), tuple(second))
             u_dev = expected_utility(mech, values, dev, bidder)
             records.append(DeviationRecord(bidder, p, t, u_cur, u_dev))
-            if u_dev > u_cur + tol:
+            if u_dev > u_cur + EQ_ATOL:
                 ok = False
     return ok, records
 
@@ -192,7 +189,6 @@ def n11_classify(
     v2: float,
     v3: float,
     Y: ExclusionY,
-    witness_step: float = 0.01,
 ) -> NEClassification:
     """Classify the truthful and risky orderings in the one-winner mode.
 
@@ -217,10 +213,10 @@ def n11_classify(
         return NEClassification("n11", True, False, False, None, r, ratio)
     # Risky order: b2' must satisfy (b2' - v1)/(v1 - v3) > ratio.
     min_over = v1 + ratio * (v1 - v3)
-    steps = math.floor(min_over / witness_step) + 1
-    b2 = steps * witness_step
+    steps = math.floor(min_over / _WITNESS_STEP) + 1
+    b2 = steps * _WITNESS_STEP
     while (b2 - v1) / (v1 - v3) <= ratio:
-        b2 += witness_step
+        b2 += _WITNESS_STEP
     return NEClassification("n11", False, True, False, b2, r, ratio)
 
 
@@ -266,13 +262,9 @@ def n11_improvement_threshold(v1: float, v2: float, v3: float) -> float:
     return (v1 - v2) / (v1 - v3)
 
 
-def _build_exclusion(theta: int, S: float, head_shape: Sequence[float], A: float, D: float) -> ExclusionY:
-    """Assemble an exclusion vector with head mass S (shaped), tail (A, D)."""
-    shape = np.asarray(head_shape, dtype=float)
-    head = S * shape / shape.sum()
-    tail_hi = (A + D) / 2
-    tail_lo = (A - D) / 2
-    return ExclusionY(tuple(head) + (tail_hi, tail_lo))
+def _build_exclusion(theta: int, S: float, A: float, D: float) -> ExclusionY:
+    """An exclusion vector with a uniform head of mass S and tail mass A, gap D."""
+    return ExclusionY((S / (theta - 2),) * (theta - 2) + ((A + D) / 2, (A - D) / 2))
 
 
 def n11_construct_better_Y(
@@ -280,14 +272,26 @@ def n11_construct_better_Y(
 ) -> ExclusionY:
     """From a truthful-supporting Y, build a risky-supporting Y' earning more.
 
-    Two routes: (i) keep the head mass S and tail mass A, widen the tail gap
-    past r*S so the risky order becomes an equilibrium (revenue then rises
-    from S*v2 to S*v1 automatically); (ii) when the tail gap cannot reach
-    r*S, shift mass into the head: revenue approaches v2 (from below) as the
-    head mass approaches 1/(1+r) while the truthful revenue is strictly below
-    v2, so a feasible S' exists whenever r < 1/(theta-2).  Raises
-    :class:`ConstructionFailure` with a certificate when no admissible Y'
-    exists or the search budget is exhausted.
+    Y' is a uniform head of mass S' plus a tail of mass A' = 1 - S' and gap
+    D'; a uniform head maximises the smallest head entry, so it loses
+    nothing.  With r = (v1-v2)/(v2-v3) and the margin rm = r(1+1e-6)+1e-12,
+    which keeps Y' clear of the indeterminate band, every requirement is
+    linear in (S', D'):
+
+    * risky order an equilibrium: D' > rm S';
+    * risky revenue above truthful: S' > S (v2-v3)/(v1-v3);
+    * Y'_theta >= 0: D' <= A';
+    * head above Y'_{theta-1}: A' + D' < 2 S'/(theta-2);
+    * tail bounds: A' + D' < 2/(theta-1) and A' - D' < 2/theta.
+
+    Eliminating D' leaves one interval for S', below 1/(1+rm) and above
+    S (v2-v3)/(v1-v3), (theta-2)/(2+(theta-2)(1-rm)),
+    (theta-3)/((theta-1)(1-rm)), (theta-2)/theta and 1-1/theta-1/(theta-1).
+    All four lie below 1/(1+rm) exactly when rm < 1/(theta-2), so a
+    better Y' exists iff rm < 1/(theta-2), unless the tail mass of Y is so
+    small (about 1e-6) that the revenue bound closes the interval.  Y' takes
+    the midpoint of the S' interval, then the midpoint of the D' interval.
+    Raises :class:`ConstructionFailure` with a certificate otherwise.
     """
     if not v1 >= v2 >= v3 > 0:
         raise ValueError(f"need v1 >= v2 >= v3 > 0, got {(v1, v2, v3)}")
@@ -295,71 +299,35 @@ def n11_construct_better_Y(
         raise DegenerateRatioError("v2 == v3 makes the gap ratio undefined")
     _require_admissible(Y)
     theta = Y.theta
-    S, A, D = _n11_terms(Y)
+    S, _, D = _n11_terms(Y)
     r = (v1 - v2) / (v2 - v3)
     if not r > D / S:
         raise ValueError("Y does not support the truthful ordering")
-    if r >= 1 / (theta - 2):
+    rm = r * (1 + 1e-6) + 1e-12
+    if rm >= 1 / (theta - 2):
         raise ConstructionFailure(
-            f"gap ratio r={r:.6g} >= 1/(theta-2)={1/(theta-2):.6g}: every ordered "
-            "exclusion vector has tail-gap ratio below 1/(theta-2), so no "
-            "risky-supporting Y' exists for these valuations"
+            f"gap ratio r={r:.6g} (with margin {rm:.6g}) >= 1/(theta-2)={1/(theta-2):.6g}: "
+            "every ordered exclusion vector has tail-gap ratio below 1/(theta-2), so "
+            "no risky-supporting Y' exists for these valuations"
         )
-    rev_truth = n11_revenue("truthful", v1, v2, v3, Y)
-    uniform_head = [1.0] * (theta - 2)
-
-    def admissible_and_better(cand: ExclusionY) -> bool:
-        if not cand.ordered:
-            return False
-        try:
-            _require_admissible(cand)
-        except ValueError:
-            return False
-        Sc, Ac, Dc = _n11_terms(cand)
-        # Demand a decisive margin over r so the result classifies as a risky
-        # equilibrium rather than landing in the indeterminate boundary band.
-        if not Dc / Sc > r * (1 + 1e-6) + 1e-12:
-            return False
-        return n11_revenue("risky", v1, v2, v3, cand) > rev_truth + EQ_ATOL
-
-    # Route (i): keep (S, A), widen the tail gap into (r*S, A).
-    if r * S < A and v1 > v2:
-        for frac in (0.5, 0.25, 0.75, 0.1, 0.9, 0.05, 0.99):
-            Dp = r * S + frac * (A - r * S)
-            cand = _build_exclusion(theta, S, uniform_head, A, Dp)
-            if admissible_and_better(cand):
-                return cand
-
-    # Route (ii): move head mass toward the 1/(1+r) edge.
-    S_edge = 1 / (1 + r)
-    S_min = S * (v2 - v3) / (v1 - v3)
-    if S_min < S_edge:
-        for frac in (0.999, 0.99, 0.95, 0.9, 0.75, 0.5):
-            Sp = S_min + frac * (S_edge - S_min)
-            Ap = 1 - Sp
-            if Ap <= r * Sp:
-                continue
-            for gfrac in (0.5, 0.25, 0.75, 0.9, 0.99):
-                Dp = r * Sp + gfrac * (Ap - r * Sp)
-                cand = _build_exclusion(theta, Sp, uniform_head, Ap, Dp)
-                if admissible_and_better(cand):
-                    return cand
-
-    # Randomized fallback before giving up.
-    rng = np.random.default_rng(20240817)
-    for _ in range(2000):
-        draw = np.sort(rng.uniform(size=theta))[::-1]
-        draw = draw / draw.sum()
-        cand = ExclusionY(tuple(draw))
-        try:
-            if admissible_and_better(cand):
-                return cand
-        except ValueError:
-            continue
-    raise ConstructionFailure(
-        f"search budget exhausted for v={(v1, v2, v3)}, Y={Y.y_vec}: no candidate "
-        f"satisfied tail-gap ratio > {r:.6g} with revenue > {rev_truth:.6g}"
+    S_lo = max(
+        S * (v2 - v3) / (v1 - v3),
+        (theta - 2) / (2 + (theta - 2) * (1 - rm)),
+        (theta - 3) / ((theta - 1) * (1 - rm)),
+        (theta - 2) / theta,
+        1 - 1 / theta - 1 / (theta - 1),
     )
+    S_hi = 1 / (1 + rm)
+    Sp = (S_lo + S_hi) / 2
+    Ap = 1 - Sp
+    D_lo = max(rm * Sp, Ap - 2 / theta)
+    D_hi = min(Ap, 2 * Sp / (theta - 2) - Ap, 2 / (theta - 1) - Ap)
+    if not (S_lo < S_hi and D_lo < D_hi):
+        raise ConstructionFailure(
+            f"no admissible Y' earning more for v={(v1, v2, v3)}, Y={Y.y_vec}: head mass "
+            f"interval ({S_lo:.6g}, {S_hi:.6g}), tail-gap interval [{D_lo:.6g}, {D_hi:.6g}]"
+        )
+    return _build_exclusion(theta, Sp, Ap, (D_lo + D_hi) / 2)
 
 
 def n11_mechanism(Y: ExclusionY) -> Mechanism:
@@ -441,13 +409,10 @@ class N12ConditionFunctions:
     """The scalar condition functions of the two-winner example.
 
     ``V23``/``V12`` are the valuation-side functions; ``ycoef23``/``ycoef12``
-    the distribution-side coefficients they are compared against.
-
-    Note: ``ycoef12`` is exposed in its (Y3-Y4)/(Y1-Y2) form.  The direct
-    utility-difference linearization of the first/second position comparison
-    carries a (Y1+Y2) denominator instead; :func:`n12_check_rank` therefore
-    judges equilibria from the utility differences themselves, and this
-    coefficient is provided for reporting only.
+    the distribution-side coefficients they are compared against.  Expanding
+    the position utilities gives u(1) - u(2) = (Y1+Y2) * den * (ycoef12 - V12)
+    with den = :meth:`V12_denominator`, and u(2) - u(3) a positive multiple
+    of ycoef23 - V23.
     """
 
     x2: float
@@ -483,13 +448,7 @@ class N12ConditionFunctions:
     @property
     def ycoef12(self) -> float:
         Y1, Y2, Y3, Y4 = self.Y
-        if Y1 == Y2:
-            raise FormulaDomainError("ycoef12 denominator Y1 - Y2 vanished")
-        return (Y3 - Y4) / (Y1 - Y2)
-
-
-def n12_condition_functions(params: N12Params) -> N12ConditionFunctions:
-    return N12ConditionFunctions(x2=params.x2, Y=params.Y)
+        return (Y3 - Y4) / (Y1 + Y2)
 
 
 def n12_position_bids(params: N12Params, ordering: tuple[int, int, int]) -> tuple[float, float, float]:
@@ -615,102 +574,68 @@ class N12RankReport:
         }
 
 
-def n12_check_rank(
-    params: N12Params,
-    ordering: tuple[int, int, int],
-    tol: float = EQ_ATOL,
-) -> N12RankReport:
+def n12_check_rank(params: N12Params, ordering: tuple[int, int, int]) -> N12RankReport:
     """Evaluate the six adjacent-position inequalities for one ordering.
 
     For each of the three competitive bidders the profile requires
     u(1) > u(2) > u(3) read at its own position: the position-1 bidder must
     prefer 1 over 2 and 2 over 3, the position-2 bidder must prefer 2 over
     both neighbours, the position-3 bidder must prefer 3.  Utilities are exact
-    expectations over the four advancing subsets; margins within ``tol`` are
-    reported indeterminate rather than coerced.
+    expectations over the four advancing subsets; margins within ``EQ_ATOL``
+    are reported indeterminate rather than coerced.  Each condition's
+    ``v_value <direction> ycoef`` holds iff its margin is positive.
     """
     if tuple(ordering) not in N12_ORDERINGS:
         raise ValueError(f"ordering must be one of {N12_ORDERINGS}, got {ordering}")
     ordering = tuple(ordering)
     bids = n12_position_bids(params, ordering)
     v = params.v
-    fns = n12_condition_functions(params)
-    B = {1: bids[0], 2: bids[1], 3: bids[2]}
+    fns = N12ConditionFunctions(x2=params.x2, Y=params.Y)
 
     conditions: list[N12Condition] = []
     for pos in (1, 2, 3):
         bidder = ordering[pos - 1]
         w = v[bidder - 1]
-        others = sorted((B[q] for q in (1, 2, 3) if q != pos), reverse=True) + [v[3]]
+        # The other bids, descending, as seen from the top position.
+        others = [*bids[: pos - 1], *bids[pos:], v[3]]
         u = {t: _n12_position_utility(params, w, t, others) for t in (1, 2, 3)}
-
-        # 1st <-> 2nd comparison: position-1 bidders must prefer 1.
-        m12 = u[1] - u[2]
-        want_upper = pos == 1
-        margin12 = m12 if want_upper else -m12
-        d2 = B[2] if pos == 1 else B[1]
-        d3 = B[3] if pos <= 2 else B[2]
-        try:
-            v12 = fns.V12(w, d2, d3, v[3])
-        except FormulaDomainError:
-            v12 = None
-        try:
-            y12 = fns.ycoef12
-        except FormulaDomainError:
-            y12 = None
-        dir12 = "<" if want_upper else ">"
-        # A negative V12 only makes the "<" requirement redundant when the
-        # denominator is positive (otherwise the division flipped the sign).
-        auto12 = (
-            v12 is not None
-            and v12 < 0
-            and dir12 == "<"
-            and fns.V12_denominator(w, d3, v[3]) > 0
-        )
-        conditions.append(
-            N12Condition(
-                bidder=bidder,
-                position=pos,
-                comparison="1<->2",
-                margin=margin12,
-                holds=margin12 > tol,
-                indeterminate=abs(margin12) <= tol,
-                v_value=v12,
-                ycoef=y12,
-                direction=dir12,
-                auto_satisfied=auto12,
+        d2, d3, d4 = others
+        for upper, comparison in ((1, "1<->2"), (2, "2<->3")):
+            # The bidder must prefer the upper position iff it holds it or one above.
+            want_upper = pos <= upper
+            margin = u[upper] - u[upper + 1]
+            if not want_upper:
+                margin = -margin
+            # u(upper) - u(upper + 1) has the sign of den * (ycoef - v_value).
+            if upper == 1:
+                den = fns.V12_denominator(w, d3, d4)
+                v_value = fns.V12(w, d2, d3, d4) if den else None
+                ycoef = fns.ycoef12
+            else:
+                den = 1.0
+                v_value = fns.V23(w, d3, d4)
+                ycoef = fns.ycoef23
+            direction = "<" if want_upper == (den >= 0) else ">"
+            conditions.append(
+                N12Condition(
+                    bidder=bidder,
+                    position=pos,
+                    comparison=comparison,
+                    margin=margin,
+                    holds=margin > EQ_ATOL,
+                    indeterminate=abs(margin) <= EQ_ATOL,
+                    v_value=v_value,
+                    ycoef=ycoef,
+                    direction=direction,
+                    auto_satisfied=v_value is not None and v_value < 0 and direction == "<",
+                )
             )
-        )
 
-        # 2nd <-> 3rd comparison: only the position-3 bidder prefers 3.
-        m23 = u[2] - u[3]
-        want_upper = pos <= 2
-        margin23 = m23 if want_upper else -m23
-        d3_arg = B[3] if pos <= 2 else B[2]
-        v23 = fns.V23(w, d3_arg, v[3])
-        dir23 = "<" if want_upper else ">"
-        conditions.append(
-            N12Condition(
-                bidder=bidder,
-                position=pos,
-                comparison="2<->3",
-                margin=margin23,
-                holds=margin23 > tol,
-                indeterminate=abs(margin23) <= tol,
-                v_value=v23,
-                ycoef=fns.ycoef23,
-                direction=dir23,
-                auto_satisfied=(v23 < 0 and dir23 == "<"),
-            )
-        )
-
-    indeterminate = any(c.indeterminate for c in conditions)
-    is_ne = all(c.holds for c in conditions)
     return N12RankReport(
         ordering=ordering,
         bids=bids,
-        is_ne=is_ne,
-        indeterminate=indeterminate,
+        is_ne=all(c.holds for c in conditions),
+        indeterminate=any(c.indeterminate for c in conditions),
         conditions=tuple(conditions),
     )
 

@@ -9,8 +9,10 @@ from tworound.cli import (
     EXIT_SCHEMA,
     EXIT_USAGE,
     SEED_ENV_VAR,
+    _parse_grid,
     main,
 )
+from tworound.dsic import MAX_GRID_POINTS
 from tworound.engine import Mechanism
 from tworound.equilibrium import n11_mechanism
 from tworound.selection import ExclusionY
@@ -120,6 +122,22 @@ class TestCheckDsic:
         )
         assert code == EXIT_SCHEMA
 
+    @pytest.mark.parametrize(
+        "spec",
+        ["0:nan:1", "0:inf:1", "nan:1:1", "-inf:1:1", "0:1:inf", "0:1e9:1", "0:12:1", "0:1:1e-300"],
+    )
+    def test_grid_rejected_before_it_is_built(self, dsic_mech_file, spec, capsys):
+        code = main(["check-dsic", "--mechanism", dsic_mech_file, "--oracle", f"--grid={spec}"])
+        assert code == EXIT_SCHEMA
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = json.loads(captured.err)
+        assert err["error"] == "schema"
+        assert "--grid" in err["message"]
+
+    def test_grid_at_the_point_limit_is_built(self):
+        assert len(_parse_grid(f"0:{MAX_GRID_POINTS - 1}:1")) == MAX_GRID_POINTS
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_non_finite_probability_exits_2(self, tmp_path, bad, capsys):
         doc = n11_mechanism(ExclusionY((0.4, 0.2, 0.2, 0.2))).to_json_dict()
@@ -212,6 +230,19 @@ class TestSimulate:
         main(argv)
         second = capsys.readouterr().out
         assert first == second
+
+    @pytest.mark.parametrize("runs", ["0", "-2"])
+    def test_runs_below_one_exit_2(self, tmp_path, dsic_mech_file, runs, capsys):
+        bids = write_json(
+            tmp_path,
+            "bids.json",
+            {"first_round": [450, 350, 200, 100], "second_round": [450, 350, 200, 100]},
+        )
+        argv = ["simulate", "--mechanism", dsic_mech_file, "--bids", bids, "--runs", runs]
+        assert main(argv) == EXIT_SCHEMA
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--runs" in json.loads(captured.err)["message"]
 
 
 class TestReproduce:

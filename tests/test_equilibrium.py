@@ -12,6 +12,7 @@ from tworound.equilibrium import (
     N12ConditionFunctions,
     N12Params,
     RankProfile,
+    _require_admissible,
     is_nash_equilibrium,
     n11_classify,
     n11_construct_better_Y,
@@ -20,7 +21,6 @@ from tworound.equilibrium import (
     n11_revenue,
     n11_supremum_bound,
     n12_check_rank,
-    n12_condition_functions,
     n12_position_bids,
     n12_rank_profile,
 )
@@ -275,6 +275,63 @@ class TestN11Construction:
             built += 1
         assert built >= 20
 
+    @pytest.mark.parametrize(
+        "y_vec, v",
+        [((0.45, 0.35, 0.2), (299.95, 200, 100)), ((0.35, 0.3, 0.2, 0.15), (249.99, 200, 100))],
+    )
+    def test_improves_next_to_the_ratio_bound(self, y_vec, v):
+        Y = ExclusionY(y_vec)
+        better = n11_construct_better_Y(Y, *v)
+        c = n11_classify(*v, better)
+        assert c.risky_ne and not c.indeterminate
+        assert n11_revenue("risky", *v, better) > n11_revenue("truthful", *v, Y)
+
+    def test_succeeds_exactly_below_the_ratio_bound(self):
+        # Gap ratios up to just past 1/(theta-2), with two thirds of the inputs
+        # within a relative 1e-9..1e-2 of either end of (D/S, 1/(theta-2)).
+        rng = np.random.default_rng(20240818)
+        checked = built = 0
+        while checked < 2_000:
+            theta = int(rng.integers(3, 12))
+            Y = np.sort(rng.dirichlet(np.ones(theta)))[::-1]
+            if np.min(Y[:-1] - Y[1:]) <= 1e-4:
+                continue
+            Y = ExclusionY(tuple(Y))
+            S, D = sum(Y.y_vec[:-2]), Y.y_vec[-2] - Y.y_vec[-1]
+            lo, hi = D / S, 1 / (theta - 2)
+            if lo >= hi:
+                continue
+            eps = 10 ** rng.uniform(-9, -2)
+            r = float(
+                rng.choice(
+                    [
+                        lo + rng.uniform(0, 1.05) * (hi - lo),
+                        lo * (1 + eps),
+                        hi * (1 + rng.uniform(-1, 1) * eps),
+                    ]
+                )
+            )
+            v3 = float(rng.uniform(50, 500))
+            v2 = v3 + float(rng.uniform(10, 400))
+            v1 = v2 + r * (v2 - v3)
+            r = (v1 - v2) / (v2 - v3)
+            if not r > D / S:
+                continue
+            checked += 1
+            rm = r * (1 + 1e-6) + 1e-12
+            try:
+                better = n11_construct_better_Y(Y, v1, v2, v3)
+            except ConstructionFailure:
+                assert rm >= hi, (Y.y_vec, (v1, v2, v3))
+                continue
+            assert rm < hi
+            built += 1
+            _require_admissible(better)
+            c = n11_classify(v1, v2, v3, better)
+            assert c.risky_ne and not c.indeterminate
+            assert n11_revenue("risky", v1, v2, v3, better) > n11_revenue("truthful", v1, v2, v3, Y)
+        assert 0 < built < checked
+
     def test_infeasible_ratio_reports_certificate(self):
         Y = ExclusionY((0.4, 0.35, 0.15, 0.1))
         with pytest.raises(ConstructionFailure) as err:
@@ -297,12 +354,10 @@ class TestN12ConditionFunctions:
 
     def test_ycoef12_hand_value(self):
         fns = N12ConditionFunctions(x2=0.3, Y=(0.4, 0.3, 0.2, 0.1))
-        assert fns.ycoef12 == pytest.approx(1.0)
+        assert fns.ycoef12 == pytest.approx(1 / 7)
 
     def test_domain_errors(self):
         fns = N12ConditionFunctions(x2=0.3, Y=(0.3, 0.3, 0.2, 0.2))
-        with pytest.raises(FormulaDomainError):
-            fns.ycoef12
         with pytest.raises(FormulaDomainError):
             fns.V23(200, 350, 200)
 
@@ -411,6 +466,21 @@ class TestN12CheckRank:
                 assert ok
                 found += 1
         assert found > 0
+
+    def test_reported_relation_matches_holds(self, rng):
+        compared = 0
+        for _ in range(200):
+            params = random_n12_params(rng)
+            for ordering in N12_ORDERINGS:
+                for c in n12_check_rank(params, ordering).conditions:
+                    if c.indeterminate or c.v_value is None:
+                        continue
+                    relation = c.v_value < c.ycoef if c.direction == "<" else c.v_value > c.ycoef
+                    assert relation == c.holds, c
+                    if c.auto_satisfied:
+                        assert c.holds
+                    compared += 1
+        assert compared > 6_000
 
     def test_unknown_ordering_rejected(self, rng):
         params = random_n12_params(rng)
