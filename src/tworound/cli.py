@@ -248,10 +248,9 @@ def _cmd_reproduce(args) -> int:
         )
         rows = experiments.run_random_valuation_experiment(config)
     if args.out:
-        experiments.write_rows_csv(rows, args.out)
-    writer = [experiments.CSV_COLUMNS] + [experiments.rows_to_record(r) for r in rows]
-    for record in writer:
-        print(",".join(str(c) for c in record))
+        with open(args.out, "w", newline="") as fh:
+            experiments.write_rows_csv(rows, fh)
+    experiments.write_rows_csv(rows, sys.stdout)
     return EXIT_OK
 
 

@@ -8,17 +8,20 @@ Two independent routes to the same question:
   them (condition 1).
 * :func:`find_deviation` is a brute-force oracle: it fixes opponents to every
   bid profile on a finite grid and searches the deviating bidder's (b, s)
-  pairs, s >= b, for a strictly profitable deviation.  This covers both
-  conservative (b <= v) and risky (v < b <= s) deviations.
+  pairs, s >= b, for a strictly profitable deviation, priced by
+  :func:`engine.place`.  This covers both conservative (b <= v) and risky
+  (v < b <= s) deviations.  :func:`verify_witness` re-prices a witness
+  through full bid profiles, apart from ``place``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
+from functools import cache
 from itertools import combinations_with_replacement
 from typing import Sequence
 
-from .engine import Mechanism, settle
+from .engine import Mechanism, place
 from .selection import marginal_probabilities
 
 MARGINAL_ATOL = 1e-9
@@ -66,7 +69,7 @@ class DsicVerdict:
     violated_condition: str | None  # None | "condition-1" | "condition-2"
 
     def to_json_dict(self) -> dict:
-        return {"is_dsic": self.is_dsic, "violated_condition": self.violated_condition}
+        return asdict(self)
 
 
 def check_dsic(mech: Mechanism) -> DsicVerdict:
@@ -83,35 +86,6 @@ def check_dsic(mech: Mechanism) -> DsicVerdict:
     if any(y[i] > y_ref + MARGINAL_ATOL for i in range(k, mech.theta)):
         return DsicVerdict(is_dsic=False, violated_condition="condition-1")
     return DsicVerdict(is_dsic=True, violated_condition=None)
-
-
-def _deviator_utility_tables(mech: Mechanism, opponent_bids: Sequence[float]):
-    """Per (first-round position, second-round bid) allocation/payment tables.
-
-    Opponents bid the same value in both rounds.  The deviator has bidder
-    id 0 and so takes the better first-round position against an equal
-    opponent bid (the engine's id tie-break); second-round ties follow
-    first-round position.  Its utility for value v is v * X[p, s] - P[p, s].
-    """
-    opp_sorted = sorted(opponent_bids, reverse=True)
-    top = opp_sorted[: mech.theta - 1]
-
-    def deviator_position(b: float) -> int:
-        return 1 + sum(1 for ob in opp_sorted if ob > b)
-
-    tables: dict[tuple[int, float], tuple[float, float]] = {}
-
-    def table(p: int, s: float) -> tuple[float, float]:
-        key = (p, s)
-        if key not in tables:
-            if p > mech.theta:
-                tables[key] = (0.0, 0.0)
-            else:
-                X, P = settle(mech, top[: p - 1] + [s] + top[p - 1 :])
-                tables[key] = (X[p - 1], P[p - 1])
-        return tables[key]
-
-    return deviator_position, table
 
 
 def find_deviation(
@@ -139,17 +113,17 @@ def find_deviation(
         raise ResourceLimitError(f"need n >= theta={mech.theta}")
 
     for opp in combinations_with_replacement(reversed(grid), n - 1):
-        position_of, table = _deviator_utility_tables(mech, opp)
+        # opp is descending; at an equal bid the deviator (id 0) takes the better position.
+        priced = cache(lambda p, s: place(mech, opp, p, s))
         for v in grid:
-            p_truth = position_of(v)
-            Xt, Pt = table(p_truth, v)
+            Xt, Pt = priced(1 + sum(1 for ob in opp if ob > v), v)
             u_truth = v * Xt - Pt
             for b in grid:
-                p_dev = position_of(b)
+                p_dev = 1 + sum(1 for ob in opp if ob > b)
                 for s in grid:
                     if s < b:
                         continue
-                    Xd, Pd = table(p_dev, s)
+                    Xd, Pd = priced(p_dev, s)
                     u_dev = v * Xd - Pd
                     if u_dev > u_truth + GAIN_ATOL:
                         return DeviationWitness(
@@ -166,7 +140,7 @@ def find_deviation(
 def verify_witness(
     mech: Mechanism, witness: DeviationWitness, n: int | None = None
 ) -> float:
-    """Re-evaluate a witness through the exact engine; returns the gain."""
+    """Re-evaluate a witness through the engine's bid-profile path; returns the gain."""
     from .engine import BidProfile, expected_utility
 
     if n is None:

@@ -131,6 +131,19 @@ def first_round_positions(mech: Mechanism, bids: BidProfile) -> list[int]:
     return order[: mech.theta]
 
 
+def _settled(mech: Mechanism, s: Sequence[float], subsets, X: list[float], P: list[float]):
+    """Yield ``(subset, prob, order, pay)`` of each ``(subset, prob)`` settled on bids ``s``
+    (as in :func:`settle`), adding its expected allocation and payment to X and P."""
+    alloc, beta = mech.allocation.x, mech.beta
+    for subset, prob in subsets:
+        order, pay = settle_round([s[q - 1] for q in subset], mech.allocation)
+        for r in range(beta):
+            k = subset[order[r]] - 1
+            X[k] += prob * alloc[r]
+            P[k] += prob * pay[r]
+        yield subset, prob, order, pay
+
+
 def settle(mech: Mechanism, s: Sequence[float]) -> tuple[list[float], list[float]]:
     """Expected allocation and payment of every first-round position.
 
@@ -139,54 +152,32 @@ def settle(mech: Mechanism, s: Sequence[float]) -> tuple[list[float], list[float
     value v is v * X[p - 1] - P[p - 1].  Second-round ties go to the better
     first-round position.
     """
-    x = mech.allocation
-    alloc, beta = x.x, x.beta
     X = [0.0] * mech.theta
     P = [0.0] * mech.theta
-    for subset, prob in mech.selection.probs.items():
-        if prob == 0.0:
-            continue
-        order, pay = settle_round([s[q - 1] for q in subset], x)
-        for r in range(beta):
-            k = subset[order[r]] - 1
-            X[k] += prob * alloc[r]
-            P[k] += prob * pay[r]
+    live = ((subset, prob) for subset, prob in mech.selection.probs.items() if prob != 0.0)
+    for _ in _settled(mech, s, live, X, P):
+        pass
     return X, P
 
 
-def _entrants(positions: Sequence[int], bids: BidProfile, subset: tuple[int, ...]):
-    """Bidder ids and second-round bids of one advanced subset, in position order."""
-    ids = [positions[p - 1] for p in subset]
-    return ids, [bids.second_round[i] for i in ids]
+def place(mech: Mechanism, others: Sequence[float], p: int, s: float) -> tuple[float, float]:
+    """Expected ``(X, P)`` of a bidder at first-round position p bidding s in round two.
 
-
-def enumerate_outcomes(mech: Mechanism, bids: BidProfile) -> list[SubsetOutcome]:
-    positions = first_round_positions(mech, bids)
-    outcomes = []
-    for subset, prob in mech.selection.probs.items():
-        ids, s = _entrants(positions, bids, subset)
-        order, pay = settle_round(s, mech.allocation)
-        outcomes.append(SubsetOutcome(subset, prob, ids[order[0]], sum(pay)))
-    return outcomes
-
-
-def _utilities(mech: Mechanism, values: Sequence[float], bids: BidProfile) -> list[float]:
-    """Exact expected utility of every bidder; 0 outside the top theta."""
-    if len(values) != bids.n:
-        raise ConfigurationError("values and bid profile differ in length")
-    positions = first_round_positions(mech, bids)
-    X, P = settle(mech, [bids.second_round[i] for i in positions])
-    utils = [0.0] * bids.n
-    for k, i in enumerate(positions):
-        utils[i] = values[i] * X[k] - P[k]
-    return utils
+    ``others`` are the other bidders' bids, descending and the same in both
+    rounds; the bidder is inserted at position p among the top theta - 1 of
+    them.  A bidder below position theta gets ``(0.0, 0.0)``.
+    """
+    if p > mech.theta:
+        return 0.0, 0.0
+    X, P = settle(mech, [*others[: p - 1], s, *others[p - 1 : mech.theta - 1]])
+    return X[p - 1], P[p - 1]
 
 
 def expected_utility(
     mech: Mechanism, values: Sequence[float], bids: BidProfile, bidder: int
 ) -> float:
     """Exact expected utility of one bidder over all advancing subsets."""
-    return _utilities(mech, values, bids)[bidder]
+    return evaluate(mech, values, bids).expected_utilities[bidder]
 
 
 def expected_revenue(mech: Mechanism, bids: BidProfile) -> float:
@@ -196,11 +187,26 @@ def expected_revenue(mech: Mechanism, bids: BidProfile) -> float:
 
 
 def evaluate(mech: Mechanism, values: Sequence[float], bids: BidProfile) -> AuctionResult:
-    """Full exact evaluation: utilities, revenue and the per-subset table."""
-    outcomes = tuple(enumerate_outcomes(mech, bids))
-    utils = tuple(_utilities(mech, values, bids))
+    """Full exact evaluation: utilities, revenue and the per-subset table.
+
+    One settle_round per subset feeds the table and every bidder's utility (0
+    outside the top theta); zero-probability subsets add exact zeros to X, P.
+    """
+    if len(values) != bids.n:
+        raise ConfigurationError("values and bid profile differ in length")
+    positions = first_round_positions(mech, bids)
+    s = [bids.second_round[i] for i in positions]
+    X = [0.0] * mech.theta
+    P = [0.0] * mech.theta
+    outcomes = [
+        SubsetOutcome(subset, prob, positions[subset[order[0]] - 1], sum(pay))
+        for subset, prob, order, pay in _settled(mech, s, mech.selection.probs.items(), X, P)
+    ]
+    utils = [0.0] * bids.n
+    for k, i in enumerate(positions):
+        utils[i] = values[i] * X[k] - P[k]
     revenue = sum(o.probability * o.payment for o in outcomes)
-    return AuctionResult(expected_utilities=utils, expected_revenue=revenue, outcomes=outcomes)
+    return AuctionResult(tuple(utils), revenue, tuple(outcomes))
 
 
 def simulate_run(
@@ -215,7 +221,8 @@ def simulate_run(
     """
     positions = first_round_positions(mech, bids)
     subset = sample_subset(mech.selection, rng)
-    ids, s = _entrants(positions, bids, subset)
+    ids = [positions[p - 1] for p in subset]
+    s = [bids.second_round[i] for i in ids]
     order, pay = settle_round(s, mech.allocation)
     s_beta = s[order[mech.beta - 1]]
     b_ref = bids.first_round[positions[mech.competition_rank - 1]]

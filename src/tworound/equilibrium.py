@@ -16,10 +16,10 @@ bidding).  This module classifies the resulting pure-strategy equilibria:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Mapping, Sequence
 
-from .engine import BidProfile, Mechanism, expected_utility
+from .engine import ConfigurationError, Mechanism, place
 from .secondround import AllocationRule
 from .selection import ExclusionY, from_exclusion_Y
 
@@ -64,15 +64,10 @@ class RankProfile:
             raise ValueError("bids and ordering differ in length")
         if any(bids[i] <= bids[i + 1] for i in range(len(bids) - 1)):
             raise ValueError(f"bids must be strictly decreasing: {bids}")
+        if not all(0 <= b < math.inf for b in bids):
+            raise ValueError(f"bids must be finite and nonnegative: {bids}")
         object.__setattr__(self, "ordering", ordering)
         object.__setattr__(self, "bids", bids)
-
-    def to_profile(self) -> BidProfile:
-        n = len(self.ordering)
-        b = [0.0] * n
-        for pos, bidder in enumerate(self.ordering):
-            b[bidder] = self.bids[pos]
-        return BidProfile(tuple(b), tuple(b))
 
 
 @dataclass(frozen=True)
@@ -103,8 +98,11 @@ def is_nash_equilibrium(
     t).  Returns (no bidder strictly gains, per-deviation utility table).
     """
     k = mech.competition_rank
-    base = rank.to_profile()
     bids = rank.bids
+    if len(values) != len(bids):
+        raise ConfigurationError("values and bid profile differ in length")
+    if len(bids) < mech.theta:
+        raise ConfigurationError(f"need at least theta={mech.theta} bidders, got {len(bids)}")
     min_gap = min(a - b for a, b in zip(bids, bids[1:])) if len(bids) > 1 else 1.0
     delta = min_gap / 10
     # Targets: the competitive positions plus one slot below the line, which
@@ -116,7 +114,10 @@ def is_nash_equilibrium(
     ok = True
     for p in range(1, top + 1):
         bidder = rank.ordering[p - 1]
-        u_cur = expected_utility(mech, values, base, bidder)
+        v = values[bidder]
+        others = bids[: p - 1] + bids[p:]
+        X, P = place(mech, others, p, bids[p - 1])
+        u_cur = v * X - P
         for t in targets:
             if t == p:
                 continue
@@ -125,12 +126,8 @@ def is_nash_equilibrium(
             else:
                 floor = bids[t] if t < len(bids) else 0.0
                 new_bid = bids[t - 1] - min(delta, (bids[t - 1] - floor) / 2)
-            first = list(base.first_round)
-            second = list(base.second_round)
-            first[bidder] = new_bid
-            second[bidder] = new_bid
-            dev = BidProfile(tuple(first), tuple(second))
-            u_dev = expected_utility(mech, values, dev, bidder)
+            X, P = place(mech, others, t, new_bid)
+            u_dev = v * X - P
             records.append(DeviationRecord(bidder, p, t, u_cur, u_dev))
             if u_dev > u_cur + EQ_ATOL:
                 ok = False
@@ -154,15 +151,7 @@ class NEClassification:
     y_ratio: float | None = None  # (Y_{t-1}-Y_t)/sum_{i<=t-2} Y_i
 
     def to_json_dict(self) -> dict:
-        return {
-            "mode": self.mode,
-            "truthful_ne": self.truthful_ne,
-            "risky_ne": self.risky_ne,
-            "indeterminate": self.indeterminate,
-            "risky_witness_bid": self.risky_witness_bid,
-            "gap_ratio": self.gap_ratio,
-            "y_ratio": self.y_ratio,
-        }
+        return asdict(self)
 
 
 def _n11_terms(Y: ExclusionY) -> tuple[float, float, float]:
@@ -386,6 +375,11 @@ class N12Params:
             raise ValueError(f"x2 must lie in (0, 0.5), got {x2}")
         object.__setattr__(self, "v", v)
         object.__setattr__(self, "Y", Y)
+        for key, b in self.b_overrides.items():
+            if key not in ("b2", "b3"):
+                raise ValueError(f"unknown b_overrides key {key!r}: expected 'b2' or 'b3'")
+            if not (isinstance(b, (int, float)) and math.isfinite(b)):
+                raise ValueError(f"b_overrides[{key!r}] must be a finite number, got {b!r}")
         object.__setattr__(self, "b_overrides", dict(self.b_overrides))
 
     @property
@@ -551,27 +545,7 @@ class N12RankReport:
     conditions: tuple[N12Condition, ...]
 
     def to_json_dict(self) -> dict:
-        return {
-            "ordering": list(self.ordering),
-            "bids": list(self.bids),
-            "is_ne": self.is_ne,
-            "indeterminate": self.indeterminate,
-            "conditions": [
-                {
-                    "bidder": c.bidder,
-                    "position": c.position,
-                    "comparison": c.comparison,
-                    "margin": c.margin,
-                    "holds": c.holds,
-                    "indeterminate": c.indeterminate,
-                    "v_value": c.v_value,
-                    "ycoef": c.ycoef,
-                    "direction": c.direction,
-                    "auto_satisfied": c.auto_satisfied,
-                }
-                for c in self.conditions
-            ],
-        }
+        return asdict(self)
 
 
 def n12_check_rank(params: N12Params, ordering: tuple[int, int, int]) -> N12RankReport:

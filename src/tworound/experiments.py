@@ -44,7 +44,7 @@ import csv
 import logging
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Sequence, TextIO
 
 import numpy as np
 
@@ -307,12 +307,12 @@ CSV_COLUMNS = (
 )
 
 
-def write_rows_csv(rows: Sequence[ExperimentRow], path: str) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(CSV_COLUMNS)
-        for row in rows:
-            writer.writerow(rows_to_record(row))
+def write_rows_csv(rows: Sequence[ExperimentRow], fh: TextIO) -> None:
+    """Write the header and one record per row as LF-terminated CSV lines."""
+    writer = csv.writer(fh, lineterminator="\n")
+    writer.writerow(CSV_COLUMNS)
+    for row in rows:
+        writer.writerow(rows_to_record(row))
 
 
 def rows_to_record(row: ExperimentRow) -> list:

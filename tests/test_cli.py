@@ -192,6 +192,16 @@ class TestAnalyzeNe:
         assert code in (EXIT_OK, EXIT_NEGATIVE)
         assert (code == EXIT_OK) == any(r["is_ne"] for r in doc["ranks"])
 
+    @pytest.mark.parametrize("flag", ["--b2", "--b3"])
+    def test_n12_non_finite_overbid_exits_2(self, tmp_path, capsys, flag):
+        values = write_json(tmp_path, "v.json", [450, 350, 300, 200, 100])
+        y = write_json(tmp_path, "y.json", [0.4, 0.3, 0.2, 0.1])
+        argv = ["analyze-ne", "--mode", "n12", "--values", values, "--Y", y, flag, "nan"]
+        assert main(argv) == EXIT_SCHEMA
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert flag[2:] in json.loads(captured.err)["message"]
+
     def test_n12_wrong_value_count_exits_2(self, tmp_path, capsys):
         values = write_json(tmp_path, "v.json", [450, 350, 200])
         y = write_json(tmp_path, "y.json", [0.4, 0.3, 0.2, 0.1])
@@ -256,6 +266,15 @@ class TestReproduce:
         assert lines[0].split(",")[0] == "experiment_id"
         assert len(lines) == 5  # header + four valuation rows
         assert out.read_text().splitlines()[0].startswith("experiment_id")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["--table", "2", "--draws", "500"], ["--table", "4", "--draws", "100", "--n-valuations", "10"]],
+    )
+    def test_out_file_matches_stdout(self, tmp_path, capsys, argv):
+        out = tmp_path / "table.csv"
+        assert main(["reproduce", *argv, "--out", str(out)]) == EXIT_OK
+        assert out.read_bytes() == capsys.readouterr().out.encode()
 
     def test_table3_has_four_theta_rows(self, capsys):
         code = main(["reproduce", "--table", "3", "--draws", "500"])

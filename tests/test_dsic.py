@@ -1,3 +1,6 @@
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
@@ -139,3 +142,42 @@ class TestAgreement:
             else:
                 assert witness is not None
                 assert verify_witness(m, witness) > 1e-9
+
+
+class TestPinnedWitnesses:
+    # SHA-256 of the exact first witnesses (or None) on a criterion-2 mix of
+    # mechanisms; a change to the search order, a tie-break or the float
+    # arithmetic of the deviator's utility moves it.
+    DIGEST = "893e1142a358cc46719a227e19fb98294a7bdbe86a49f011d7218fcfaf0c8cf5"
+
+    def test_first_witnesses_are_pinned(self):
+        rng = np.random.default_rng(20241018)
+        found = []
+        for i in range(60):
+            theta = int(rng.integers(2, 5))
+            beta = int(rng.integers(1, theta))
+            if i % 5 in (0, 1):
+                m = make_dsic_mechanism(rng, theta, beta)
+            elif i % 5 in (2, 3):
+                m = make_non_dsic_mechanism(rng, theta, beta)
+            else:
+                m = make_all_advance_mechanism(rng, theta, int(rng.integers(1, theta + 1)))
+            if theta == 4 or m.beta == m.alpha:
+                n = theta
+            else:
+                n = int(rng.integers(theta, min(theta + 2, 7)))
+            w = find_deviation(m, list(range(7)), n=n)
+            found.append(
+                None
+                if w is None
+                else [
+                    w.value,
+                    w.first_round_bid,
+                    w.second_round_bid,
+                    list(w.opponent_bids),
+                    w.truthful_utility,
+                    w.deviation_utility,
+                ]
+            )
+        assert sum(w is not None for w in found) > 10
+        assert hashlib.sha256(json.dumps(found).encode()).hexdigest() == self.DIGEST

@@ -7,17 +7,17 @@ from tworound.engine import (
     BidProfile,
     ConfigurationError,
     Mechanism,
-    enumerate_outcomes,
     evaluate,
     expected_revenue,
     expected_utility,
     first_round_positions,
+    place,
     simulate_run,
 )
 from tworound.secondround import AllocationRule, u2
-from tworound.selection import ExclusionY, SelectionDistribution, from_exclusion_Y
+from tworound.selection import ExclusionY, SelectionDistribution, enumerate_subsets, from_exclusion_Y
 
-from conftest import make_dsic_mechanism, make_non_dsic_mechanism
+from conftest import make_dsic_mechanism, make_non_dsic_mechanism, random_allocation
 
 
 def n11_mech(y_vec):
@@ -74,7 +74,7 @@ class TestTieBreaks:
         # Bidder 1 holds position 1 and bidder 0 position 2; both bid 12 in round two.
         bids = BidProfile((9, 10, 8), (12, 12, 5))
         values = (15.0, 15.0, 5.0)
-        (outcome,) = enumerate_outcomes(m, bids)
+        (outcome,) = evaluate(m, values, bids).outcomes
         assert outcome.winner_bidder == 1
         assert outcome.payment == pytest.approx(12.0)
         assert expected_utility(m, values, bids, 1) == pytest.approx(3.0)
@@ -119,6 +119,37 @@ class TestExpectedUtility:
         assert expected_utility(m, values, bids, 3) == 0.0
 
 
+class TestPlace:
+    def test_matches_expected_utility_through_a_profile(self):
+        # Bidder 0 bids (b, s) against opponents bidding the same in both
+        # rounds; small integer bids make first-round ties common.
+        rng = np.random.default_rng(20241018)
+        below = tied = 0
+        for _ in range(300):
+            theta = int(rng.integers(2, 7))
+            alpha = int(rng.integers(1, theta + 1))
+            beta = int(rng.integers(1, alpha + 1))
+            subsets = enumerate_subsets(theta, alpha)
+            probs = rng.dirichlet(np.ones(len(subsets)))
+            if len(subsets) > 1 and rng.random() < 0.3:
+                probs[rng.integers(len(subsets))] = 0.0
+                probs /= probs.sum()
+            sel = SelectionDistribution(theta, alpha, dict(zip(subsets, probs.tolist())))
+            m = Mechanism(theta, alpha, sel, random_allocation(rng, alpha, beta))
+            n = theta + int(rng.integers(0, 3))
+            others = sorted(rng.integers(0, 6, size=n - 1).tolist(), reverse=True)
+            b = int(rng.integers(0, 6))
+            s = b + int(rng.integers(0, 3))
+            v = float(rng.uniform(0, 8))
+            p = 1 + sum(o > b for o in others)
+            X, P = place(m, others, p, s)
+            bids = BidProfile((b, *others), (s, *others))
+            assert v * X - P == expected_utility(m, (v, *others), bids, 0)
+            below += p > theta
+            tied += b in others
+        assert below > 20 and tied > 100
+
+
 class TestExpectedRevenue:
     def test_truthful_exclusion_example(self):
         m = n11_mech((0.6, 0.25, 0.15))
@@ -144,7 +175,7 @@ class TestExpectedRevenue:
             m = make_dsic_mechanism(rng, theta, beta)
             values = np.sort(rng.uniform(0, 100, size=theta + 1))[::-1]
             bids = BidProfile.truthful(values)
-            table = sum(o.probability * o.payment for o in enumerate_outcomes(m, bids))
+            table = sum(o.probability * o.payment for o in evaluate(m, values, bids).outcomes)
             assert expected_revenue(m, bids) == pytest.approx(table, abs=1e-9)
 
     def test_evaluate_is_consistent(self):

@@ -1,9 +1,12 @@
+import hashlib
+import json
 import math
 
 import numpy as np
 import pytest
 
-from tworound.engine import BidProfile, expected_revenue
+from conftest import make_all_advance_mechanism, make_dsic_mechanism, make_non_dsic_mechanism
+from tworound.engine import BidProfile, ConfigurationError, expected_revenue
 from tworound.equilibrium import (
     ConstructionFailure,
     DegenerateRatioError,
@@ -45,15 +48,14 @@ def random_n12_params(rng, **overrides):
 
 
 class TestRankProfile:
-    def test_round_trip_to_bid_profile(self):
-        rank = RankProfile((1, 0, 2), (650, 450, 200))
-        prof = rank.to_profile()
-        assert prof.first_round == (450.0, 650.0, 200.0)
-        assert prof.second_round == prof.first_round
-
     def test_rejects_non_decreasing_bids(self):
         with pytest.raises(ValueError):
             RankProfile((0, 1, 2), (450, 450, 200))
+
+    @pytest.mark.parametrize("bids", [(450, 350, math.nan), (math.inf, 450, 350), (450, 350, -1.0)])
+    def test_rejects_non_finite_or_negative_bids(self, bids):
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            RankProfile((0, 1, 2), bids)
 
     def test_rejects_non_permutation(self):
         with pytest.raises(ValueError):
@@ -95,6 +97,50 @@ class TestIsNashEquilibrium:
         ok_risky, _ = is_nash_equilibrium(mech, values, RankProfile((1, 0), (500, 450)))
         assert ok_truth
         assert not ok_risky
+
+
+    # SHA-256 of every deviation record on n11, random and n12 instances;
+    # a change to a target position, a deviation bid or the float arithmetic
+    # of a utility moves it.
+    RECORDS_DIGEST = "42a66f020e063bfe544d7d321e17e6af8942ee610d0feb5f32738437ef05b250"
+
+    def test_records_are_pinned(self):
+        rng = np.random.default_rng(20241018)
+        cases = []
+        for i in range(40):
+            theta = 2 + i % 5
+            beta = int(rng.integers(1, theta))
+            if i < 16 and theta >= 3:
+                mech = n11_mechanism(ExclusionY(tuple(np.sort(rng.dirichlet(np.ones(theta)))[::-1])))
+            elif i % 3 == 0:
+                mech = make_dsic_mechanism(rng, theta, beta)
+            elif i % 3 == 1:
+                mech = make_non_dsic_mechanism(rng, theta, beta)
+            else:
+                mech = make_all_advance_mechanism(rng, theta, int(rng.integers(1, theta + 1)))
+            n = theta + i % 2
+            values = tuple(np.sort(rng.uniform(1, 1000, size=n))[::-1].tolist())
+            cases.append((mech, values, RankProfile(tuple(range(n)), values)))
+            risky = (values[0] + 50.0, values[0], *values[2:])
+            cases.append((mech, values, RankProfile((1, 0, *range(2, n)), risky)))
+        for _ in range(10):
+            params = random_n12_params(rng)
+            for ordering in N12_ORDERINGS:
+                cases.append((params.mechanism(), params.v[:4], n12_rank_profile(params, ordering)))
+        out = []
+        for mech, values, rank in cases:
+            ok, records = is_nash_equilibrium(mech, values, rank)
+            out.append(
+                [ok, [[r.bidder, r.from_position, r.to_position, r.utility_current, r.utility_deviation] for r in records]]
+            )
+        assert hashlib.sha256(json.dumps(out).encode()).hexdigest() == self.RECORDS_DIGEST
+
+    def test_malformed_inputs_rejected(self):
+        mech = n11_mechanism(Y_TRUTH)
+        with pytest.raises(ConfigurationError):
+            is_nash_equilibrium(mech, V_EX[:2], RankProfile((0, 1, 2), V_EX))
+        with pytest.raises(ConfigurationError):
+            is_nash_equilibrium(mech, V_EX[:2], RankProfile((0, 1), V_EX[:2]))
 
 
 class TestN11Classify:
@@ -381,6 +427,14 @@ class TestN12Params:
         with pytest.raises(ValueError, match="^x2 must be finite"):
             N12Params(v, Y, bad)
 
+    @pytest.mark.parametrize(
+        "overrides, key",
+        [({"b2": math.nan}, "b2"), ({"b3": math.inf}, "b3"), ({"b3": "600"}, "b3"), ({"b2": 600.0, "b4": 500.0}, "b4")],
+    )
+    def test_rejects_bad_overrides(self, overrides, key):
+        with pytest.raises(ValueError, match=f"'{key}'"):
+            N12Params((450, 400, 300, 200, 100), (0.4, 0.3, 0.2, 0.1), 0.25, overrides)
+
     def test_mechanism_shape(self, rng):
         params = random_n12_params(rng)
         mech = params.mechanism()
@@ -494,5 +548,4 @@ class TestN12RankProfile:
         rank = n12_rank_profile(params, (2, 1, 3))
         assert rank.ordering == (1, 0, 2, 3)
         assert rank.bids[3] == params.v[3]
-        prof = rank.to_profile()
-        assert prof.first_round[1] == rank.bids[0]
+        assert rank.bids[:3] == n12_position_bids(params, (2, 1, 3))

@@ -283,7 +283,8 @@ class TestCsv:
         assert record[6] == ""  # no risky average
         assert record[9] == ""  # no increment
         path = tmp_path / "rows.csv"
-        write_rows_csv([row], str(path))
+        with open(path, "w", newline="") as fh:
+            write_rows_csv([row], fh)
         with open(path, newline="") as fh:
             reader = csv.reader(fh)
             header = next(reader)
