@@ -114,7 +114,7 @@ def _parse_grid(spec: str) -> list[float]:
         raise SchemaError(f"--grid must look like start:stop:step, got {spec!r}") from exc
     if not all(map(math.isfinite, (start, stop, step))):
         raise SchemaError(f"--grid needs finite start:stop:step, got {spec!r}")
-    if step <= 0 or stop < start:
+    if start < 0 or step <= 0 or stop < start:
         raise SchemaError(f"bad --grid bounds {spec!r}")
     # np.arange below makes ceil of this many points.
     if (stop + step / 2 - start) / step > MAX_GRID_POINTS:

@@ -163,9 +163,9 @@ def settle(mech: Mechanism, s: Sequence[float]) -> tuple[list[float], list[float
 def place(mech: Mechanism, others: Sequence[float], p: int, s: float) -> tuple[float, float]:
     """Expected ``(X, P)`` of a bidder at first-round position p bidding s in round two.
 
-    ``others`` are the other bidders' bids, descending and the same in both
-    rounds; the bidder is inserted at position p among the top theta - 1 of
-    them.  A bidder below position theta gets ``(0.0, 0.0)``.
+    ``others`` are the other bidders' bids, descending and the same in both rounds; the
+    bidder is inserted at position p among the top theta - 1 of them, and gets ``(0.0, 0.0)``
+    below position theta.  ``equilibrium.is_nash_equilibrium`` prices its deviations with it.
     """
     if p > mech.theta:
         return 0.0, 0.0

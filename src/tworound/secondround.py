@@ -13,7 +13,7 @@ ranks with positive allocation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 
@@ -26,6 +26,7 @@ class AllocationRule:
     """Monotone non-increasing allocation probabilities by second-round rank."""
 
     x: tuple[float, ...]
+    steps: tuple[float, ...] = field(init=False, repr=False, compare=False)  # x[r] - x[r + 1]
 
     def __post_init__(self) -> None:
         x = tuple(float(v) for v in self.x)
@@ -40,6 +41,7 @@ class AllocationRule:
         if sum(x) > 1 + 1e-12:
             raise ContractViolation(f"allocation probabilities sum to {sum(x)} > 1")
         object.__setattr__(self, "x", x)
+        object.__setattr__(self, "steps", tuple(a - b for a, b in zip(x, x[1:])))
 
     @property
     def alpha(self) -> int:
@@ -64,18 +66,27 @@ def settle_round(bids: Sequence[float], x: AllocationRule) -> tuple[list[int], l
     r + 1 and ``pay[r]`` is that rank's payment, 0 for ranks without
     allocation.
     """
-    alloc = x.x
-    alpha = len(alloc)
+    alpha = len(x.x)
     if len(bids) != alpha:
         raise ContractViolation(f"expected {alpha} bids, got {len(bids)}")
     # sorted() is stable under reverse=True, so equal bids keep their order.
     order = sorted(range(alpha), key=bids.__getitem__, reverse=True)
-    pay = [0.0] * alpha
+    return order, rank_payments(bids, order, x.steps)
+
+
+def rank_payments(bids: Sequence, order: Sequence, steps: Sequence[float]) -> list:
+    """Myerson payment of every rank, summed bottom-up; ``order[r]`` indexes ``bids`` at rank r + 1.
+
+    ``steps`` is ``AllocationRule.steps``; the top bid is never read.  Bids may be floats or numpy
+    columns, priced alike.  ``steps[r:]`` with the bidders from rank r + 1 down prices that rank.
+    """
+    pay = [0.0] * (len(steps) + 1)
     total = 0.0
-    for r in range(alpha - 2, -1, -1):
-        total += bids[order[r + 1]] * (alloc[r] - alloc[r + 1])
+    for r in range(len(steps) - 1, -1, -1):
+        # Not +=: on a numpy column that would also change pay[r + 1].
+        total = total + bids[order[r + 1]] * steps[r]
         pay[r] = total
-    return order, pay
+    return pay
 
 
 def u2(

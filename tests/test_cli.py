@@ -124,7 +124,18 @@ class TestCheckDsic:
 
     @pytest.mark.parametrize(
         "spec",
-        ["0:nan:1", "0:inf:1", "nan:1:1", "-inf:1:1", "0:1:inf", "0:1e9:1", "0:12:1", "0:1:1e-300"],
+        [
+            "0:nan:1",
+            "0:inf:1",
+            "nan:1:1",
+            "-inf:1:1",
+            "0:1:inf",
+            "0:1e9:1",
+            "0:12:1",
+            "0:1:1e-300",
+            "-3:3:1",
+            "-0.5:1:0.5",
+        ],
     )
     def test_grid_rejected_before_it_is_built(self, dsic_mech_file, spec, capsys):
         code = main(["check-dsic", "--mechanism", dsic_mech_file, "--oracle", f"--grid={spec}"])

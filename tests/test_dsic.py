@@ -1,5 +1,8 @@
 import hashlib
 import json
+import math
+from functools import cache
+from itertools import combinations_with_replacement
 
 import numpy as np
 import pytest
@@ -9,16 +12,20 @@ from conftest import (
     make_all_advance_mechanism,
     make_dsic_mechanism,
     make_non_dsic_mechanism,
+    random_allocation,
 )
 from tworound.dsic import (
+    CHUNK_PROFILES,
+    GAIN_ATOL,
+    DeviationWitness,
     ResourceLimitError,
     check_dsic,
     find_deviation,
     verify_witness,
 )
-from tworound.engine import Mechanism
+from tworound.engine import ConfigurationError, Mechanism, place
 from tworound.secondround import AllocationRule
-from tworound.selection import SelectionDistribution
+from tworound.selection import SelectionDistribution, enumerate_subsets
 
 GRID = list(range(0, 9))
 
@@ -105,6 +112,19 @@ class TestFindDeviation:
         with pytest.raises(ResourceLimitError):
             find_deviation(m, GRID, n=3)
 
+    @pytest.mark.parametrize("grid", [[math.nan, 1, 2], [-1, 0, 1], [0, 1, math.inf]])
+    def test_grid_points_must_be_finite_and_nonnegative(self, grid):
+        m = mech_from_q((0.6, 0.3, 0.1))
+        with pytest.raises(ValueError, match="grid points must be finite and nonnegative"):
+            find_deviation(m, grid)
+
+    def test_verify_witness_rejects_a_mismatched_n(self):
+        m = mech_from_q((0.6, 0.3, 0.1))
+        witness = find_deviation(m, GRID, n=4)
+        assert verify_witness(m, witness, n=4) == verify_witness(m, witness)
+        with pytest.raises(ConfigurationError, match="n=3"):
+            verify_witness(m, witness, n=3)
+
 
 class TestTieBreaks:
     @staticmethod
@@ -181,3 +201,88 @@ class TestPinnedWitnesses:
             )
         assert sum(w is not None for w in found) > 10
         assert hashlib.sha256(json.dumps(found).encode()).hexdigest() == self.DIGEST
+
+
+def reference_find_deviation(mech, grid, n):
+    """The grid search as a triple loop, every deviation priced by ``engine.place``."""
+    grid = sorted(float(g) for g in grid)
+    for opp in combinations_with_replacement(reversed(grid), n - 1):
+        # opp is descending; at an equal bid the deviator (id 0) takes the better position.
+        priced = cache(lambda p, s: place(mech, opp, p, s))
+        for v in grid:
+            Xt, Pt = priced(1 + sum(1 for ob in opp if ob > v), v)
+            u_truth = v * Xt - Pt
+            for b in grid:
+                p_dev = 1 + sum(1 for ob in opp if ob > b)
+                for s in grid:
+                    if s < b:
+                        continue
+                    Xd, Pd = priced(p_dev, s)
+                    u_dev = v * Xd - Pd
+                    if u_dev > u_truth + GAIN_ATOL:
+                        return DeviationWitness(
+                            value=v,
+                            first_round_bid=b,
+                            second_round_bid=s,
+                            opponent_bids=tuple(opp),
+                            truthful_utility=u_truth,
+                            deviation_utility=u_dev,
+                        )
+    return None
+
+
+class TestReferenceEquivalence:
+    """The table-and-scan search returns exactly the reference loop's witness."""
+
+    @staticmethod
+    def _random_mechanism(rng, theta):
+        alpha = int(rng.integers(1, theta + 1))
+        beta = alpha if rng.random() < 0.25 else int(rng.integers(1, alpha + 1))
+        subsets = enumerate_subsets(theta, alpha)
+        kind = rng.integers(3)
+        if kind == 0:
+            dist = SelectionDistribution.point_mass(theta, subsets[rng.integers(len(subsets))])
+        else:
+            w = rng.random(len(subsets)) * (rng.random(len(subsets)) < 0.6)
+            w[rng.integers(len(subsets))] += 0.1
+            dist = SelectionDistribution(theta, alpha, dict(zip(subsets, w / w.sum())))
+        if kind == 2 and alpha == theta - 1 and beta < alpha:
+            return make_dsic_mechanism(rng, theta, beta)
+        return Mechanism(theta, alpha, dist, random_allocation(rng, alpha, beta))
+
+    @staticmethod
+    def _random_grid(rng, n):
+        # Cap the reference loop's work: profiles times (v, b) pairs.
+        size = int(rng.integers(3, 13))
+        while size > 3 and math.comb(size + n - 2, n - 1) * size**2 > 20_000:
+            size -= 1
+        if rng.random() < 0.5:
+            points = rng.uniform(0.0, 9.0, size=size)
+        else:
+            points = rng.choice(np.arange(0.0, 9.0, 0.5), size=size)
+        if rng.random() < 0.5:
+            points[: size // 3] = points[-1]
+        return list(points)
+
+    def test_random_mechanisms_match_the_reference(self):
+        rng = np.random.default_rng(20261018)
+        found = 0
+        for _ in range(100):
+            theta = int(rng.integers(2, 7))
+            n = int(rng.integers(theta, 7))
+            mech = self._random_mechanism(rng, theta)
+            grid = self._random_grid(rng, n)
+            want = reference_find_deviation(mech, grid, n)
+            assert find_deviation(mech, grid, n=n) == want, (mech, grid, n)
+            found += want is not None
+        assert 20 < found < 90
+
+    def test_witness_beyond_the_first_chunk(self):
+        # Only position 2 advances, and it is out of the deviator's reach
+        # while the top two opponents bid alike: the 165 leading profiles
+        # (8, 8, ...) hold no witness.
+        mech = Mechanism(2, 1, SelectionDistribution.point_mass(2, (2,)), AllocationRule((1.0,)))
+        want = reference_find_deviation(mech, GRID, 6)
+        profiles = list(combinations_with_replacement(reversed(GRID), 5))
+        assert profiles.index(want.opponent_bids) == 165 > 2 * CHUNK_PROFILES
+        assert find_deviation(mech, GRID, n=6) == want
