@@ -9,6 +9,7 @@ equilibrium found).  Errors are emitted as single JSON lines on stderr.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -78,9 +79,10 @@ def _load_mechanism(path: str) -> Mechanism:
 
 
 def _is_number_list(doc) -> bool:
-    """A JSON list of finite numbers; booleans and numeric strings are not numbers."""
+    """A JSON list of finite floats; booleans, numeric strings and too large integers are not."""
     return isinstance(doc, list) and all(
-        isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x) for x in doc
+        isinstance(x, (int, float)) and not isinstance(x, bool) and abs(x) <= sys.float_info.max
+        for x in doc
     )
 
 
@@ -254,7 +256,9 @@ def _cmd_reproduce(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI parser, built once per process; each parse returns a fresh Namespace."""
     parser = _Parser(prog="tworound", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -9,9 +9,11 @@ Two independent routes to the same question:
 * :func:`find_deviation` is a brute-force oracle: against every opponent bid
   profile on a finite grid it searches the deviator's (b, s) pairs, s >= b,
   for a strictly profitable conservative (b <= v) or risky (v < b <= s)
-  deviation, pricing it from tables by first-round position and round-two
-  rank slot.  :func:`verify_witness` re-prices a witness through full bid
-  profiles (``engine.evaluate``), apart from the tables.
+  deviation.  Each (b, s) puts the deviator in a rank slot (p, k): first-round
+  position p, outranked by k others in round two.  A plan built once per
+  mechanism prices the slots, and the scan runs over (profile, v, p, k).
+  :func:`verify_witness` re-prices a witness through full bid profiles
+  (``engine.evaluate``), apart from the plan.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from .selection import marginal_probabilities
 MARGINAL_ATOL = 1e-9
 GAIN_ATOL = 1e-9
 MAX_GRID_POINTS = 12
-# Profiles per table build and scan: an early witness ends the search early, a scan stays ~1 MB.
+# Profiles per payment pass and scan: an early witness ends the search early, a scan stays small.
 CHUNK_PROFILES = 64
 
 
@@ -93,16 +95,17 @@ def check_dsic(mech: Mechanism) -> DsicVerdict:
     return DsicVerdict(is_dsic=True, violated_condition=None)
 
 
-def _rank_slot_tables(mech: Mechanism, n: int, opp: np.ndarray):
-    """Deviator's expected allocation X[p - 1, k] and payment P[p - 1, k, profile].
+def _rank_slot_plan(mech: Mechanism, n: int):
+    """Deviator's expected allocation X[p - 1, k] and the payment terms that sum to P[p - 1, k].
 
-    ``opp`` rows are descending opponent profiles, bid alike in both rounds, so
-    the k others that outrank a deviator at position p > k in round two sit at
-    positions 1..k: (p, k) fixes its rank and the bids below it in every subset.
-    Both sum over the live subsets in ``selection.probs`` order, as ``engine.settle``.
+    At position p and outranked by k others in round two, the deviator holds slot (p, k).  The
+    others bid alike in both rounds, so those k sit at positions 1..k and the slot fixes its rank
+    and the positions below it in every subset.  A term ((p - 1, k), prob, order, steps) adds prob
+    times the head's ``rank_payments``.  X and the terms follow the live subsets in
+    ``selection.probs`` order, as ``engine.settle``.
     """
     alloc, steps, beta = mech.allocation.x, mech.allocation.steps, mech.beta
-    X, P = np.zeros((n, n)), np.zeros((n, n, len(opp)))
+    X, terms = np.zeros((n, n)), []
     for p in range(1, mech.theta + 1):
         for k in range(p):
             for subset, prob in mech.selection.probs.items():
@@ -111,8 +114,8 @@ def _rank_slot_tables(mech: Mechanism, n: int, opp: np.ndarray):
                     below = [q - 1 if q < p else q - 2 for q in subset if q > k and q != p]
                     X[p - 1, k] += prob * alloc[r]
                     # The deviator heads the order; its own bid is never read.
-                    P[p - 1, k] += prob * rank_payments(opp.T, (None, *below), steps[r:])[0]
-    return X, P
+                    terms.append(((p - 1, k), prob, (None, *below), steps[r:]))
+    return X, terms
 
 
 def find_deviation(
@@ -127,6 +130,9 @@ def find_deviation(
     of grid values.  Returns the first witness under a deterministic search
     order: opponent profiles in ``combinations_with_replacement`` order over
     the descending grid, then v, b and s ascending.
+
+    Chunks are scanned over (profile, v, p, k), n^2 rank slots per (profile, v)
+    instead of a cell per (b, s); slots that no s >= b reaches are masked out.
     """
     grid = sorted(float(g) for g in grid)
     if not all(0 <= g < math.inf for g in grid):
@@ -142,27 +148,35 @@ def find_deviation(
         raise ResourceLimitError(f"need n >= theta={mech.theta}")
 
     g = np.array(grid)
+    X, terms = _rank_slot_plan(mech, n)
+    bi, si = np.nonzero(g >= g[:, None])  # the (b, s >= b) pairs, row-major
     profiles = combinations_with_replacement(reversed(grid), n - 1)
     while chunk := list(islice(profiles, CHUNK_PROFILES)):
         opp = np.array(chunk)  # shape (len(chunk), n - 1), also for n = 1
-        X, P = _rank_slot_tables(mech, n, opp)
+        rows = np.arange(len(chunk))
+        P = np.zeros((n, n, len(chunk)))
+        for slot, prob, order, steps in terms:
+            P[slot] += prob * rank_payments(opp.T, order, steps)[0]
         # Round-one ties go to the deviator (id 0): bidding b, it sits at p = 1 + #(others above b);
         # bidding s >= b, it is outranked by the k others before it at >= s.  Truthful: b = s = v.
-        p1 = (opp[:, :, None] > g).sum(1)[:, :, None]  # p - 1, by b
-        k = np.minimum(p1, (opp[:, :, None] >= g).sum(1)[:, None, :])
-        Xd, Pd = X[p1, k], P[p1, k, np.arange(len(chunk))[:, None, None]]
-        u_truth = g * Xd.diagonal(0, 1, 2) - Pd.diagonal(0, 1, 2)
-        u_dev = g[:, None, None] * Xd[:, None] - Pd[:, None]
-        gains = (u_dev > (u_truth + GAIN_ATOL)[:, :, None, None]) & (g >= g[:, None])
-        if gains.any():
-            i, v, b, s = np.unravel_index(gains.argmax(), gains.shape)
+        p1 = (opp[:, :, None] > g).sum(1)  # p - 1, by b
+        k = np.minimum(p1[:, :, None], (opp[:, :, None] >= g).sum(1)[:, None, :])
+        U = g[:, None, None] * X - P.transpose(2, 0, 1)[:, None]  # [profile, v, p - 1, k]
+        u_truth = U[rows[:, None], np.arange(len(g)), p1, p1]
+        reached = np.zeros((len(chunk), n, n), dtype=bool)
+        reached[rows[:, None], p1[:, bi], k[:, bi, si]] = True
+        hits = (U > (u_truth + GAIN_ATOL)[:, :, None, None]) & reached[:, None]
+        if hits.any():  # the first hit in row-major order has the first (profile, v)
+            i, v, _, _ = np.unravel_index(hits.argmax(), hits.shape)
+            pairs = hits[i, v][p1[i][:, None], k[i]] & (g >= g[:, None])
+            b, s = np.unravel_index(pairs.argmax(), pairs.shape)
             return DeviationWitness(
                 value=grid[v],
                 first_round_bid=grid[b],
                 second_round_bid=grid[s],
                 opponent_bids=chunk[i],
                 truthful_utility=float(u_truth[i, v]),
-                deviation_utility=float(u_dev[i, v, b, s]),
+                deviation_utility=float(U[i, v, p1[i, b], k[i, b, s]]),
             )
     return None
 

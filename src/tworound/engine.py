@@ -65,7 +65,7 @@ class Mechanism:
         selection = SelectionDistribution.from_json_dict(doc)
         try:
             x = AllocationRule(tuple(float(v) for v in doc["x"]))
-        except (KeyError, TypeError) as exc:
+        except (KeyError, TypeError, OverflowError) as exc:
             raise ConfigurationError(f"malformed mechanism document: {exc}") from exc
         return cls(selection.theta, selection.alpha, selection, x)
 

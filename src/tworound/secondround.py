@@ -36,8 +36,10 @@ class AllocationRule:
             raise ContractViolation(f"allocation probabilities must be finite: {x}")
         if any(b > a + 1e-15 for a, b in zip(x, x[1:])):
             raise ContractViolation(f"allocation must be non-increasing: {x}")
-        if x[-1] < 0:
+        if min(x) < 0:
             raise ContractViolation("allocation probabilities must be nonnegative")
+        if any(a <= 0 < b for a, b in zip(x, x[1:])):
+            raise ContractViolation(f"allocation is positive after a zero: {x}")
         if sum(x) > 1 + 1e-12:
             raise ContractViolation(f"allocation probabilities sum to {sum(x)} > 1")
         object.__setattr__(self, "x", x)
@@ -49,7 +51,7 @@ class AllocationRule:
 
     @property
     def beta(self) -> int:
-        """Number of ranks that can win."""
+        """Number of ranks that can win: the leading run of positive entries."""
         return sum(1 for v in self.x if v > 0)
 
     def prob(self, rank: int) -> float:

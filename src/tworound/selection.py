@@ -114,9 +114,9 @@ class SelectionDistribution:
             theta = int(doc["theta"])
             alpha = int(doc["alpha"])
             probs = {tuple(entry["subset"]): float(entry["p"]) for entry in doc["probs"]}
-        except (KeyError, TypeError) as exc:
+            return cls(theta, alpha, probs)
+        except (KeyError, TypeError, OverflowError) as exc:
             raise SelectionError(f"malformed selection distribution document: {exc}") from exc
-        return cls(theta, alpha, probs)
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict())

@@ -1,8 +1,22 @@
+import contextlib
+import copy
+import functools
+import io
 import json
 import math
+import operator
+import os
+import subprocess
+import sys
+from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import tworound
+from tworound import experiments
 from tworound.cli import (
     EXIT_NEGATIVE,
     EXIT_OK,
@@ -16,6 +30,14 @@ from tworound.dsic import MAX_GRID_POINTS
 from tworound.engine import Mechanism
 from tworound.equilibrium import n11_mechanism
 from tworound.selection import ExclusionY
+
+
+def run_main(argv):
+    """``main(argv)`` with its stdout and stderr captured: (code, out, err)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
 
 
 def write_json(tmp_path, name, doc):
@@ -93,6 +115,22 @@ class TestValidate:
         captured = capsys.readouterr()
         assert captured.out == ""
         (line,) = captured.err.splitlines()
+        assert json.loads(line)["error"] == "schema"
+
+
+    @pytest.mark.parametrize(
+        "flag,doc",
+        [
+            ("--mechanism", {"theta": math.inf, "alpha": 1, "probs": [], "x": [1]}),
+            ("--mechanism", {"theta": 1, "alpha": 1, "probs": [{"subset": [None], "p": 1}], "x": [1]}),
+            ("--mechanism", {"theta": 1, "alpha": 1, "probs": [{"subset": [1], "p": 1}], "x": [2**1024]}),
+            ("--values", [2**1024, 1]),
+            ("--bids", {"first_round": [2**1024], "second_round": [1]}),
+        ],
+    )
+    def test_loader_crashes_found_by_fuzzing_exit_2(self, tmp_path, capsys, flag, doc):
+        assert main(["validate", flag, write_json(tmp_path, "doc.json", doc)]) == EXIT_SCHEMA
+        (line,) = capsys.readouterr().err.splitlines()
         assert json.loads(line)["error"] == "schema"
 
 
@@ -329,3 +367,111 @@ class TestTopLevel:
 
     def test_unknown_subcommand_exits_1(self, capsys):
         assert main(["frobnicate"]) == EXIT_USAGE
+
+
+    def test_python_m_runs_the_cli(self):
+        env = {**os.environ, "PYTHONPATH": str(Path(tworound.__file__).parent.parent)}
+        argv = [sys.executable, "-m", "tworound", "check-dsic", "--help"]
+        done = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=60)
+        assert done.returncode == EXIT_OK
+        assert done.stdout.startswith("usage: tworound check-dsic")
+
+
+class TestParserReuse:
+    """``main`` reuses one parser; consecutive calls must not see each other's arguments."""
+
+    def test_usage_error_then_valid_call(self, dsic_mech_file):
+        assert run_main(["check-dsic", "--oracle"])[0] == EXIT_USAGE
+        code, out, err = run_main(["check-dsic", "--mechanism", dsic_mech_file])
+        assert (code, err) == (EXIT_OK, "")
+        assert json.loads(out) == {"is_dsic": True, "violated_condition": None}
+
+    def test_seed_is_not_carried_over(self, monkeypatch):
+        monkeypatch.delenv(SEED_ENV_VAR, raising=False)
+        argv = ["reproduce", "--table", "2", "--draws", "50"]
+        seeded = run_main([*argv, "--seed", "7"])
+        unseeded = run_main(argv)
+        assert unseeded == run_main([*argv, "--seed", str(experiments.DEFAULT_SEED)])
+        assert unseeded[1] != seeded[1]
+
+    def test_n_is_not_carried_over(self, dsic_mech_file):
+        argv = ["check-dsic", "--mechanism", dsic_mech_file, "--oracle"]
+        code, out, err = run_main([*argv, "--n", "3"])
+        assert (code, out) == (EXIT_SCHEMA, "")
+        assert "need n >= theta=4" in json.loads(err)["message"]
+        code, out, err = run_main(argv)
+        assert (code, err) == (EXIT_OK, "")
+        assert json.loads(out)["oracle_witness_found"] is False
+
+
+# A valid document of each kind; the fuzz replaces one node of it (or all of it) with any value.
+VALID = {
+    "--mechanism": {
+        "theta": 2,
+        "alpha": 1,
+        "probs": [{"subset": [1], "p": 0.5}, {"subset": [2], "p": 0.5}],
+        "x": [1.0],
+    },
+    "--values": {"values": [3.0, 2.0, 1.0]},
+    "--Y": {"Y": [0.5, 0.3, 0.2]},
+    "--bids": {"first_round": [3.0, 2.0], "second_round": [3.0, 2.0]},
+}
+JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner, max_size=4),
+    max_leaves=4,
+)
+# 2**1024 is the smallest integer no float can hold.
+ANY = st.sampled_from([math.inf, -math.inf, math.nan, 2**1024, -1, 0, 1.5, None, True, "1", [], {}]) | JSON
+
+
+def node_paths(doc, path=()):
+    """The path of every node of a JSON document, the root first."""
+    yield path
+    if isinstance(doc, (dict, list)):
+        for key, value in doc.items() if isinstance(doc, dict) else enumerate(doc):
+            yield from node_paths(value, (*path, key))
+
+
+def replace_node(doc, path, value):
+    if not path:
+        return value
+    doc = copy.deepcopy(doc)
+    parent = functools.reduce(operator.getitem, path[:-1], doc)
+    parent[path[-1]] = value
+    return doc
+
+
+ENV_TEXT = st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\x00"), max_size=8)
+
+
+def assert_clean_exit(code, out, err):
+    """Exit 0, 2 or 3, with one JSON error line on stderr exactly when the exit is 2."""
+    assert code in (EXIT_OK, EXIT_SCHEMA, EXIT_NEGATIVE)
+    lines = err.splitlines()
+    assert len(lines) == (code == EXIT_SCHEMA)
+    if lines:
+        assert json.loads(lines[0])["error"] in ("schema", "invariant")
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+class TestFuzz:
+    @pytest.mark.parametrize("flag", sorted(VALID))
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_document_loaders(self, fuzz_dir, flag, data):
+        node = data.draw(st.sampled_from(list(node_paths(VALID[flag]))))
+        doc = replace_node(VALID[flag], node, data.draw(ANY))
+        path = fuzz_dir / f"{flag[2:]}.json"
+        path.write_text(json.dumps(doc))
+        assert_clean_exit(*run_main(["validate", flag, str(path)]))
+
+    @settings(max_examples=30, deadline=None)
+    @given(env=ENV_TEXT | st.integers().map(str))
+    def test_seed_variable(self, env):
+        with mock.patch.dict(os.environ, {SEED_ENV_VAR: env}):
+            assert_clean_exit(*run_main(["reproduce", "--table", "2", "--draws", "20"]))

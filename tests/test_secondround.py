@@ -34,6 +34,15 @@ class TestAllocationRule:
         with pytest.raises(ContractViolation):
             AllocationRule((0.5, -0.1))
 
+    def test_rejects_a_positive_entry_after_a_zero(self):
+        # Both inside the monotonicity slack, but beta must be the leading positive run.
+        for x in [(0.5, 0.0, 1e-16), (0.5, -1e-16, 0.0)]:
+            with pytest.raises(ContractViolation):
+                AllocationRule(x)
+        # Without the trailing entry no rank is paid a negative amount.
+        _, pay = settle_round([3.0, 2.0, 1.0], AllocationRule((0.5, 0.0, 0.0)))
+        assert pay == [1.0, 0.0, 0.0]
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_rejects_non_finite(self, bad):
         with pytest.raises(ContractViolation):
