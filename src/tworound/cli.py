@@ -22,7 +22,7 @@ from . import experiments
 from .dsic import MAX_GRID_POINTS, ResourceLimitError, check_dsic, find_deviation
 from .engine import BidProfile, ConfigurationError, Mechanism, simulate_run
 from .equilibrium import N12_ORDERINGS, N12Params, n11_classify, n11_revenue, n12_check_rank
-from .selection import ExclusionY, SelectionError
+from .selection import ExclusionY, SelectionError, is_finite_number
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -80,10 +80,7 @@ def _load_mechanism(path: str) -> Mechanism:
 
 def _is_number_list(doc) -> bool:
     """A JSON list of finite floats; booleans, numeric strings and too large integers are not."""
-    return isinstance(doc, list) and all(
-        isinstance(x, (int, float)) and not isinstance(x, bool) and abs(x) <= sys.float_info.max
-        for x in doc
-    )
+    return isinstance(doc, list) and all(map(is_finite_number, doc))
 
 
 def _load_vector(path: str, key: str) -> list[float]:
@@ -250,8 +247,11 @@ def _cmd_reproduce(args) -> int:
         )
         rows = experiments.run_random_valuation_experiment(config)
     if args.out:
-        with open(args.out, "w", newline="") as fh:
-            experiments.write_rows_csv(rows, fh)
+        try:
+            with open(args.out, "w", newline="") as fh:
+                experiments.write_rows_csv(rows, fh)
+        except OSError as exc:
+            raise SchemaError(f"cannot write {args.out}: {exc}") from exc
     experiments.write_rows_csv(rows, sys.stdout)
     return EXIT_OK
 

@@ -3,19 +3,22 @@
 Expected utilities and revenue are computed by enumerating every possible
 advancing subset (there are only C(theta, alpha) of them at the scales we
 care about), which keeps equilibrium classification free of Monte Carlo
-noise.  Single sampled runs are available for simulation-style checks.
+noise.  Single sampled runs are available for simulation-style checks; each
+draws its subset and winner from cached CDFs in O(log C), with the same draws
+as ``Generator.choice``.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
 from .secondround import AllocationRule, settle_round
-from .selection import SelectionDistribution, sample_subset
+from .selection import SelectionDistribution, is_finite_number, sample_subset
 
 UTILITY_ATOL = 1e-9
 
@@ -63,11 +66,10 @@ class Mechanism:
     @classmethod
     def from_json_dict(cls, doc: dict) -> "Mechanism":
         selection = SelectionDistribution.from_json_dict(doc)
-        try:
-            x = AllocationRule(tuple(float(v) for v in doc["x"]))
-        except (KeyError, TypeError, OverflowError) as exc:
-            raise ConfigurationError(f"malformed mechanism document: {exc}") from exc
-        return cls(selection.theta, selection.alpha, selection, x)
+        x = doc.get("x")
+        if not isinstance(x, (list, tuple)) or not all(map(is_finite_number, x)):
+            raise ConfigurationError("mechanism needs x, a list of finite numbers")
+        return cls(selection.theta, selection.alpha, selection, AllocationRule(tuple(x)))
 
 
 @dataclass(frozen=True)
@@ -127,7 +129,8 @@ def first_round_positions(mech: Mechanism, bids: BidProfile) -> list[int]:
     """
     if bids.n < mech.theta:
         raise ConfigurationError(f"need at least theta={mech.theta} bidders, got {bids.n}")
-    order = sorted(range(bids.n), key=lambda i: (-bids.first_round[i], i))
+    # sorted() is stable under reverse=True, so the lower id keeps the higher position.
+    order = sorted(range(bids.n), key=bids.first_round.__getitem__, reverse=True)
     return order[: mech.theta]
 
 
@@ -216,8 +219,11 @@ def simulate_run(
 
     The subset is sampled; payments within the subset are the exact expected
     payments of the rule, and the realized winner is sampled from the
-    allocation probabilities.  Every run asserts the line-of-competition
-    invariant s_beta >= b_{theta-alpha+beta}.
+    allocation probabilities.  Each draw is one ``rng.random()`` and a bisection
+    of a cached CDF, O(log C): the same draws and stream position as
+    ``rng.choice(..., p=...)``.  A run whose second-round bids break the
+    line of competition s_beta >= b_{theta-alpha+beta} raises
+    :class:`ConfigurationError`.
     """
     positions = first_round_positions(mech, bids)
     subset = sample_subset(mech.selection, rng)
@@ -227,17 +233,17 @@ def simulate_run(
     s_beta = s[order[mech.beta - 1]]
     b_ref = bids.first_round[positions[mech.competition_rank - 1]]
     if s_beta < b_ref - UTILITY_ATOL:
-        raise AssertionError(
+        raise ConfigurationError(
             f"line of competition violated: s_beta={s_beta} < b_ref={b_ref} "
             f"(subset={subset})"
         )
-    weights = list(mech.allocation.x[: mech.beta])
-    idx = rng.choice(len(weights) + 1, p=[*weights, max(1.0 - sum(weights), 0.0)])
-    winner = ids[order[idx]] if idx < len(weights) else None
+    idx = bisect_right(mech.allocation._winner_cdf, rng.random())
+    winner = ids[order[idx]] if idx < mech.beta else None
+    total = sum(pay)
     return AuctionResult(
         expected_utilities=(),
-        expected_revenue=sum(pay),
+        expected_revenue=total,
         realized_subset=subset,
         realized_winner=winner,
-        realized_payment=sum(pay),
+        realized_payment=total,
     )

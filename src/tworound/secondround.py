@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import Sequence
 
 
@@ -27,6 +28,8 @@ class AllocationRule:
 
     x: tuple[float, ...]
     steps: tuple[float, ...] = field(init=False, repr=False, compare=False)  # x[r] - x[r + 1]
+    # CDF of the winning rank 1..beta, then "no winner", as Generator.choice builds it.
+    _winner_cdf: list[float] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         x = tuple(float(v) for v in self.x)
@@ -44,6 +47,8 @@ class AllocationRule:
             raise ContractViolation(f"allocation probabilities sum to {sum(x)} > 1")
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "steps", tuple(a - b for a, b in zip(x, x[1:])))
+        cdf = list(accumulate([*x[: self.beta], max(1.0 - sum(x[: self.beta]), 0.0)]))
+        object.__setattr__(self, "_winner_cdf", [c / cdf[-1] for c in cdf])
 
     @property
     def alpha(self) -> int:

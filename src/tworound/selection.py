@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import json
 import math
+import sys
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import combinations
@@ -24,6 +26,11 @@ NORMALIZE_ATOL = 1e-9
 
 class SelectionError(ValueError):
     """Invalid selection distribution or incompatible mode."""
+
+
+def is_finite_number(v) -> bool:
+    """A JSON number a float holds finitely: not a bool, NaN, an infinity or too large an integer."""
+    return isinstance(v, (int, float)) and not isinstance(v, bool) and abs(v) <= sys.float_info.max
 
 
 def enumerate_subsets(theta: int, alpha: int) -> list[tuple[int, ...]]:
@@ -95,11 +102,13 @@ class SelectionDistribution:
         return list(self.probs.keys())
 
     @cached_property
-    def _sampling_table(self) -> tuple[list[tuple[int, ...]], np.ndarray]:
-        """Subsets and their normalized weights, built on the first draw."""
+    def _sampling_table(self) -> tuple[list[tuple[int, ...]], list[float]]:
+        """Subsets and their CDF, built on the first draw exactly as ``Generator.choice`` builds it."""
         subsets = self.subsets()
         weights = np.fromiter((self.probs[s] for s in subsets), dtype=float, count=len(subsets))
-        return subsets, weights / weights.sum()
+        cdf = (weights / weights.sum()).cumsum()
+        cdf /= cdf[-1]
+        return subsets, cdf.tolist()
 
     def to_json_dict(self) -> dict:
         return {
@@ -111,12 +120,16 @@ class SelectionDistribution:
     @classmethod
     def from_json_dict(cls, doc: Mapping) -> "SelectionDistribution":
         try:
-            theta = int(doc["theta"])
-            alpha = int(doc["alpha"])
-            probs = {tuple(entry["subset"]): float(entry["p"]) for entry in doc["probs"]}
-            return cls(theta, alpha, probs)
-        except (KeyError, TypeError, OverflowError) as exc:
+            theta, alpha = doc["theta"], doc["alpha"]
+            probs = {tuple(entry["subset"]): entry["p"] for entry in doc["probs"]}
+        except (KeyError, TypeError) as exc:
             raise SelectionError(f"malformed selection distribution document: {exc}") from exc
+        integers = (theta, alpha, *(i for key in probs for i in key))
+        if not all(isinstance(v, int) and not isinstance(v, bool) for v in integers):
+            raise SelectionError("theta, alpha and subset entries must be integers")
+        if not all(map(is_finite_number, probs.values())):
+            raise SelectionError("subset probabilities must be finite numbers")
+        return cls(theta, alpha, probs)
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict())
@@ -210,9 +223,13 @@ def from_exclusion_Y(y: ExclusionY) -> SelectionDistribution:
 
 
 def sample_subset(dist: SelectionDistribution, rng: np.random.Generator) -> tuple[int, ...]:
-    """Draw one advancing subset according to the joint distribution."""
-    subsets, p = dist._sampling_table
-    return subsets[rng.choice(len(subsets), p=p)]
+    """Draw one advancing subset according to the joint distribution, in O(log C).
+
+    One ``rng.random()`` and a right bisection of the cached CDF: the draw and the generator's
+    stream position are those of ``rng.choice(C, p=...)`` with the normalized weights.
+    """
+    subsets, cdf = dist._sampling_table
+    return subsets[bisect_right(cdf, rng.random())]
 
 
 def sample_simplex(k: int, rng: np.random.Generator) -> np.ndarray:

@@ -1,7 +1,9 @@
 import contextlib
 import copy
 import functools
+import hashlib
 import io
+import itertools
 import json
 import math
 import operator
@@ -57,6 +59,48 @@ def dsic_mech_file(tmp_path):
 def non_dsic_mech_file(tmp_path):
     mech = n11_mechanism(ExclusionY((0.6, 0.3, 0.1)))
     return write_json(tmp_path, "nondsic.json", mech.to_json_dict())
+
+
+def _probs(subsets, weights):
+    total = sum(weights)
+    return [{"subset": list(s), "p": w / total} for s, w in zip(subsets, weights)]
+
+
+# (mechanism, bids) documents for `simulate`: zero-probability subsets, an allocation summing
+# below 1 (so some runs have no winner) and tied first-round bids.
+SIMULATE_CASES = {
+    "zero-prob": (
+        {
+            "theta": 4,
+            "alpha": 2,
+            "probs": _probs(itertools.combinations(range(1, 5), 2), [0, 6, 5, 4, 0, 5]),
+            "x": [0.7, 0.3],
+        },
+        {"first_round": [9, 7, 7, 5, 3], "second_round": [9, 8, 7, 6, 3]},
+    ),
+    "partial-x": (
+        {
+            "theta": 5,
+            "alpha": 3,
+            "probs": _probs(itertools.combinations(range(1, 6), 3), [1] * 10),
+            "x": [0.5, 0.25, 0.0],
+        },
+        {"first_round": [10, 8, 8, 6, 4, 2], "second_round": [10, 8, 8, 6, 4, 2]},
+    ),
+    "all-advance": (
+        {"theta": 3, "alpha": 3, "probs": [{"subset": [1, 2, 3], "p": 1.0}], "x": [0.6, 0.3, 0.1]},
+        {"first_round": [5, 5, 5, 5], "second_round": [5, 5, 5, 5]},
+    ),
+    "mod4-6-3": (
+        {
+            "theta": 6,
+            "alpha": 3,
+            "probs": _probs(itertools.combinations(range(1, 7), 3), [i % 4 for i in range(20)]),
+            "x": [0.4, 0.35, 0.1],
+        },
+        {"first_round": [12, 11, 11, 9, 7, 5, 3], "second_round": [12, 11, 11, 9, 7, 5, 3]},
+    ),
+}
 
 
 class TestValidate:
@@ -131,6 +175,46 @@ class TestValidate:
     def test_loader_crashes_found_by_fuzzing_exit_2(self, tmp_path, capsys, flag, doc):
         assert main(["validate", flag, write_json(tmp_path, "doc.json", doc)]) == EXIT_SCHEMA
         (line,) = capsys.readouterr().err.splitlines()
+        assert json.loads(line)["error"] == "schema"
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            (None, None),
+            ("theta", 2.9),
+            ("theta", 2.0),
+            ("theta", True),
+            ("theta", "2"),
+            ("alpha", "1"),
+            ("alpha", 1.0),
+            ("subset", [True]),
+            ("subset", [2.7]),
+            ("subset", ["2"]),
+            ("p", "0.5"),
+            ("p", True),
+            ("p", 2**1024),
+            ("x", ["1"]),
+            ("x", [True]),
+            ("x", [math.inf]),
+        ],
+    )
+    def test_mechanism_types_are_checked(self, tmp_path, field, value):
+        # field=None is the whole document as first found: every field of the wrong type at once.
+        doc = {
+            "theta": 2.9,
+            "alpha": "1",
+            "probs": [{"subset": [True], "p": "0.5"}, {"subset": [2.7], "p": "0.5"}],
+            "x": ["1"],
+        }
+        if field is not None:
+            doc = copy.deepcopy(VALID["--mechanism"])
+            if field in ("theta", "alpha", "x"):
+                doc[field] = value
+            else:
+                doc["probs"][1][field] = value
+        code, out, err = run_main(["validate", "--mechanism", write_json(tmp_path, "mech.json", doc)])
+        assert (code, out) == (EXIT_SCHEMA, "")
+        (line,) = err.splitlines()
         assert json.loads(line)["error"] == "schema"
 
 
@@ -290,6 +374,44 @@ class TestSimulate:
         second = capsys.readouterr().out
         assert first == second
 
+    # SHA-256 of `simulate` stdout for fixed documents and seeds: the subset and
+    # winner draws must stay bit for bit the same.
+    @pytest.mark.parametrize(
+        "case,seed,digest",
+        [
+            ("zero-prob", 7, "c19be10bd0d80095ab8c3bf156851108d800bc4120a4d9ebd9be72eb9a9c559d"),
+            ("zero-prob", 2024, "42f02813176f484317ab63c23c5db38fbffb700320b47f372b4027f62ca8040c"),
+            ("partial-x", 7, "4d206f0cd57f95708af3d0df7eb37a062f9aa7d773480bdaacf8750f0da6ad20"),
+            ("partial-x", 11, "ab4aa64f77970d349721daccdda2a26214d8b820462fe8689ee9e73292b82429"),
+            ("all-advance", 3, "c0d9e8773e883b9cef6de9d65e3e8580041a967038afd32d5ec9bb560f95ba98"),
+            ("mod4-6-3", 5, "473cf9e297cb46d01cb7803b17049e4924d772f014363a9b33afa943fd21d9d0"),
+        ],
+    )
+    def test_stdout_pinned(self, tmp_path, case, seed, digest):
+        mech, bids = SIMULATE_CASES[case]
+        argv = [
+            "simulate",
+            *("--mechanism", write_json(tmp_path, "mech.json", mech)),
+            *("--bids", write_json(tmp_path, "bids.json", bids)),
+            *("--runs", "200", "--seed", str(seed)),
+        ]
+        code, out, err = run_main(argv)
+        assert (code, err) == (EXIT_OK, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    def test_lowered_second_round_bid_exits_2(self, tmp_path):
+        mech = {"theta": 2, "alpha": 2, "probs": [{"subset": [1, 2], "p": 1.0}], "x": [1, 0]}
+        bids = {"first_round": [5, 3], "second_round": [1, 1]}
+        argv = [
+            "simulate",
+            *("--mechanism", write_json(tmp_path, "mech.json", mech)),
+            *("--bids", write_json(tmp_path, "bids.json", bids)),
+        ]
+        code, out, err = run_main(argv)
+        assert (code, out) == (EXIT_SCHEMA, "")
+        (line,) = err.splitlines()
+        assert "line of competition" in json.loads(line)["message"]
+
     @pytest.mark.parametrize("runs", ["0", "-2"])
     def test_runs_below_one_exit_2(self, tmp_path, dsic_mech_file, runs, capsys):
         bids = write_json(
@@ -324,6 +446,15 @@ class TestReproduce:
         out = tmp_path / "table.csv"
         assert main(["reproduce", *argv, "--out", str(out)]) == EXIT_OK
         assert out.read_bytes() == capsys.readouterr().out.encode()
+
+    def test_unwritable_out_exits_2(self, tmp_path):
+        out = tmp_path / "missing" / "table.csv"
+        code, stdout, err = run_main(["reproduce", "--table", "2", "--draws", "10", "--out", str(out)])
+        assert (code, stdout) == (EXIT_SCHEMA, "")
+        (line,) = err.splitlines()
+        doc = json.loads(line)
+        assert doc["error"] == "schema"
+        assert doc["message"].startswith(f"cannot write {out}")
 
     def test_table3_has_four_theta_rows(self, capsys):
         code = main(["reproduce", "--table", "3", "--draws", "500"])

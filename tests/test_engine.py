@@ -14,7 +14,7 @@ from tworound.engine import (
     place,
     simulate_run,
 )
-from tworound.secondround import AllocationRule, u2
+from tworound.secondround import AllocationRule, settle_round, u2
 from tworound.selection import ExclusionY, SelectionDistribution, enumerate_subsets, from_exclusion_Y
 
 from conftest import make_dsic_mechanism, make_non_dsic_mechanism, random_allocation
@@ -45,6 +45,12 @@ class TestMechanism:
         again = Mechanism.from_json_dict(m.to_json_dict())
         assert again.selection.probs == pytest.approx(m.selection.probs)
         assert again.allocation.x == m.allocation.x
+
+    @pytest.mark.parametrize("x", [["1"], [True], [math.nan], 0.5, None])
+    def test_from_json_dict_needs_finite_numbers_for_x(self, x):
+        doc = {**n11_mech((0.6, 0.25, 0.15)).to_json_dict(), "x": x}
+        with pytest.raises(ConfigurationError):
+            Mechanism.from_json_dict(doc)
 
 
 class TestBidProfile:
@@ -217,3 +223,54 @@ class TestSimulateRun:
             b = tuple(values)
             s = tuple(v + rng.uniform(0, 5) for v in values)
             simulate_run(m, BidProfile(b, s), rng)
+
+    def test_lowered_second_round_bid_is_a_configuration_error(self, rng):
+        m = Mechanism(2, 2, SelectionDistribution.uniform(2, 2), AllocationRule((1.0, 0.0)))
+        with pytest.raises(ConfigurationError, match="line of competition"):
+            simulate_run(m, BidProfile((5, 3), (1, 1)), rng)
+
+
+def reference_run(mech, bids, rng):
+    """One run drawn with two ``Generator.choice`` calls that rebuild their weights every time."""
+    positions = sorted(range(bids.n), key=lambda i: (-bids.first_round[i], i))[: mech.theta]
+    subsets = mech.selection.subsets()
+    weights = np.array([mech.selection.probs[s] for s in subsets])
+    subset = subsets[rng.choice(len(subsets), p=weights / weights.sum())]
+    ids = [positions[p - 1] for p in subset]
+    order, pay = settle_round([bids.second_round[i] for i in ids], mech.allocation)
+    x = list(mech.allocation.x[: mech.beta])
+    idx = rng.choice(len(x) + 1, p=[*x, max(1.0 - sum(x), 0.0)])
+    return subset, ids[order[idx]] if idx < len(x) else None, sum(pay)
+
+
+class TestSimulateRunReference:
+    def test_same_runs_and_stream_as_per_call_choice(self):
+        rng = np.random.default_rng(20261018)
+        zeros = no_winner = 0
+        for _ in range(240):
+            theta = int(rng.integers(2, 9))
+            alpha = int(rng.integers(1, theta + 1))
+            beta = int(rng.integers(1, alpha + 1))
+            subsets = enumerate_subsets(theta, alpha)
+            probs = rng.dirichlet(np.ones(len(subsets)))
+            if len(subsets) > 1 and rng.random() < 0.4:
+                probs[rng.choice(len(subsets), size=len(subsets) // 2, replace=False)] = 0.0
+                probs /= probs.sum()
+                zeros += 1
+            sel = SelectionDistribution(theta, alpha, dict(zip(subsets, probs.tolist())))
+            x = random_allocation(rng, alpha, beta).x
+            if rng.random() < 0.4:
+                scale = rng.uniform(0.3, 1.0)
+                x = tuple(v * scale for v in x)
+            m = Mechanism(theta, alpha, sel, AllocationRule(x))
+            # Truthful integer bids: the line of competition holds and ties are common.
+            bids = BidProfile.truthful(rng.integers(0, 8, size=theta + int(rng.integers(0, 3))))
+            seed = int(rng.integers(2**32))
+            ref_rng, new_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            for _ in range(20):
+                got = simulate_run(m, bids, new_rng)
+                want = reference_run(m, bids, ref_rng)
+                assert (got.realized_subset, got.realized_winner, got.realized_payment) == want
+                no_winner += got.realized_winner is None
+            assert new_rng.bit_generator.state == ref_rng.bit_generator.state
+        assert zeros > 50 and no_winner > 100

@@ -67,6 +67,19 @@ class TestSelectionDistribution:
         doc = json.loads(d.to_json())
         assert SelectionDistribution.from_json_dict(doc) == d
 
+    @pytest.mark.parametrize(
+        "key,value",
+        [("theta", 2.0), ("theta", True), ("alpha", "1"), ("subset", [1.0]), ("subset", [True]), ("p", "0.5")],
+    )
+    def test_from_json_dict_checks_types(self, key, value):
+        doc = {"theta": 2, "alpha": 1, "probs": [{"subset": [1], "p": 0.5}, {"subset": [2], "p": 0.5}]}
+        if key in doc:
+            doc[key] = value
+        else:
+            doc["probs"][0][key] = value
+        with pytest.raises(SelectionError):
+            SelectionDistribution.from_json_dict(doc)
+
 
 class TestMarginals:
     def test_uniform_pairs(self):
