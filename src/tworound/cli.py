@@ -9,6 +9,7 @@ equilibrium found).  Errors are emitted as single JSON lines on stderr.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import math
@@ -229,7 +230,7 @@ def _cmd_reproduce(args) -> int:
         config = experiments.ExperimentConfig(
             valuations=GAP_VALUATIONS, thetas=(3,), draws=args.draws, seed=seed
         )
-        rows = experiments.run_gap_experiment(config)
+        run = experiments.run_gap_experiment
     elif args.table == 3:
         config = experiments.ExperimentConfig(
             valuations=(THETA_VALUATION,),
@@ -237,7 +238,7 @@ def _cmd_reproduce(args) -> int:
             draws=args.draws,
             seed=seed,
         )
-        rows = experiments.run_theta_experiment(config)
+        run = experiments.run_theta_experiment
     else:
         config = experiments.ExperimentConfig(
             thetas=(3, 4, 5, 6),
@@ -245,13 +246,15 @@ def _cmd_reproduce(args) -> int:
             n_valuations=args.n_valuations,
             seed=seed,
         )
-        rows = experiments.run_random_valuation_experiment(config)
-    if args.out:
-        try:
-            with open(args.out, "w", newline="") as fh:
+        run = experiments.run_random_valuation_experiment
+    # --out is opened before the experiment runs, so a bad path fails fast.
+    try:
+        with open(args.out, "w", newline="") if args.out else contextlib.nullcontext() as fh:
+            rows = run(config)
+            if fh is not None:
                 experiments.write_rows_csv(rows, fh)
-        except OSError as exc:
-            raise SchemaError(f"cannot write {args.out}: {exc}") from exc
+    except OSError as exc:
+        raise SchemaError(f"cannot write {args.out}: {exc}") from exc
     experiments.write_rows_csv(rows, sys.stdout)
     return EXIT_OK
 

@@ -19,11 +19,13 @@ Every harness draws and classifies through :func:`_classify_draws`.  It draws
 ``_CHUNK_ROWS`` rows at a time with ``rng.random((rows, theta))``, which reads
 the generator's stream exactly as one ``(n, theta)`` draw would.  Per chunk it
 copies the raw uniforms into contiguous columns, adds them up per row, sorts
-the columns ascending with an odd-even transposition network of elementwise
-minima and maxima, and only then divides by the row sum.  The results are
-bit-identical to normalizing first, sorting each row and summing the sorted
-rows with numpy:
+the columns ascending with Batcher's odd-even merge sort network of
+elementwise minima and maxima (:func:`_sort_network`, built once per theta),
+and only then divides by the row sum.  The results are bit-identical to
+normalizing first, sorting each row and summing the sorted rows with numpy:
 
+* any sorting network leaves the same doubles in the same order, so which
+  network runs does not show in the output;
 * both sums, the raw row sum and S = Y_1 + ... + Y_{theta-2} (largest entry
   first), add their terms in the order numpy's row reduction uses
   (:func:`_row_sum`); adding S from the smallest entry up changes last bits
@@ -33,14 +35,19 @@ rows with numpy:
 * with the columns sorted, min(Y_1..Y_{theta-3}) > Y_{theta-1} follows from
   Y_{theta-2} > Y_{theta-1}, so the ordering test reads three columns.
 
-Masks and revenues go into full-length arrays, so the class means and maxima
-reduce over the same sequences as a single batch would.  The tests keep the
+Each chunk's revenues are compressed straight into one buffer per class, so
+a row keeps only its class revenues, in draw order.  Those are the doubles a
+full-batch ``rev[mask]`` would select, in the same order, so the class means
+(numpy's pairwise sum over a contiguous array) and maxima come out the same
+bits.  The harnesses build each row from the kernel's result at once, which
+frees one row's buffers before the next row draws.  The tests keep the
 sort-based implementation as the reference and compare bit for bit.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import logging
 import math
 from dataclasses import dataclass, field
@@ -54,9 +61,17 @@ logger = logging.getLogger(__name__)
 
 DEFAULT_SEED = 20240501
 
-# Rows per Y chunk: large enough to amortise the per-column numpy calls, small
-# enough that a chunk's columns stay in a core's L2 cache.
-_CHUNK_ROWS = 8192
+# Rows per Y chunk: large enough to amortise the per-column numpy calls and to
+# draw a table-4 valuation (10^4 draws by default) as one chunk, small enough
+# that a chunk's working set stays a few MB.
+_CHUNK_ROWS = 16_384
+
+
+def _require_int(name: str, value) -> int:
+    """``value`` as an int; floats, strings and bools are rejected, not truncated."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 @dataclass(frozen=True)
@@ -71,10 +86,14 @@ class ExperimentConfig:
     seed: int = DEFAULT_SEED
 
     def __post_init__(self) -> None:
+        for name in ("draws", "n_valuations", "seed"):
+            object.__setattr__(self, name, _require_int(name, getattr(self, name)))
         if self.draws < 1:
             raise ValueError("draws must be >= 1")
         if self.n_valuations < 1:
             raise ValueError("n_valuations must be >= 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if not 0 < self.value_max < math.inf:
             # value_max = 0 would make table 4's tie retry draw (0, 0, 0) forever.
             raise ValueError(f"value_max must be positive and finite, got {self.value_max}")
@@ -83,7 +102,7 @@ class ExperimentConfig:
             finite = all(map(math.isfinite, v))
             if len(v) != 3 or not finite or v[2] <= 0 or sorted(v, reverse=True) != list(v):
                 raise ValueError(f"valuations must be finite positive descending triples: {v}")
-        thetas = tuple(int(t) for t in self.thetas)
+        thetas = tuple(_require_int("thetas", t) for t in self.thetas)
         if any(t < 3 for t in thetas):
             raise ValueError(f"thetas must be >= 3 (a top block and two tail entries): {thetas}")
         object.__setattr__(self, "valuations", vals)
@@ -137,42 +156,61 @@ def _row_sum(cols: list[np.ndarray]) -> np.ndarray:
     return out
 
 
+@functools.cache
+def _sort_network(n: int) -> tuple[tuple[int, int], ...]:
+    """Batcher's odd-even merge sort on ``n`` wires as comparators (i, j), i < j.
+
+    A comparator puts the smaller value on wire i.  This is Knuth's merge
+    exchange form (TAOCP vol. 3, 5.2.2, Algorithm M), which handles any n:
+    3, 5, 9 and 12 comparators for n = 3..6 and O(n log^2 n) in general.
+    """
+    out = []
+    p = top = (1 << (n - 1).bit_length()) >> 1
+    while p:
+        q, r, d = top, 0, p
+        while d:
+            out.extend((i, i + d) for i in range(n - d) if i & p == r)
+            d, q, r = q - p, q >> 1, p
+        p >>= 1
+    return tuple(out)
+
+
 def _classify_draws(
     rng: np.random.Generator, theta: int, n: int, v: tuple[float, float, float]
-) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, np.ndarray], int]:
+) -> tuple[np.ndarray, np.ndarray, int]:
     """Draw ``n`` exclusion vectors Y and classify each against valuations ``v``.
 
-    Returns (risky mask, truthful mask, (rev_risky, rev_truthful), discarded).
-    A draw is risky-class when the tail-gap ratio (Y_{theta-1} - Y_theta) / S
-    exceeds the valuation gap ratio r = (v1-v2)/(v2-v3), truthful-class when
-    it falls short; exact boundaries and draws violating the strict ordering
+    Returns (rev_risky, rev_truthful, discarded): the revenues of the
+    risky-class and the truthful-class draws, each in draw order.  A draw is
+    risky-class when the tail-gap ratio (Y_{theta-1} - Y_theta) / S exceeds
+    the valuation gap ratio r = (v1-v2)/(v2-v3), truthful-class when it falls
+    short; exact boundaries and draws violating the strict ordering
     constraint are discarded.  S = Y_1 + ... + Y_{theta-2} is summed from the
-    largest entry down (as numpy sums a descending row), and
-    A = Y_{theta-1} + Y_theta.  Needs theta >= 3.
+    largest entry down (as numpy sums a descending row), A = Y_{theta-1} +
+    Y_theta, and a class's revenue is S * v1 + A * v3 (risky) or
+    S * v2 + A * v3 (truthful).  Needs theta >= 3.
     """
     v1, v2, v3 = v
     if v2 == v3:
         raise DegenerateRatioError(f"v2 == v3 in {v}: gap ratio undefined")
     r = (v1 - v2) / (v2 - v3)
-    risky = np.empty(n, dtype=bool)
-    truthful = np.empty(n, dtype=bool)
+    network = _sort_network(theta)
     rev_risky = np.empty(n)
     rev_truthful = np.empty(n)
+    n_risky = n_truthful = 0
     for start in range(0, n, _CHUNK_ROWS):
         stop = min(start + _CHUNK_ROWS, n)
         # One contiguous array per column; the row sums are taken in numpy's
-        # order (as w.sum(axis=1) would) before the columns are sorted
-        # ascending by an odd-even transposition network (theta rounds sort
-        # theta columns).
+        # order (as w.sum(axis=1) would) before the network sorts the columns
+        # ascending.
         cols = list(np.ascontiguousarray(rng.random((stop - start, theta)).T))
         total = _row_sum(cols)
         spare = np.empty_like(total)
-        for round_ in range(theta):
-            for i in range(round_ % 2, theta - 1, 2):
-                lo, hi = cols[i], cols[i + 1]
-                np.minimum(lo, hi, out=spare)
-                np.maximum(lo, hi, out=hi)
-                cols[i], spare = spare, lo
+        for i, j in network:
+            lo, hi = cols[i], cols[j]
+            np.minimum(lo, hi, out=spare)
+            np.maximum(lo, hi, out=hi)
+            cols[i], spare = spare, lo
         for col in cols:
             np.divide(col, total, out=col)
         y_last, y_pen = cols[0], cols[1]
@@ -180,27 +218,28 @@ def _classify_draws(
         A = y_pen + y_last
         ratio = (y_pen - y_last) / S
         ordered = (cols[2] > y_pen) & (y_pen > y_last)
-        np.logical_and(ordered, ratio > r, out=risky[start:stop])
-        np.logical_and(ordered, ratio < r, out=truthful[start:stop])
         A *= v3
-        np.add(S * v1, A, out=rev_risky[start:stop])
-        np.add(S * v2, A, out=rev_truthful[start:stop])
-    discarded = int(n - risky.sum() - truthful.sum())
-    return risky, truthful, (rev_risky, rev_truthful), discarded
+        risky = ratio > r
+        risky &= ordered
+        truthful = ratio < r
+        truthful &= ordered
+        k = int(np.count_nonzero(risky))
+        np.compress(risky, S * v1 + A, out=rev_risky[n_risky : n_risky + k])
+        n_risky += k
+        k = int(np.count_nonzero(truthful))
+        np.compress(truthful, S * v2 + A, out=rev_truthful[n_truthful : n_truthful + k])
+        n_truthful += k
+    return rev_risky[:n_risky], rev_truthful[:n_truthful], n - n_risky - n_truthful
 
 
 def _class_row(
     experiment_id: str,
     v: tuple[float, float, float],
     theta: int,
-    risky: np.ndarray,
-    truthful: np.ndarray,
-    revenues: tuple[np.ndarray, np.ndarray],
+    rev_risky: np.ndarray,
+    rev_truthful: np.ndarray,
     discarded: int,
 ) -> ExperimentRow:
-    rev_risky, rev_truth = revenues
-    n_risky = int(risky.sum())
-    n_truth = int(truthful.sum())
     if discarded:
         logger.debug(
             "%s: discarded %d draws (ordering constraint or classification boundary)",
@@ -211,10 +250,10 @@ def _class_row(
         experiment_id=experiment_id,
         v=v,
         theta=theta,
-        risky_count=n_risky,
-        risky_avg_rev=float(rev_risky[risky].mean()) if n_risky else None,
-        truthful_count=n_truth,
-        truthful_avg_rev=float(rev_truth[truthful].mean()) if n_truth else None,
+        risky_count=len(rev_risky),
+        risky_avg_rev=float(rev_risky.mean()) if len(rev_risky) else None,
+        truthful_count=len(rev_truthful),
+        truthful_avg_rev=float(rev_truthful.mean()) if len(rev_truthful) else None,
     )
 
 
@@ -224,11 +263,10 @@ def run_gap_experiment(config: ExperimentConfig) -> list[ExperimentRow]:
         raise ValueError("gap experiment needs a list of valuation triples")
     theta = config.thetas[0]
     rng = np.random.default_rng(config.seed)
-    rows = []
-    for idx, v in enumerate(config.valuations, start=1):
-        risky, truthful, revenues, discarded = _classify_draws(rng, theta, config.draws, v)
-        rows.append(_class_row(f"gap-{idx}", v, theta, risky, truthful, revenues, discarded))
-    return rows
+    return [
+        _class_row(f"gap-{idx}", v, theta, *_classify_draws(rng, theta, config.draws, v))
+        for idx, v in enumerate(config.valuations, start=1)
+    ]
 
 
 def run_theta_experiment(config: ExperimentConfig) -> list[ExperimentRow]:
@@ -237,11 +275,10 @@ def run_theta_experiment(config: ExperimentConfig) -> list[ExperimentRow]:
         raise ValueError("theta experiment needs exactly one valuation triple")
     v = config.valuations[0]
     rng = np.random.default_rng(config.seed)
-    rows = []
-    for idx, theta in enumerate(config.thetas, start=1):
-        risky, truthful, revenues, discarded = _classify_draws(rng, theta, config.draws, v)
-        rows.append(_class_row(f"theta-{idx}", v, theta, risky, truthful, revenues, discarded))
-    return rows
+    return [
+        _class_row(f"theta-{idx}", v, theta, *_classify_draws(rng, theta, config.draws, v))
+        for idx, theta in enumerate(config.thetas, start=1)
+    ]
 
 
 def run_random_valuation_experiment(config: ExperimentConfig) -> list[ExperimentRow]:
@@ -264,13 +301,12 @@ def run_random_valuation_experiment(config: ExperimentConfig) -> list[Experiment
             v = tuple(np.sort(rng.uniform(0.0, config.value_max, size=3))[::-1])
             while v[0] == v[1] or v[1] == v[2]:
                 v = tuple(np.sort(rng.uniform(0.0, config.value_max, size=3))[::-1])
-            risky, truthful, revenues, _ = _classify_draws(rng, theta, config.draws, v)
-            if not risky.any() or not truthful.any():
+            rev_risky, rev_truthful, _ = _classify_draws(rng, theta, config.draws, v)
+            if not len(rev_risky) or not len(rev_truthful):
                 skipped += 1
                 continue
-            rev_risky, rev_truth = revenues
-            risky_best.append(float(rev_risky[risky].max()))
-            truthful_best.append(float(rev_truth[truthful].max()))
+            risky_best.append(float(rev_risky.max()))
+            truthful_best.append(float(rev_truthful.max()))
         retained = len(risky_best)
         logger.info(
             "random-valuation theta=%d: retained %d/%d valuations (%d skipped)",

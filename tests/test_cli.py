@@ -456,6 +456,21 @@ class TestReproduce:
         assert doc["error"] == "schema"
         assert doc["message"].startswith(f"cannot write {out}")
 
+    @pytest.mark.parametrize("table", ["2", "3", "4"])
+    def test_unwritable_out_fails_before_drawing(self, tmp_path, monkeypatch, table):
+        def never(config):
+            raise AssertionError("the experiment ran before --out was opened")
+
+        for name in ("run_gap_experiment", "run_theta_experiment", "run_random_valuation_experiment"):
+            monkeypatch.setattr(experiments, name, never)
+        out = tmp_path / "missing" / "table.csv"
+        code, stdout, err = run_main(["reproduce", "--table", table, "--out", str(out)])
+        assert (code, stdout) == (EXIT_SCHEMA, "")
+        (line,) = err.splitlines()
+        doc = json.loads(line)
+        assert doc["error"] == "schema"
+        assert doc["message"].startswith(f"cannot write {out}")
+
     def test_table3_has_four_theta_rows(self, capsys):
         code = main(["reproduce", "--table", "3", "--draws", "500"])
         assert code == EXIT_OK

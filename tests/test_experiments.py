@@ -1,5 +1,6 @@
 import csv
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from tworound.experiments import (
     ExperimentRow,
     _CHUNK_ROWS,
     _classify_draws,
+    _sort_network,
     run_gap_experiment,
     run_random_valuation_experiment,
     run_theta_experiment,
@@ -54,6 +56,36 @@ class TestConfig:
         with pytest.raises(ValueError):
             ExperimentConfig(**field)
 
+    @pytest.mark.parametrize(
+        "field",
+        [
+            {"draws": 2.5},
+            {"draws": True},
+            {"draws": "10"},
+            {"n_valuations": 3.7},
+            {"n_valuations": True},
+            {"thetas": (3, 4.5)},
+            {"thetas": (True,)},
+            {"seed": 2.5},
+            {"seed": True},
+        ],
+    )
+    def test_rejects_non_integer_counts(self, field):
+        with pytest.raises(ValueError, match="must be an integer"):
+            ExperimentConfig(valuations=((450, 400, 200),), **field)
+
+    def test_accepts_numpy_integers(self):
+        config = ExperimentConfig(
+            draws=np.int64(5), n_valuations=np.int32(2), thetas=(np.int64(4),), seed=np.uint64(7)
+        )
+        assert (config.draws, config.n_valuations, config.thetas, config.seed) == (5, 2, (4,), 7)
+        fields = (config.draws, config.n_valuations, config.thetas[0], config.seed)
+        assert {type(x) for x in fields} == {int}
+
+    def test_rejects_negative_seed(self):
+        with pytest.raises(ValueError, match="seed must be >= 0"):
+            ExperimentConfig(seed=-1)
+
     def test_rejects_theta_below_three(self):
         with pytest.raises(ValueError, match="thetas must be >= 3"):
             ExperimentConfig(valuations=((450, 400, 200),), thetas=(3, 2))
@@ -94,27 +126,40 @@ class TestDrawSortedY:
         assert (Y >= 0).all()
 
 
+def _class_arrays(risky, truthful, revenues, discarded):
+    """The reference result in the kernel's form: each class's revenues in draw order."""
+    rev_risky, rev_truthful = revenues
+    return rev_risky[risky], rev_truthful[truthful], discarded
+
+
+def _assert_same_classes(got, want):
+    for got_rev, want_rev in zip(got[:2], want[:2]):
+        assert got_rev.dtype == want_rev.dtype == np.float64
+        np.testing.assert_array_equal(got_rev.view(np.int64), want_rev.view(np.int64))
+    assert got[2] == want[2]
+
+
 class TestClassifyDraws:
-    # theta 10 and 11 sum S with numpy's eight-way pairwise order.
+    # theta 10 and 11 sum S with numpy's eight-way pairwise order; n spans
+    # partial chunks, one chunk ± 1 row and several chunks.
     @pytest.mark.parametrize("theta", [3, 4, 5, 6, 7, 8, 10, 11])
-    @pytest.mark.parametrize("n", [1, 3, _CHUNK_ROWS - 1, _CHUNK_ROWS + 1, 100_000])
+    @pytest.mark.parametrize("n", [1, 3, 8191, 8193, _CHUNK_ROWS - 1, _CHUNK_ROWS + 1, 100_000])
     @pytest.mark.parametrize("v", [(450.0, 350.0, 200.0), (812.5, 301.25, 17.0)])
     def test_bit_identical_to_reference(self, theta, n, v):
         seed = 1000 * theta + n
         want = _classify_batch(_draw_sorted_Y(np.random.default_rng(seed), theta, n), v)
         got = _classify_draws(np.random.default_rng(seed), theta, n, v)
-        np.testing.assert_array_equal(got[0], want[0])
-        np.testing.assert_array_equal(got[1], want[1])
-        for got_rev, want_rev in zip(got[2], want[2]):
-            np.testing.assert_array_equal(got_rev.view(np.int64), want_rev.view(np.int64))
-        assert got[3] == want[3]
+        _assert_same_classes(got, _class_arrays(*want))
 
     def test_bit_identical_beyond_128_summands(self):
-        # numpy splits a row sum of more than 128 entries in halves.
-        want = _classify_batch(_draw_sorted_Y(np.random.default_rng(4), 140, 200), (9.0, 5.0, 1.0))
-        got = _classify_draws(np.random.default_rng(4), 140, 200, (9.0, 5.0, 1.0))
-        for got_rev, want_rev in zip(got[2], want[2]):
-            np.testing.assert_array_equal(got_rev.view(np.int64), want_rev.view(np.int64))
+        # numpy splits a row sum of more than 128 entries in halves (twice at
+        # 300); at r = 2e-5 both classes are populated, at r = 1 only the
+        # truthful one.
+        for theta in (131, 140, 300):
+            for v in ((9.0, 5.0, 1.0), (3.00004, 3.0, 1.0)):
+                want = _classify_batch(_draw_sorted_Y(np.random.default_rng(4), theta, 200), v)
+                got = _classify_draws(np.random.default_rng(4), theta, 200, v)
+                _assert_same_classes(got, _class_arrays(*want))
 
     def test_reads_the_stream_like_one_draw(self):
         rng = np.random.default_rng(9)
@@ -124,28 +169,42 @@ class TestClassifyDraws:
         assert rng.random() == ref.random()
 
 
+class TestSortNetwork:
+    @pytest.mark.parametrize("n", range(2, 13))
+    def test_sorts_every_zero_one_input(self, n):
+        # 0-1 principle: a comparator network that sorts all 2^n zero-one
+        # inputs sorts every input.
+        cols = list(((np.arange(2**n)[:, None] >> np.arange(n)) & 1).T)
+        for i, j in _sort_network(n):
+            assert 0 <= i < j < n
+            cols[i], cols[j] = np.minimum(cols[i], cols[j]), np.maximum(cols[i], cols[j])
+        assert (np.diff(np.stack(cols), axis=0) >= 0).all()
+
+    @pytest.mark.parametrize("n, size", [(2, 1), (3, 3), (4, 5), (5, 9), (6, 12), (8, 19), (16, 63)])
+    def test_comparator_counts(self, n, size):
+        assert len(_sort_network(n)) == size
+
+
 class TestClassifyBatch:
     def test_matches_pointwise_classification(self):
         v = (450.0, 350.0, 200.0)
         Y = _draw_sorted_Y(np.random.default_rng(12345), 3, 300)
-        risky, truthful, (rev_r, rev_t), discarded = _classify_draws(
-            np.random.default_rng(12345), 3, 300, v
-        )
-        assert discarded == 300 - int(risky.sum()) - int(truthful.sum())
+        rev_r, rev_t, discarded = _classify_draws(np.random.default_rng(12345), 3, 300, v)
+        want = {"risky": [], "truthful": []}
         for i in range(300):
             row = tuple(Y[i])
             if not (row[0] > row[1] > row[2]):
-                assert not risky[i] and not truthful[i]
                 continue
             c = n11_classify(*v, ExclusionY(row))
             if c.indeterminate:
-                assert not risky[i] and not truthful[i]
                 continue
-            assert risky[i] == c.risky_ne
-            assert truthful[i] == c.truthful_ne
-            kind = "risky" if risky[i] else "truthful"
-            rev = rev_r[i] if risky[i] else rev_t[i]
-            assert rev == pytest.approx(n11_revenue(kind, *v, ExclusionY(row)))
+            kind = "risky" if c.risky_ne else "truthful"
+            want[kind].append(n11_revenue(kind, *v, ExclusionY(row)))
+        assert len(rev_r) == len(want["risky"]) > 0
+        assert len(rev_t) == len(want["truthful"]) > 0
+        assert discarded == 300 - len(rev_r) - len(rev_t)
+        assert list(rev_r) == pytest.approx(want["risky"])
+        assert list(rev_t) == pytest.approx(want["truthful"])
 
     def test_degenerate_valuations_rejected(self, rng):
         with pytest.raises(DegenerateRatioError):
@@ -214,6 +273,22 @@ class TestGapExperiment:
     def test_requires_valuations(self):
         with pytest.raises(ValueError):
             run_gap_experiment(ExperimentConfig(thetas=(3,)))
+
+
+def test_gap_experiment_keeps_only_the_class_revenues():
+    # Per draw, one double in the buffer of its class (two buffers of n are
+    # allocated, 16 bytes) plus the chunk's working set: no full-length masks
+    # or revenue arrays, and a row's buffers are freed before the next row draws.
+    draws = 1_000_000
+    config = ExperimentConfig(valuations=GAP_VALUATIONS, thetas=(3,), draws=draws)
+    tracemalloc.start()
+    try:
+        base, _ = tracemalloc.get_traced_memory()
+        run_gap_experiment(config)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - base < 24 * draws + 4 * 2**20
 
 
 class TestThetaExperiment:
