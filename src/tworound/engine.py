@@ -6,6 +6,12 @@ care about), which keeps equilibrium classification free of Monte Carlo
 noise.  Single sampled runs are available for simulation-style checks; each
 draws its subset and winner from cached CDFs in O(log C), with the same draws
 as ``Generator.choice``.
+
+A run reads two more invariants instead of recomputing them: the first-round
+ranking, which a :class:`BidProfile` sorts on first use and keeps, and
+``AllocationRule.beta``, set when the rule is built.  Both are the values the
+per-run sort and scan returned, and neither reads the generator, so a run on a
+reused profile draws the same subset and winner from the same stream position.
 """
 
 from __future__ import annotations
@@ -13,6 +19,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -97,6 +104,12 @@ class BidProfile:
     def n(self) -> int:
         return len(self.first_round)
 
+    @cached_property
+    def _ranking(self) -> list[int]:
+        """Every bidder id by first-round bid, descending; of equal bids the lower id first."""
+        # sorted() is stable under reverse=True, so the lower id keeps the higher position.
+        return sorted(range(self.n), key=self.first_round.__getitem__, reverse=True)
+
     @classmethod
     def truthful(cls, values: Sequence[float]) -> "BidProfile":
         v = tuple(float(x) for x in values)
@@ -129,9 +142,8 @@ def first_round_positions(mech: Mechanism, bids: BidProfile) -> list[int]:
     """
     if bids.n < mech.theta:
         raise ConfigurationError(f"need at least theta={mech.theta} bidders, got {bids.n}")
-    # sorted() is stable under reverse=True, so the lower id keeps the higher position.
-    order = sorted(range(bids.n), key=bids.first_round.__getitem__, reverse=True)
-    return order[: mech.theta]
+    # A slice is a new list: callers cannot change the profile's cached ranking.
+    return bids._ranking[: mech.theta]
 
 
 def _settled(mech: Mechanism, s: Sequence[float], subsets, X: list[float], P: list[float]):
@@ -155,6 +167,8 @@ def settle(mech: Mechanism, s: Sequence[float]) -> tuple[list[float], list[float
     value v is v * X[p - 1] - P[p - 1].  Second-round ties go to the better
     first-round position.
     """
+    if len(s) < mech.theta:
+        raise ConfigurationError(f"need theta={mech.theta} second-round bids, got {len(s)}")
     X = [0.0] * mech.theta
     P = [0.0] * mech.theta
     live = ((subset, prob) for subset, prob in mech.selection.probs.items() if prob != 0.0)
@@ -170,6 +184,8 @@ def place(mech: Mechanism, others: Sequence[float], p: int, s: float) -> tuple[f
     bidder is inserted at position p among the top theta - 1 of them, and gets ``(0.0, 0.0)``
     below position theta.  ``equilibrium.is_nash_equilibrium`` prices its deviations with it.
     """
+    if len(others) < mech.theta - 1:
+        raise ConfigurationError(f"need theta - 1 = {mech.theta - 1} other bids, got {len(others)}")
     if p > mech.theta:
         return 0.0, 0.0
     X, P = settle(mech, [*others[: p - 1], s, *others[p - 1 : mech.theta - 1]])

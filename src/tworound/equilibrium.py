@@ -19,7 +19,7 @@ import math
 from dataclasses import asdict, dataclass, field
 from typing import Mapping, Sequence
 
-from .engine import ConfigurationError, Mechanism, place
+from .engine import ConfigurationError, Mechanism, place, settle
 from .secondround import AllocationRule
 from .selection import ExclusionY, from_exclusion_Y
 
@@ -110,14 +110,16 @@ def is_nash_equilibrium(
     top = min(k, len(bids))
     targets = list(range(1, top + 1)) + ([top + 1] if top < len(bids) else [])
 
+    # Every standing utility comes from the one settlement of the top theta bids, the vector
+    # place(mech, others, p, bids[p - 1]) rebuilds for each p <= theta.
+    X_now, P_now = settle(mech, bids[: mech.theta])
     records: list[DeviationRecord] = []
     ok = True
     for p in range(1, top + 1):
         bidder = rank.ordering[p - 1]
         v = values[bidder]
         others = bids[: p - 1] + bids[p:]
-        X, P = place(mech, others, p, bids[p - 1])
-        u_cur = v * X - P
+        u_cur = v * X_now[p - 1] - P_now[p - 1]
         for t in targets:
             if t == p:
                 continue

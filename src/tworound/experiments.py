@@ -118,6 +118,8 @@ class ExperimentRow:
     risky_avg_rev: float | None
     truthful_count: int
     truthful_avg_rev: float | None
+    # Y draws in neither class (unordered or on the boundary); not written to the CSV.
+    discarded: int = 0
 
     @property
     def increment_pct(self) -> float | None:
@@ -254,6 +256,7 @@ def _class_row(
         risky_avg_rev=float(rev_risky.mean()) if len(rev_risky) else None,
         truthful_count=len(rev_truthful),
         truthful_avg_rev=float(rev_truthful.mean()) if len(rev_truthful) else None,
+        discarded=discarded,
     )
 
 
@@ -296,12 +299,13 @@ def run_random_valuation_experiment(config: ExperimentConfig) -> list[Experiment
     for idx, theta in enumerate(config.thetas, start=1):
         risky_best: list[float] = []
         truthful_best: list[float] = []
-        skipped = 0
+        skipped = discarded = 0
         for _ in range(config.n_valuations):
             v = tuple(np.sort(rng.uniform(0.0, config.value_max, size=3))[::-1])
             while v[0] == v[1] or v[1] == v[2]:
                 v = tuple(np.sort(rng.uniform(0.0, config.value_max, size=3))[::-1])
-            rev_risky, rev_truthful, _ = _classify_draws(rng, theta, config.draws, v)
+            rev_risky, rev_truthful, lost = _classify_draws(rng, theta, config.draws, v)
+            discarded += lost
             if not len(rev_risky) or not len(rev_truthful):
                 skipped += 1
                 continue
@@ -324,6 +328,7 @@ def run_random_valuation_experiment(config: ExperimentConfig) -> list[Experiment
                 risky_avg_rev=float(np.mean(risky_best)) if retained else None,
                 truthful_count=retained,
                 truthful_avg_rev=float(np.mean(truthful_best)) if retained else None,
+                discarded=discarded,
             )
         )
     return rows

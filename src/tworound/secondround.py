@@ -27,6 +27,8 @@ class AllocationRule:
     """Monotone non-increasing allocation probabilities by second-round rank."""
 
     x: tuple[float, ...]
+    # Number of ranks that can win: the leading run of positive entries.
+    beta: int = field(init=False, repr=False, compare=False)
     steps: tuple[float, ...] = field(init=False, repr=False, compare=False)  # x[r] - x[r + 1]
     # CDF of the winning rank 1..beta, then "no winner", as Generator.choice builds it.
     _winner_cdf: list[float] = field(init=False, repr=False, compare=False)
@@ -46,6 +48,8 @@ class AllocationRule:
         if sum(x) > 1 + 1e-12:
             raise ContractViolation(f"allocation probabilities sum to {sum(x)} > 1")
         object.__setattr__(self, "x", x)
+        # No positive entry follows a zero (checked above), so the positives are the leading run.
+        object.__setattr__(self, "beta", sum(1 for v in x if v > 0))
         object.__setattr__(self, "steps", tuple(a - b for a, b in zip(x, x[1:])))
         cdf = list(accumulate([*x[: self.beta], max(1.0 - sum(x[: self.beta]), 0.0)]))
         object.__setattr__(self, "_winner_cdf", [c / cdf[-1] for c in cdf])
@@ -53,11 +57,6 @@ class AllocationRule:
     @property
     def alpha(self) -> int:
         return len(self.x)
-
-    @property
-    def beta(self) -> int:
-        """Number of ranks that can win: the leading run of positive entries."""
-        return sum(1 for v in self.x if v > 0)
 
     def prob(self, rank: int) -> float:
         """Allocation probability for a 1-based rank; 0 beyond alpha."""

@@ -13,6 +13,7 @@ import json
 import math
 import sys
 from bisect import bisect_right
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import combinations
@@ -121,12 +122,17 @@ class SelectionDistribution:
     def from_json_dict(cls, doc: Mapping) -> "SelectionDistribution":
         try:
             theta, alpha = doc["theta"], doc["alpha"]
-            probs = {tuple(entry["subset"]): entry["p"] for entry in doc["probs"]}
+            entries = [(tuple(entry["subset"]), entry["p"]) for entry in doc["probs"]]
+            probs = dict(entries)
         except (KeyError, TypeError) as exc:
             raise SelectionError(f"malformed selection distribution document: {exc}") from exc
         integers = (theta, alpha, *(i for key in probs for i in key))
         if not all(isinstance(v, int) and not isinstance(v, bool) for v in integers):
             raise SelectionError("theta, alpha and subset entries must be integers")
+        if len(probs) < len(entries):
+            # The dict kept only the last of two equal keys; name the key as __post_init__ would.
+            dup = next(key for key, count in Counter(key for key, _ in entries).items() if count > 1)
+            raise SelectionError(f"duplicate subset {tuple(sorted(dup))}")
         if not all(map(is_finite_number, probs.values())):
             raise SelectionError("subset probabilities must be finite numbers")
         return cls(theta, alpha, probs)

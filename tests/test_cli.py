@@ -217,6 +217,28 @@ class TestValidate:
         (line,) = err.splitlines()
         assert json.loads(line)["error"] == "schema"
 
+    @pytest.mark.parametrize("again", [[1, 2], [2, 1]])
+    def test_duplicate_subset_exits_2(self, tmp_path, again):
+        # The listed p sum to 1.3, and to 1 without the first entry: a later entry must not
+        # overwrite an earlier one, whichever way it spells (1, 2).
+        doc = {
+            "theta": 3,
+            "alpha": 2,
+            "probs": [
+                {"subset": [1, 2], "p": 0.3},
+                {"subset": [1, 3], "p": 0.3},
+                {"subset": [2, 3], "p": 0.2},
+                {"subset": again, "p": 0.5},
+            ],
+            "x": [1.0, 0.0],
+        }
+        code, out, err = run_main(["validate", "--mechanism", write_json(tmp_path, "dup.json", doc)])
+        assert (code, out) == (EXIT_SCHEMA, "")
+        (line,) = err.splitlines()
+        error = json.loads(line)
+        assert error["error"] == "schema"
+        assert "duplicate subset (1, 2)" in error["message"]
+
 
 class TestCheckDsic:
     def test_dsic_mechanism_exits_0(self, dsic_mech_file, capsys):

@@ -12,6 +12,7 @@ from tworound.engine import (
     expected_utility,
     first_round_positions,
     place,
+    settle,
     simulate_run,
 )
 from tworound.secondround import AllocationRule, settle_round, u2
@@ -72,6 +73,37 @@ class TestFirstRound:
         m = n11_mech((0.6, 0.25, 0.15))
         with pytest.raises(ConfigurationError):
             first_round_positions(m, BidProfile((5, 3), (5, 3)))
+
+    def test_reused_profile_matches_a_fresh_stable_sort(self):
+        # Small integer bids make ties common; every profile is ranked many times,
+        # under several theta, and the lists handed out are mutated in between.
+        rng = np.random.default_rng(20261018)
+        tied = 0
+        for _ in range(200):
+            n = int(rng.integers(2, 10))
+            bids = BidProfile.truthful(rng.integers(0, 5, size=n))
+            tied += len(set(bids.first_round)) < n
+            for _ in range(10):
+                theta = int(rng.integers(1, n + 1))
+                m = Mechanism(
+                    theta, 1, SelectionDistribution.uniform(theta, 1), AllocationRule((1.0,))
+                )
+                want = sorted(range(n), key=bids.first_round.__getitem__, reverse=True)[:theta]
+                got = first_round_positions(m, bids)
+                assert got == want
+                got.reverse()
+                got.append(-1)
+        assert tied > 150
+
+    def test_profile_equality_hash_and_repr_ignore_the_ranking(self):
+        bids = BidProfile((5, 9, 9, 2), (5, 9, 9, 2))
+        fresh = BidProfile((5, 9, 9, 2), (5, 9, 9, 2))
+        first_round_positions(n11_mech((0.6, 0.25, 0.15)), bids)
+        assert bids == fresh and hash(bids) == hash(fresh)
+        assert repr(bids) == repr(fresh) == (
+            "BidProfile(first_round=(5.0, 9.0, 9.0, 2.0), second_round=(5.0, 9.0, 9.0, 2.0))"
+        )
+        assert bids != BidProfile((5, 9, 8, 2), (5, 9, 9, 2))
 
 
 class TestTieBreaks:
@@ -154,6 +186,20 @@ class TestPlace:
             below += p > theta
             tied += b in others
         assert below > 20 and tied > 100
+
+
+class TestShortBidVectors:
+    def test_settle_needs_theta_bids(self):
+        m = n11_mech((0.6, 0.25, 0.15))
+        with pytest.raises(ConfigurationError, match="need theta=3 second-round bids, got 2"):
+            settle(m, [5.0, 3.0])
+
+    def test_place_needs_theta_minus_one_others(self):
+        m = n11_mech((0.6, 0.25, 0.15))
+        for p in (1, 2, 3, 4):
+            with pytest.raises(ConfigurationError, match="need theta - 1 = 2 other bids, got 1"):
+                place(m, [5.0], p, 4.0)
+        assert place(m, [5.0, 3.0], 4, 4.0) == (0.0, 0.0)
 
 
 class TestExpectedRevenue:

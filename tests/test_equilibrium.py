@@ -5,10 +5,17 @@ import math
 import numpy as np
 import pytest
 
-from conftest import make_all_advance_mechanism, make_dsic_mechanism, make_non_dsic_mechanism
-from tworound.engine import BidProfile, ConfigurationError, expected_revenue
+from conftest import (
+    make_all_advance_mechanism,
+    make_dsic_mechanism,
+    make_non_dsic_mechanism,
+    random_allocation,
+)
+from tworound.engine import BidProfile, ConfigurationError, Mechanism, expected_revenue, place
 from tworound.equilibrium import (
+    EQ_ATOL,
     ConstructionFailure,
+    DeviationRecord,
     DegenerateRatioError,
     FormulaDomainError,
     N12_ORDERINGS,
@@ -27,7 +34,7 @@ from tworound.equilibrium import (
     n12_position_bids,
     n12_rank_profile,
 )
-from tworound.selection import ExclusionY
+from tworound.selection import ExclusionY, SelectionDistribution, enumerate_subsets
 
 V_EX = (450.0, 350.0, 200.0)
 Y_TRUTH = ExclusionY((0.6, 0.25, 0.15))
@@ -60,6 +67,46 @@ class TestRankProfile:
     def test_rejects_non_permutation(self):
         with pytest.raises(ValueError):
             RankProfile((0, 0, 2), (450, 350, 200))
+
+
+def reference_is_nash_equilibrium(mech, values, rank):
+    """``is_nash_equilibrium`` pricing each bidder's standing utility with its own ``place`` call."""
+    k = mech.competition_rank
+    bids = rank.bids
+    min_gap = min(a - b for a, b in zip(bids, bids[1:])) if len(bids) > 1 else 1.0
+    delta = min_gap / 10
+    top = min(k, len(bids))
+    targets = list(range(1, top + 1)) + ([top + 1] if top < len(bids) else [])
+    records = []
+    ok = True
+    for p in range(1, top + 1):
+        bidder = rank.ordering[p - 1]
+        v = values[bidder]
+        others = bids[: p - 1] + bids[p:]
+        X, P = place(mech, others, p, bids[p - 1])
+        u_cur = v * X - P
+        for t in targets:
+            if t == p:
+                continue
+            if t < p:
+                new_bid = bids[t - 1] + delta
+            else:
+                floor = bids[t] if t < len(bids) else 0.0
+                new_bid = bids[t - 1] - min(delta, (bids[t - 1] - floor) / 2)
+            X, P = place(mech, others, t, new_bid)
+            u_dev = v * X - P
+            records.append(DeviationRecord(bidder, p, t, u_cur, u_dev))
+            if u_dev > u_cur + EQ_ATOL:
+                ok = False
+    return ok, records
+
+
+def _bits(result):
+    ok, records = result
+    return ok, [
+        (r.bidder, r.from_position, r.to_position, r.utility_current.hex(), r.utility_deviation.hex())
+        for r in records
+    ]
 
 
 class TestIsNashEquilibrium:
@@ -135,6 +182,31 @@ class TestIsNashEquilibrium:
             )
         assert hashlib.sha256(json.dumps(out).encode()).hexdigest() == self.RECORDS_DIGEST
 
+    def test_matches_the_per_position_reference_bit_for_bit(self):
+        # Random joint distributions and allocations, n = theta .. theta + 3 bidders, and a
+        # third of the rules with beta = alpha (every advanced rank can win).
+        rng = np.random.default_rng(20261018)
+        full = beyond = 0
+        for _ in range(300):
+            theta = int(rng.integers(2, 7))
+            alpha = int(rng.integers(1, theta + 1))
+            beta = alpha if rng.random() < 0.35 else int(rng.integers(1, alpha + 1))
+            subsets = enumerate_subsets(theta, alpha)
+            probs = rng.dirichlet(np.ones(len(subsets)))
+            sel = SelectionDistribution(theta, alpha, dict(zip(subsets, probs.tolist())))
+            mech = Mechanism(theta, alpha, sel, random_allocation(rng, alpha, beta))
+            n = theta + int(rng.integers(0, 4))
+            bids = tuple(np.sort(rng.uniform(1, 100, size=n))[::-1].tolist())
+            if any(a <= b for a, b in zip(bids, bids[1:])):
+                continue
+            rank = RankProfile(tuple(rng.permutation(n).tolist()), bids)
+            values = tuple(rng.uniform(1, 100, size=n).tolist())
+            want = reference_is_nash_equilibrium(mech, values, rank)
+            assert _bits(is_nash_equilibrium(mech, values, rank)) == _bits(want)
+            full += beta == alpha and n > theta
+            beyond += n > theta
+        assert full > 50 and beyond > 150
+
     def test_malformed_inputs_rejected(self):
         mech = n11_mechanism(Y_TRUTH)
         with pytest.raises(ConfigurationError):
@@ -203,6 +275,14 @@ class TestN11Classify:
     def test_unordered_Y_rejected(self):
         with pytest.raises(ValueError):
             n11_classify(*V_EX, ExclusionY((0.25, 0.6, 0.15)))
+
+    def test_tail_bounds_reject_an_ordered_y_summing_just_above_one(self):
+        # ExclusionY keeps a sum within NORMALIZE_ATOL of 1 as given, so a strictly ordered
+        # vector can still carry Y_{theta-1} >= 1/(theta-1): the tail bounds decide this case.
+        y = ExclusionY((0.5000000005, 0.5000000003, 1e-10))
+        assert y.ordered and sum(y.y_vec) != 1.0
+        with pytest.raises(ValueError, match="exclusion tail bounds violated"):
+            n11_classify(*V_EX, y)
 
 
 class TestN11Revenue:

@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from tworound import experiments
 from tworound.cli import main
 from tworound.equilibrium import DegenerateRatioError, n11_classify, n11_revenue
 from tworound.experiments import (
@@ -340,6 +341,50 @@ class TestRandomValuationExperiment:
         first = [rows_to_record(r) for r in run_random_valuation_experiment(config)]
         second = [rows_to_record(r) for r in run_random_valuation_experiment(config)]
         assert first == second
+
+
+_default_rng = np.random.default_rng
+
+
+class CoarseGenerator:
+    """A generator whose uniforms take four values, so many Y draws tie and are discarded."""
+
+    def __init__(self, seed):
+        self._rng = _default_rng(seed)
+
+    def random(self, size):
+        return self._rng.integers(1, 5, size=size) / 4
+
+    def uniform(self, low, high, size):
+        return self._rng.uniform(low, high, size=size)
+
+
+class TestDiscarded:
+    @pytest.fixture(autouse=True)
+    def coarse(self, monkeypatch):
+        monkeypatch.setattr(experiments.np.random, "default_rng", CoarseGenerator)
+
+    def test_gap_and_theta_rows_count_the_draws_of_neither_class(self):
+        config = ExperimentConfig(valuations=GAP_VALUATIONS, thetas=(3,), draws=2000)
+        rows = run_gap_experiment(config)
+        config = ExperimentConfig(valuations=GAP_VALUATIONS[:1], thetas=(3, 4, 5), draws=2000)
+        rows += run_theta_experiment(config)
+        for row in rows:
+            assert row.discarded == config.draws - row.risky_count - row.truthful_count
+        assert all(row.discarded > 0 for row in rows)
+
+    def test_table4_rows_sum_the_discards_of_every_valuation(self):
+        config = ExperimentConfig(thetas=(3, 4), draws=50, n_valuations=30)
+        rows = run_random_valuation_experiment(config)
+        rng = CoarseGenerator(config.seed)
+        for row in rows:
+            total = 0
+            for _ in range(config.n_valuations):
+                v = tuple(np.sort(rng.uniform(0.0, config.value_max, size=3))[::-1])
+                while v[0] == v[1] or v[1] == v[2]:
+                    v = tuple(np.sort(rng.uniform(0.0, config.value_max, size=3))[::-1])
+                total += _classify_draws(rng, row.theta, config.draws, v)[2]
+            assert row.discarded == total > 0
 
 
 class TestCsv:

@@ -1,6 +1,7 @@
 import itertools
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -21,6 +22,21 @@ class TestAllocationRule:
         assert AllocationRule((0.7, 0.3, 0.0)).beta == 2
         assert AllocationRule((1.0, 0.0, 0.0)).beta == 1
         assert AllocationRule((0.25, 0.25, 0.25, 0.25)).beta == 4
+
+    def test_beta_is_the_leading_positive_run_on_random_rules(self):
+        rng = np.random.default_rng(20261018)
+        for _ in range(300):
+            alpha = int(rng.integers(1, 8))
+            beta = int(rng.integers(1, alpha + 1))
+            head = np.sort(rng.uniform(0.01, 1.0, size=beta))[::-1]
+            x = AllocationRule(tuple(head / head.sum() * rng.uniform(0.2, 1.0)) + (0.0,) * (alpha - beta))
+            assert x.beta == len(list(itertools.takewhile(lambda v: v > 0, x.x))) == beta
+
+    def test_equality_hash_and_repr_see_only_x(self):
+        a, b = AllocationRule((0.7, 0.3, 0.0)), AllocationRule((0.7, 0.3, 0))
+        assert a == b and hash(a) == hash(b) == hash(AllocationRule((0.7, 0.3, 0.0)))
+        assert repr(a) == repr(b) == "AllocationRule(x=(0.7, 0.3, 0.0))"
+        assert a != AllocationRule((0.7, 0.2, 0.0))
 
     def test_rejects_increasing(self):
         with pytest.raises(ContractViolation):
