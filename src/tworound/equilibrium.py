@@ -21,7 +21,7 @@ from typing import Mapping, Sequence
 
 from .engine import ConfigurationError, Mechanism, place, settle
 from .secondround import AllocationRule
-from .selection import ExclusionY, from_exclusion_Y
+from .selection import ExclusionY, from_exclusion_Y, is_finite_number
 
 EQ_ATOL = 1e-9
 _WITNESS_STEP = 0.01  # grid of the reported risky overbid
@@ -377,12 +377,14 @@ class N12Params:
             raise ValueError(f"x2 must lie in (0, 0.5), got {x2}")
         object.__setattr__(self, "v", v)
         object.__setattr__(self, "Y", Y)
+        if not isinstance(self.b_overrides, Mapping):
+            raise ValueError(f"b_overrides must be a mapping, got {self.b_overrides!r}")
         for key, b in self.b_overrides.items():
             if key not in ("b2", "b3"):
                 raise ValueError(f"unknown b_overrides key {key!r}: expected 'b2' or 'b3'")
-            if not (isinstance(b, (int, float)) and math.isfinite(b)):
+            if not is_finite_number(b):
                 raise ValueError(f"b_overrides[{key!r}] must be a finite number, got {b!r}")
-        object.__setattr__(self, "b_overrides", dict(self.b_overrides))
+        object.__setattr__(self, "b_overrides", {k: float(b) for k, b in self.b_overrides.items()})
 
     @property
     def x1(self) -> float:
@@ -486,42 +488,38 @@ def n12_position_bids(params: N12Params, ordering: tuple[int, int, int]) -> tupl
     return bids
 
 
+# The paying terms of a bidder at its own position t = 1, 2, 3, in exclusion
+# order 1 -> 4: (Y index, second-round rank, index of s2, index of s3), indices
+# into the other three bids, descending.  Excluding position j has probability
+# Y_{5-j}; the rank-3 winner (x3 = 0) pays nothing, so t = 3 has two terms.
+_N12_TERMS = (
+    ((2, 1, 1, 2), (1, 1, 0, 2), (0, 1, 0, 1)),
+    ((3, 1, 1, 2), (1, 2, None, 2), (0, 2, None, 1)),
+    ((3, 2, None, 2), (2, 2, None, 2)),
+)
+
+
 # Hand-expanded instead of engine.settle: a third of its cost on these tiny
 # mechanisms, and criterion 10 relies on it being derived apart from the engine.
-def _n12_position_utility(
-    params: N12Params, w: float, my_pos: int, others_desc: Sequence[float]
-) -> float:
-    """Exact expected utility of a value-w bidder occupying ``my_pos``.
+def _n12_position_utilities(
+    Y: Sequence[float], x1: float, x2: float, w: float, others: Sequence[float]
+) -> list[float]:
+    """Exact expected utilities [u(1), u(2), u(3)] of a value-w bidder.
 
-    ``others_desc`` are the other three first-round bids in descending order;
-    they fill the remaining positions.  The probability that position j's
-    bidder is the one left out is Y_{5-j}.  A bidder's own bid never enters
-    its own payment, so only the realized position matters.
+    ``others`` are the other three first-round bids in descending order; they
+    fill the remaining positions.  A bidder's own bid never enters its own
+    payment, so only the realized position matters.
     """
-    Y = params.Y  # Y[k-1] = Y_k; excluding position j has probability Y_{5-j}
-    x1, x2 = params.x1, params.x2
-    bid_at = {}
-    pos = 1
-    for b in others_desc:
-        if pos == my_pos:
-            pos += 1
-        bid_at[pos] = b
-        pos += 1
-    total = 0.0
-    for excluded in range(1, 5):
-        if excluded == my_pos:
-            continue
-        prob = Y[4 - excluded]
-        selected = [q for q in range(1, 5) if q != excluded]
-        rank = selected.index(my_pos) + 1
-        if rank == 1:
-            s2 = bid_at[selected[1]]
-            s3 = bid_at[selected[2]]
-            total += prob * (w * x1 - (s2 * (x1 - x2) + s3 * x2))
-        elif rank == 2:
-            s3 = bid_at[selected[2]]
-            total += prob * (w * x2 - s3 * x2)
-    return total
+    utilities = []
+    for terms in _N12_TERMS:
+        total = 0.0
+        for y, rank, i2, i3 in terms:
+            if rank == 1:
+                total += Y[y] * (w * x1 - (others[i2] * (x1 - x2) + others[i3] * x2))
+            else:
+                total += Y[y] * (w * x2 - others[i3] * x2)
+        utilities.append(total)
+    return utilities
 
 
 @dataclass(frozen=True)
@@ -565,8 +563,10 @@ def n12_check_rank(params: N12Params, ordering: tuple[int, int, int]) -> N12Rank
         raise ValueError(f"ordering must be one of {N12_ORDERINGS}, got {ordering}")
     ordering = tuple(ordering)
     bids = n12_position_bids(params, ordering)
-    v = params.v
-    fns = N12ConditionFunctions(x2=params.x2, Y=params.Y)
+    v, Y, x2 = params.v, params.Y, params.x2
+    x1 = 1.0 - x2
+    fns = N12ConditionFunctions(x2=x2, Y=Y)
+    ycoef12, ycoef23 = fns.ycoef12, fns.ycoef23
 
     conditions: list[N12Condition] = []
     for pos in (1, 2, 3):
@@ -574,38 +574,29 @@ def n12_check_rank(params: N12Params, ordering: tuple[int, int, int]) -> N12Rank
         w = v[bidder - 1]
         # The other bids, descending, as seen from the top position.
         others = [*bids[: pos - 1], *bids[pos:], v[3]]
-        u = {t: _n12_position_utility(params, w, t, others) for t in (1, 2, 3)}
+        u = _n12_position_utilities(Y, x1, x2, w, others)
         d2, d3, d4 = others
         for upper, comparison in ((1, "1<->2"), (2, "2<->3")):
             # The bidder must prefer the upper position iff it holds it or one above.
             want_upper = pos <= upper
-            margin = u[upper] - u[upper + 1]
+            margin = u[upper - 1] - u[upper]
             if not want_upper:
                 margin = -margin
             # u(upper) - u(upper + 1) has the sign of den * (ycoef - v_value).
             if upper == 1:
                 den = fns.V12_denominator(w, d3, d4)
                 v_value = fns.V12(w, d2, d3, d4) if den else None
-                ycoef = fns.ycoef12
+                ycoef = ycoef12
             else:
                 den = 1.0
                 v_value = fns.V23(w, d3, d4)
-                ycoef = fns.ycoef23
+                ycoef = ycoef23
             direction = "<" if want_upper == (den >= 0) else ">"
-            conditions.append(
-                N12Condition(
-                    bidder=bidder,
-                    position=pos,
-                    comparison=comparison,
-                    margin=margin,
-                    holds=margin > EQ_ATOL,
-                    indeterminate=abs(margin) <= EQ_ATOL,
-                    v_value=v_value,
-                    ycoef=ycoef,
-                    direction=direction,
-                    auto_satisfied=v_value is not None and v_value < 0 and direction == "<",
-                )
-            )
+            # Positional, in field order: keywords would cost a tenth of the call.
+            conditions.append(N12Condition(
+                bidder, pos, comparison, margin, margin > EQ_ATOL, abs(margin) <= EQ_ATOL,
+                v_value, ycoef, direction, v_value is not None and v_value < 0 and direction == "<",
+            ))
 
     return N12RankReport(
         ordering=ordering,

@@ -66,6 +66,24 @@ def _probs(subsets, weights):
     return [{"subset": list(s), "p": w / total} for s, w in zip(subsets, weights)]
 
 
+# (values, Y) documents for `analyze-ne --mode n12`: the six-orderings example, two random draws
+# and a random draw for which no ordering is an equilibrium.
+N12_CASES = {
+    "example": ([450, 350, 300, 200, 100], [0.4, 0.3, 0.2, 0.1]),
+    "random-a": (
+        [875.8812326093579, 860.4352597752891, 736.7469133124079, 392.24253149263905, 43.71479144726679],
+        [0.7011125963881061, 0.23548740885744818, 0.043213111467836164, 0.02018688328660968],
+    ),
+    "random-b": (
+        [782.5191633381711, 765.5017147629915, 182.35767195155142, 126.64885971676092, 36.837387394915936],
+        [0.7880904319859969, 0.1544353779234208, 0.03376315972548974, 0.023711030365092537],
+    ),
+    "no-ne": (
+        [898.2416629598797, 777.9288333427415, 628.8445119386203, 307.16462206211315, 232.95511809068594],
+        [0.4992132716235512, 0.4144645676061322, 0.08488313543639575, 0.0014390253339208203],
+    ),
+}
+
 # (mechanism, bids) documents for `simulate`: zero-probability subsets, an allocation summing
 # below 1 (so some runs have no winner) and tied first-round bids.
 SIMULATE_CASES = {
@@ -356,6 +374,44 @@ class TestAnalyzeNe:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert flag[2:] in json.loads(captured.err)["message"]
+
+    # SHA-256 of `analyze-ne --mode n12` stdout and its exit code: every margin,
+    # v_value and ycoef must stay bit for bit the same.
+    @pytest.mark.parametrize(
+        "case,extra,code,digest",
+        [
+            ("example", ["--x2", "0.25"], EXIT_OK,
+             "e590398e8c47190b4cd700fefaecfdbeb805827d2844d91b89286e046a4228a1"),
+            ("random-a", ["--x2", "0.1484253372123855"], EXIT_OK,
+             "3edbd9533363aa13da7282e2ee44daa8fceeaa5c76401181c673f503f1236377"),
+            ("random-b", ["--x2", "0.1071570909185292"], EXIT_OK,
+             "8440d6fed37d957265674756a3248891ffae83bbc4f4e9b549c439b87c3914eb"),
+            ("no-ne", ["--x2", "0.23717398113748833"], EXIT_NEGATIVE,
+             "befc601d080ea60c073ce9ec17db0e7893bae918f482c9a042bd283606c0812f"),
+            ("example", ["--x2", "0.25", "--b2", "800"], EXIT_OK,
+             "ed85de08de350dbbf5ca69a244173d82d9e2385e8aee7e64b48bf5104d136b56"),
+            ("random-a", ["--x2", "0.1484253372123855", "--b2", "1500.25"], EXIT_OK,
+             "d02445afd568e26f3b93919f9b754eaabf2e745e6a0e3e1ee03fa1dc858c92f8"),
+            ("example", ["--x2", "0.25", "--b2", "800", "--b3", "900"], EXIT_SCHEMA,
+             hashlib.sha256(b"").hexdigest()),
+        ],
+    )
+    def test_n12_stdout_pinned(self, tmp_path, case, extra, code, digest):
+        values, y = N12_CASES[case]
+        argv = [
+            "analyze-ne", "--mode", "n12",
+            *("--values", write_json(tmp_path, "v.json", values)),
+            *("--Y", write_json(tmp_path, "y.json", y)),
+            *extra,
+        ]
+        got_code, out, err = run_main(argv)
+        assert got_code == code
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+        if code == EXIT_SCHEMA:
+            (line,) = err.splitlines()
+            assert "do not realize ordering (1, 3, 2)" in json.loads(line)["message"]
+        else:
+            assert err == ""
 
     def test_n12_wrong_value_count_exits_2(self, tmp_path, capsys):
         values = write_json(tmp_path, "v.json", [450, 350, 200])

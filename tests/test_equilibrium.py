@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from conftest import (
     make_non_dsic_mechanism,
     random_allocation,
 )
+from tworound import engine, secondround
 from tworound.engine import BidProfile, ConfigurationError, Mechanism, expected_revenue, place
 from tworound.equilibrium import (
     EQ_ATOL,
@@ -19,9 +21,12 @@ from tworound.equilibrium import (
     DegenerateRatioError,
     FormulaDomainError,
     N12_ORDERINGS,
+    N12Condition,
     N12ConditionFunctions,
     N12Params,
+    N12RankReport,
     RankProfile,
+    _n12_position_utilities,
     _require_admissible,
     is_nash_equilibrium,
     n11_classify,
@@ -515,6 +520,25 @@ class TestN12Params:
         with pytest.raises(ValueError, match=f"'{key}'"):
             N12Params((450, 400, 300, 200, 100), (0.4, 0.3, 0.2, 0.1), 0.25, overrides)
 
+    def test_rejects_a_bool_override(self):
+        with pytest.raises(ValueError, match="^b_overrides\\['b2'\\] must be a finite number, got True"):
+            N12Params((450, 400, 300, 200, 100), (0.4, 0.3, 0.2, 0.1), 0.25, {"b2": True})
+
+    def test_rejects_an_override_beyond_the_float_range(self):
+        with pytest.raises(ValueError, match="^b_overrides\\['b3'\\] must be a finite number"):
+            N12Params((450, 400, 300, 200, 100), (0.4, 0.3, 0.2, 0.1), 0.25, {"b3": 2**1024})
+
+    def test_integer_overrides_are_stored_as_floats(self):
+        params = N12Params((450, 400, 300, 200, 100), (0.4, 0.3, 0.2, 0.1), 0.25, {"b2": 700})
+        assert type(params.b_overrides["b2"]) is float
+        bids = n12_check_rank(params, (2, 1, 3)).bids
+        assert bids == (700.0, 450.0, 300.0)
+        assert all(type(b) is float for b in bids)
+
+    def test_rejects_a_non_mapping(self):
+        with pytest.raises(ValueError, match="^b_overrides must be a mapping"):
+            N12Params((450, 400, 300, 200, 100), (0.4, 0.3, 0.2, 0.1), 0.25, [("b2", 700.0)])
+
     def test_mechanism_shape(self, rng):
         params = random_n12_params(rng)
         mech = params.mechanism()
@@ -620,6 +644,149 @@ class TestN12CheckRank:
         params = random_n12_params(rng)
         with pytest.raises(ValueError):
             n12_check_rank(params, (1, 1, 2))
+
+
+def reference_n12_position_utility(params, w, my_pos, others_desc):
+    """The position-by-position utility loop the term table replaced."""
+    Y = params.Y  # Y[k-1] = Y_k; excluding position j has probability Y_{5-j}
+    x1, x2 = params.x1, params.x2
+    bid_at = {}
+    pos = 1
+    for b in others_desc:
+        if pos == my_pos:
+            pos += 1
+        bid_at[pos] = b
+        pos += 1
+    total = 0.0
+    for excluded in range(1, 5):
+        if excluded == my_pos:
+            continue
+        prob = Y[4 - excluded]
+        selected = [q for q in range(1, 5) if q != excluded]
+        rank = selected.index(my_pos) + 1
+        if rank == 1:
+            s2 = bid_at[selected[1]]
+            s3 = bid_at[selected[2]]
+            total += prob * (w * x1 - (s2 * (x1 - x2) + s3 * x2))
+        elif rank == 2:
+            s3 = bid_at[selected[2]]
+            total += prob * (w * x2 - s3 * x2)
+    return total
+
+
+def reference_n12_check_rank(params, ordering):
+    """``n12_check_rank`` as it was before the term table: one loop per utility."""
+    if tuple(ordering) not in N12_ORDERINGS:
+        raise ValueError(f"ordering must be one of {N12_ORDERINGS}, got {ordering}")
+    ordering = tuple(ordering)
+    bids = n12_position_bids(params, ordering)
+    v = params.v
+    fns = N12ConditionFunctions(x2=params.x2, Y=params.Y)
+
+    conditions = []
+    for pos in (1, 2, 3):
+        bidder = ordering[pos - 1]
+        w = v[bidder - 1]
+        others = [*bids[: pos - 1], *bids[pos:], v[3]]
+        u = {t: reference_n12_position_utility(params, w, t, others) for t in (1, 2, 3)}
+        d2, d3, d4 = others
+        for upper, comparison in ((1, "1<->2"), (2, "2<->3")):
+            want_upper = pos <= upper
+            margin = u[upper] - u[upper + 1]
+            if not want_upper:
+                margin = -margin
+            if upper == 1:
+                den = fns.V12_denominator(w, d3, d4)
+                v_value = fns.V12(w, d2, d3, d4) if den else None
+                ycoef = fns.ycoef12
+            else:
+                den = 1.0
+                v_value = fns.V23(w, d3, d4)
+                ycoef = fns.ycoef23
+            direction = "<" if want_upper == (den >= 0) else ">"
+            conditions.append(
+                N12Condition(
+                    bidder=bidder,
+                    position=pos,
+                    comparison=comparison,
+                    margin=margin,
+                    holds=margin > EQ_ATOL,
+                    indeterminate=abs(margin) <= EQ_ATOL,
+                    v_value=v_value,
+                    ycoef=ycoef,
+                    direction=direction,
+                    auto_satisfied=v_value is not None and v_value < 0 and direction == "<",
+                )
+            )
+
+    return N12RankReport(
+        ordering=ordering,
+        bids=bids,
+        is_ne=all(c.holds for c in conditions),
+        indeterminate=any(c.indeterminate for c in conditions),
+        conditions=tuple(conditions),
+    )
+
+
+def _outcome(check, params, ordering):
+    try:
+        return check(params, ordering)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+class TestN12Reference:
+    def test_reports_equal_the_reference_bit_for_bit(self, rng):
+        reports = errors = 0
+        for i in range(2_000):
+            params = random_n12_params(rng)
+            if i % 3 == 0:
+                # Overbids between v2 and v1 + 3 (v1 - v4): some orderings are
+                # realized by them, the others fail the same way on both sides.
+                v1, v2, _, v4, _ = params.v
+                keys = (("b2",), ("b3",), ("b2", "b3"))[i // 3 % 3]
+                over = {k: float(rng.uniform(v2, v1 + 3 * (v1 - v4))) for k in keys}
+                params = N12Params(params.v, params.Y, params.x2, over)
+            for ordering in N12_ORDERINGS:
+                got = _outcome(n12_check_rank, params, ordering)
+                want = _outcome(reference_n12_check_rank, params, ordering)
+                assert got == want
+                # repr spells every float exactly, so this also tells -0.0 from 0.0.
+                assert repr(got) == repr(want)
+                if isinstance(got, N12RankReport):
+                    reports += 1
+                else:
+                    errors += 1
+        assert reports > 10_000 and errors > 1_000
+
+    def test_position_utilities_match_the_reference_loop(self, rng):
+        for _ in range(200):
+            params = random_n12_params(rng)
+            w = params.v[int(rng.integers(3))]
+            others = sorted(rng.uniform(0, 1000, size=3), reverse=True)
+            got = _n12_position_utilities(params.Y, params.x1, params.x2, w, others)
+            want = [reference_n12_position_utility(params, w, t, others) for t in (1, 2, 3)]
+            assert [u.hex() for u in got] == [u.hex() for u in want]
+
+    def test_never_reaches_the_engine(self, rng, monkeypatch):
+        # Criterion 10 cross-checks these conditions against the engine; that only
+        # means something while the n12 path does not price through the engine itself.
+        originals = (engine.settle, engine.place, secondround.settle_round)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the n12 conditions called the engine")
+
+        for module in [m for name, m in sys.modules.items() if name.split(".")[0] == "tworound"]:
+            for name, value in list(vars(module).items()):
+                if any(value is f for f in originals):
+                    monkeypatch.setattr(module, name, forbidden)
+        params = random_n12_params(rng)
+        with pytest.raises(AssertionError, match="called the engine"):
+            is_nash_equilibrium(params.mechanism(), params.v[:4], n12_rank_profile(params, (1, 2, 3)))
+        for _ in range(50):
+            params = random_n12_params(rng)
+            for ordering in N12_ORDERINGS:
+                assert n12_check_rank(params, ordering) == reference_n12_check_rank(params, ordering)
 
 
 class TestN12RankProfile:
