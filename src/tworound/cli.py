@@ -47,14 +47,16 @@ def _error(kind: str, message: str) -> None:
 def _seed(args) -> int:
     """``--seed``, else ``TWOROUND_SEED``, else the experiments' default seed."""
     if args.seed is not None:
+        if args.seed < 0:
+            raise SchemaError(f"--seed must be a nonnegative integer, got {args.seed}")
         return args.seed
     env = os.environ.get(SEED_ENV_VAR)
     if not env:
         return experiments.DEFAULT_SEED
-    try:
-        return int(env)
-    except ValueError:
-        raise SchemaError(f"{SEED_ENV_VAR} must be an integer, got {env!r}") from None
+    with contextlib.suppress(ValueError):  # more digits than int() converts
+        if env.isascii() and env.isdigit():  # int() also takes "-3", "1_0", " 7", non-ASCII digits
+            return int(env)
+    raise SchemaError(f"{SEED_ENV_VAR} must be a nonnegative integer (digits 0-9), got {env!r}")
 
 
 def _load_json(path: str):

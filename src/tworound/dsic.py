@@ -11,14 +11,16 @@ Two independent routes to the same question:
   for a strictly profitable conservative (b <= v) or risky (v < b <= s)
   deviation.  Each (b, s) puts the deviator in a rank slot (p, k): first-round
   position p, outranked by k others in round two.  A plan built once per
-  mechanism prices the slots, and the scan runs over (profile, v, p, k).
+  mechanism prices a chunk's slots in one pass over cached (grid, n) tables.
   :func:`verify_witness` re-prices a witness through full bid profiles
   (``engine.evaluate``), apart from the plan.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+from bisect import bisect_right
 from dataclasses import asdict, dataclass
 from itertools import combinations_with_replacement, islice
 from typing import Sequence
@@ -26,7 +28,6 @@ from typing import Sequence
 import numpy as np
 
 from .engine import BidProfile, ConfigurationError, Mechanism, expected_utility
-from .secondround import rank_payments
 from .selection import marginal_probabilities
 
 MARGINAL_ATOL = 1e-9
@@ -96,32 +97,60 @@ def check_dsic(mech: Mechanism) -> DsicVerdict:
 
 
 def _rank_slot_plan(mech: Mechanism, n: int):
-    """Deviator's expected allocation X[p - 1, k] and the payment terms that sum to P[p - 1, k].
+    """Deviator's expected allocation X[slot] and the payment terms that sum to P[slot].
 
-    At position p and outranked by k others in round two, the deviator holds slot (p, k).  The
-    others bid alike in both rounds, so those k sit at positions 1..k and the slot fixes its rank
-    and the positions below it in every subset.  A term ((p - 1, k), prob, order, steps) adds prob
-    times the head's ``rank_payments``.  X and the terms follow the live subsets in
-    ``selection.probs`` order, as ``engine.settle``.
+    At position p and outranked by k others in round two, the deviator holds slot (p - 1) * n + k.
+    The others bid alike in both rounds, so those k sit at positions 1..k and the slot fixes its
+    rank r and the positions below it in every subset.  X and the terms follow the live subsets as
+    ``engine.settle``.  A term is prob times a Myerson payment from (alpha - 1, T) matrices of bid
+    rows and steps, bottom-up as in ``rank_payments`` after r exact 0.0 pads (zero row n - 1).
     """
     alloc, steps, beta = mech.allocation.x, mech.allocation.steps, mech.beta
-    X, terms = np.zeros((n, n)), []
+    X, slots, probs, cols, coefs = [0.0] * (n * n), [], [], [], []
     for p in range(1, mech.theta + 1):
         for k in range(p):
             for subset, prob in mech.selection.probs.items():
-                r = sum(1 for q in subset if q <= k)
+                r = bisect_right(subset, k)  # subsets are sorted tuples
                 if prob != 0.0 and p in subset and r < beta:
-                    below = [q - 1 if q < p else q - 2 for q in subset if q > k and q != p]
-                    X[p - 1, k] += prob * alloc[r]
-                    # The deviator heads the order; its own bid is never read.
-                    terms.append(((p - 1, k), prob, (None, *below), steps[r:]))
-    return X, terms
+                    X[(p - 1) * n + k] += prob * alloc[r]
+                    slots.append((p - 1) * n + k)
+                    probs.append(prob)
+                    cols += [n - 1] * r + [q - 2 + (q < p) for q in subset[r:][::-1] if q != p]
+                    coefs += (0.0,) * r + steps[r:][::-1]
+    shape = (len(slots), len(steps))
+    cols = np.array(cols, dtype=np.intp).reshape(shape).T
+    coefs = np.array(coefs).reshape(shape).T[..., None]  # probs and coefs broadcast over profiles
+    return np.array(X), np.array(slots, dtype=np.intp), np.array(probs)[:, None], cols, coefs
+
+
+@functools.lru_cache(maxsize=8)
+def _grid_tables(grid: tuple[float, ...], n: int) -> tuple:
+    """Per chunk of ``CHUNK_PROFILES`` opponent profiles, read-only (opp, bids, p1, reached).
+
+    ``opp`` indexes the sorted grid, so a witness keeps the caller's floats (-0.0 shares an entry);
+    ``bids`` has a row per opponent and a zero row.  Bidding b then s >= b, the deviator (it wins
+    ties) sits at position 1 + p1[b, profile] and is outranked by the k others before it at >= s;
+    ``reached`` marks the slots that some (b, s) reaches.
+    """
+    g = np.array(grid)
+    bi, si = np.nonzero(g >= g[:, None])  # the (b, s >= b) pairs, row-major
+    profiles = combinations_with_replacement(range(len(grid) - 1, -1, -1), n - 1)
+    chunks = []
+    while opp := tuple(islice(profiles, CHUNK_PROFILES)):
+        bids = g[np.array(opp, dtype=np.intp)]  # shape (len(opp), n - 1), also for n = 1
+        p1 = (bids[:, :, None] > g).sum(1)
+        k = np.minimum(p1[:, :, None], (bids[:, :, None] >= g).sum(1)[:, None, :])
+        reached = np.zeros((len(opp), n * n), dtype=bool)
+        reached[np.arange(len(opp))[:, None], p1[:, bi] * n + k[:, bi, si]] = True
+        arrays = np.vstack([bids.T, np.zeros(len(opp))]), p1.T.copy(), reached.T.copy()
+        for a in arrays:
+            a.flags.writeable = False
+        chunks.append((opp, *arrays))
+    return tuple(chunks)
 
 
 def find_deviation(
-    mech: Mechanism,
-    grid: Sequence[float],
-    n: int | None = None,
+    mech: Mechanism, grid: Sequence[float], n: int | None = None
 ) -> DeviationWitness | None:
     """Exhaustive grid search for a profitable deviation; None if DSIC on grid.
 
@@ -131,7 +160,7 @@ def find_deviation(
     order: opponent profiles in ``combinations_with_replacement`` order over
     the descending grid, then v, b and s ascending.
 
-    Chunks are scanned over (profile, v, p, k), n^2 rank slots per (profile, v)
+    Chunks are scanned over (slot, v, profile), n^2 rank slots per (profile, v)
     instead of a cell per (b, s); slots that no s >= b reaches are masked out.
     """
     grid = sorted(float(g) for g in grid)
@@ -148,35 +177,25 @@ def find_deviation(
         raise ResourceLimitError(f"need n >= theta={mech.theta}")
 
     g = np.array(grid)
-    X, terms = _rank_slot_plan(mech, n)
-    bi, si = np.nonzero(g >= g[:, None])  # the (b, s >= b) pairs, row-major
-    profiles = combinations_with_replacement(reversed(grid), n - 1)
-    while chunk := list(islice(profiles, CHUNK_PROFILES)):
-        opp = np.array(chunk)  # shape (len(chunk), n - 1), also for n = 1
-        rows = np.arange(len(chunk))
-        P = np.zeros((n, n, len(chunk)))
-        for slot, prob, order, steps in terms:
-            P[slot] += prob * rank_payments(opp.T, order, steps)[0]
-        # Round-one ties go to the deviator (id 0): bidding b, it sits at p = 1 + #(others above b);
-        # bidding s >= b, it is outranked by the k others before it at >= s.  Truthful: b = s = v.
-        p1 = (opp[:, :, None] > g).sum(1)  # p - 1, by b
-        k = np.minimum(p1[:, :, None], (opp[:, :, None] >= g).sum(1)[:, None, :])
-        U = g[:, None, None] * X - P.transpose(2, 0, 1)[:, None]  # [profile, v, p - 1, k]
-        u_truth = U[rows[:, None], np.arange(len(g)), p1, p1]
-        reached = np.zeros((len(chunk), n, n), dtype=bool)
-        reached[rows[:, None], p1[:, bi], k[:, bi, si]] = True
-        hits = (U > (u_truth + GAIN_ATOL)[:, :, None, None]) & reached[:, None]
-        if hits.any():  # the first hit in row-major order has the first (profile, v)
-            i, v, _, _ = np.unravel_index(hits.argmax(), hits.shape)
-            pairs = hits[i, v][p1[i][:, None], k[i]] & (g >= g[:, None])
-            b, s = np.unravel_index(pairs.argmax(), pairs.shape)
+    X, slots, probs, cols, coefs = _rank_slot_plan(mech, n)
+    for opp, bids, p1, reached in _grid_tables(tuple(grid), n):
+        m = len(opp)
+        total = np.zeros((len(slots), m))
+        for col, coef in zip(cols, coefs):  # every term's payment
+            total = total + bids[col] * coef
+        P = np.zeros(n * n * m)  # [slot, profile], flat for add.at's fast path; in term order
+        np.add.at(P, (slots[:, None] * m + np.arange(m)).ravel(), (probs * total).ravel())
+        U = X[:, None, None] * g[:, None] - P.reshape(n * n, 1, m)  # [slot, v, profile]
+        u_truth = U[p1 * (n + 1), np.arange(len(g))[:, None], np.arange(m)]  # b = s = v
+        hits = (U > u_truth + GAIN_ATOL) & reached[:, None]
+        if hits.any():
+            i, v = divmod(hits.any(0).T.argmax(), len(g))  # the first (profile, v) with a hit
+            slot = p1[:, i, None] * n + np.minimum(p1[:, i, None], (bids[:-1, i, None] >= g).sum(0))
+            b, s = np.unravel_index((hits[slot, v, i] & (g >= g[:, None])).argmax(), slot.shape)
             return DeviationWitness(
-                value=grid[v],
-                first_round_bid=grid[b],
-                second_round_bid=grid[s],
-                opponent_bids=chunk[i],
-                truthful_utility=float(u_truth[i, v]),
-                deviation_utility=float(U[i, v, p1[i, b], k[i, b, s]]),
+                value=grid[v], first_round_bid=grid[b], second_round_bid=grid[s],
+                opponent_bids=tuple(grid[j] for j in opp[i]),
+                truthful_utility=float(u_truth[v, i]), deviation_utility=float(U[slot[b, s], v, i]),
             )
     return None
 

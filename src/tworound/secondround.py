@@ -83,13 +83,12 @@ def settle_round(bids: Sequence[float], x: AllocationRule) -> tuple[list[int], l
 def rank_payments(bids: Sequence, order: Sequence, steps: Sequence[float]) -> list:
     """Myerson payment of every rank, summed bottom-up; ``order[r]`` indexes ``bids`` at rank r + 1.
 
-    ``steps`` is ``AllocationRule.steps``; the top bid is never read.  Bids may be floats or numpy
-    columns, priced alike.  ``steps[r:]`` with the bidders from rank r + 1 down prices that rank.
+    ``steps`` is ``AllocationRule.steps``; the top bid is never read.  ``steps[r:]`` with the
+    bidders from rank r + 1 down prices that rank.
     """
     pay = [0.0] * (len(steps) + 1)
     total = 0.0
     for r in range(len(steps) - 1, -1, -1):
-        # Not +=: on a numpy column that would also change pay[r + 1].
         total = total + bids[order[r + 1]] * steps[r]
         pay[r] = total
     return pay

@@ -585,6 +585,51 @@ class TestReproduce:
         assert main(["reproduce", "--table", "9"]) == EXIT_USAGE
 
 
+class TestSeedBoundary:
+    """``--seed`` and ``TWOROUND_SEED`` take nonnegative integers; anything else is one schema line."""
+
+    @pytest.fixture
+    def argvs(self, tmp_path, dsic_mech_file):
+        bids = {"first_round": [450, 350, 200, 100], "second_round": [450, 350, 200, 100]}
+        return {
+            "simulate": [
+                *("simulate", "--mechanism", dsic_mech_file),
+                *("--bids", write_json(tmp_path, "bids.json", bids), "--runs", "3"),
+            ],
+            "reproduce": ["reproduce", "--table", "2", "--draws", "20"],
+        }
+
+    @staticmethod
+    def assert_schema_error_naming(result, name):
+        code, out, err = result
+        assert (code, out) == (EXIT_SCHEMA, "")
+        (line,) = err.splitlines()
+        doc = json.loads(line)
+        assert doc["error"] == "schema"
+        assert name in doc["message"]
+
+    @pytest.mark.parametrize("command", ["simulate", "reproduce"])
+    def test_negative_seed_flag_exits_2(self, argvs, command, monkeypatch):
+        monkeypatch.delenv(SEED_ENV_VAR, raising=False)
+        self.assert_schema_error_naming(run_main([*argvs[command], "--seed", "-1"]), "--seed")
+
+    @pytest.mark.parametrize("command", ["simulate", "reproduce"])
+    @pytest.mark.parametrize(
+        "env", ["-3", "1_0", " 7", "7 ", "+7", "\u0663", "0x10", pytest.param("1" * 5000, id="5000-digits")]
+    )
+    def test_seed_variable_takes_only_digits(self, argvs, command, env, monkeypatch):
+        monkeypatch.setenv(SEED_ENV_VAR, env)
+        self.assert_schema_error_naming(run_main(argvs[command]), SEED_ENV_VAR)
+
+    @pytest.mark.parametrize("command", ["simulate", "reproduce"])
+    def test_digit_strings_are_seeds(self, argvs, command, monkeypatch):
+        monkeypatch.setenv(SEED_ENV_VAR, "0010")
+        with_env = run_main(argvs[command])
+        monkeypatch.delenv(SEED_ENV_VAR)
+        assert with_env[0] == EXIT_OK
+        assert with_env == run_main([*argvs[command], "--seed", "10"])
+
+
 class TestTopLevel:
     def test_no_subcommand_exits_1(self, capsys):
         assert main([]) == EXIT_USAGE

@@ -2,7 +2,7 @@ import hashlib
 import json
 import math
 from functools import cache
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, islice
 
 import numpy as np
 import pytest
@@ -19,6 +19,7 @@ from tworound.dsic import (
     GAIN_ATOL,
     DeviationWitness,
     ResourceLimitError,
+    _grid_tables,
     check_dsic,
     find_deviation,
     verify_witness,
@@ -286,3 +287,143 @@ class TestReferenceEquivalence:
         profiles = list(combinations_with_replacement(reversed(GRID), 5))
         assert profiles.index(want.opponent_bids) == 165 > 2 * CHUNK_PROFILES
         assert find_deviation(mech, GRID, n=6) == want
+
+
+def reference_scan(mech, grid, n):
+    """The chunk scan that sums each payment term on its own, bottom-up over numpy columns.
+
+    The inner loop is ``secondround.rank_payments`` written out for the head rank, which is what
+    the scan called once per term before the terms were gathered into one pass.
+    """
+    grid = sorted(float(g) for g in grid)
+    alloc, steps, beta = mech.allocation.x, mech.allocation.steps, mech.beta
+    X, terms = np.zeros((n, n)), []
+    for p in range(1, mech.theta + 1):
+        for k in range(p):
+            for subset, prob in mech.selection.probs.items():
+                r = sum(1 for q in subset if q <= k)
+                if prob != 0.0 and p in subset and r < beta:
+                    below = [q - 1 if q < p else q - 2 for q in subset if q > k and q != p]
+                    X[p - 1, k] += prob * alloc[r]
+                    terms.append(((p - 1, k), prob, (None, *below), steps[r:]))
+    g = np.array(grid)
+    bi, si = np.nonzero(g >= g[:, None])
+    profiles = combinations_with_replacement(reversed(grid), n - 1)
+    while chunk := list(islice(profiles, CHUNK_PROFILES)):
+        opp = np.array(chunk)
+        rows = np.arange(len(chunk))
+        P = np.zeros((n, n, len(chunk)))
+        for slot, prob, order, term_steps in terms:
+            total = 0.0
+            for r in range(len(term_steps) - 1, -1, -1):
+                total = total + opp.T[order[r + 1]] * term_steps[r]
+            P[slot] += prob * total
+        p1 = (opp[:, :, None] > g).sum(1)
+        k = np.minimum(p1[:, :, None], (opp[:, :, None] >= g).sum(1)[:, None, :])
+        U = g[:, None, None] * X - P.transpose(2, 0, 1)[:, None]
+        u_truth = U[rows[:, None], np.arange(len(g)), p1, p1]
+        reached = np.zeros((len(chunk), n, n), dtype=bool)
+        reached[rows[:, None], p1[:, bi], k[:, bi, si]] = True
+        hits = (U > (u_truth + GAIN_ATOL)[:, :, None, None]) & reached[:, None]
+        if hits.any():
+            i, v, _, _ = np.unravel_index(hits.argmax(), hits.shape)
+            pairs = hits[i, v][p1[i][:, None], k[i]] & (g >= g[:, None])
+            b, s = np.unravel_index(pairs.argmax(), pairs.shape)
+            return DeviationWitness(
+                value=grid[v],
+                first_round_bid=grid[b],
+                second_round_bid=grid[s],
+                opponent_bids=chunk[i],
+                truthful_utility=float(u_truth[i, v]),
+                deviation_utility=float(U[i, v, p1[i, b], k[i, b, s]]),
+            )
+    return None
+
+
+def scan_grid(rng, n):
+    """Unsorted floats, half steps or ints, often with repeats; at most three chunks of profiles."""
+    size = int(rng.integers(2, 10))
+    while size > 2 and math.comb(size + n - 2, n - 1) > 3 * CHUNK_PROFILES:
+        size -= 1
+    kind = rng.integers(3)
+    if kind == 0:
+        points = [float(x) for x in rng.uniform(0.0, 9.0, size=size)]
+    elif kind == 1:
+        points = [float(x) for x in rng.choice(np.arange(0.0, 9.0, 0.5), size=size)]
+    else:
+        points = [int(x) for x in rng.integers(0, 9, size=size)]
+    if rng.random() < 0.3:
+        points[: size // 3] = [points[-1]] * (size // 3)
+    return points
+
+
+class TestGatheredPass:
+    """``find_deviation`` returns the per-term chunk scan's witness, float for float."""
+
+    def test_random_mechanisms_match_the_per_term_scan(self):
+        rng = np.random.default_rng(20261019)
+        found = 0
+        for _ in range(2000):
+            theta = int(rng.integers(2, 7))
+            n = int(rng.integers(theta, 7))
+            mech = TestReferenceEquivalence._random_mechanism(rng, theta)
+            grid = scan_grid(rng, n)
+            want = reference_scan(mech, grid, n)
+            got = find_deviation(mech, grid, n=n)
+            assert got == want and repr(got) == repr(want), (mech, grid, n)
+            found += want is not None
+        assert 400 < found < 1900
+
+    def test_signed_zero_grid_points_are_kept(self):
+        # Only position 2 advances: the witness bids 0 under an opponent at 1 and above one at 0.
+        mech = Mechanism(3, 1, SelectionDistribution.point_mass(3, (2,)), AllocationRule((1.0,)))
+        _grid_tables.cache_clear()
+        for grid, zero in (([0.0, 1.0], "0.0"), ([-0.0, 1.0], "-0.0"), ([1.0, 0.0], "0.0")):
+            got = find_deviation(mech, grid, n=3)
+            assert repr(got) == repr(reference_scan(mech, grid, 3))
+            assert repr(got.opponent_bids) == f"(1.0, {zero})"
+        assert _grid_tables.cache_info().currsize == 1  # 0.0 and -0.0 share the entry
+
+
+class TestGridTables:
+    """The per-(grid, n) tables are cached, read-only and keyed by the sorted float grid."""
+
+    def test_cached_arrays_are_read_only(self):
+        chunks = _grid_tables(tuple(float(g) for g in GRID), 4)
+        assert len(chunks) > 1
+        for chunk in chunks:
+            arrays = [a for a in chunk if isinstance(a, np.ndarray)]
+            assert len(arrays) == 3
+            assert not any(a.flags.writeable for a in arrays)
+
+    def test_equal_grids_share_one_entry(self):
+        mech = mech_from_q((0.2, 0.2, 0.2, 0.4))
+        shuffled = [float(g) for g in np.random.default_rng(3).permutation(GRID)]
+        _grid_tables.cache_clear()
+        for grid in (range(9), [8.0 - g for g in GRID], shuffled):
+            assert find_deviation(mech, grid) is None
+        info = _grid_tables.cache_info()
+        assert (info.currsize, info.misses, info.hits) == (1, 1, 2)
+
+    def test_more_keys_than_the_cache_holds(self):
+        rng = np.random.default_rng(20261020)
+        maxsize = _grid_tables.cache_info().maxsize
+        assert maxsize <= 16
+        keys = [(list(range(size)), n) for size in (3, 4, 5) for n in (4, 5, 6)]
+        assert len(keys) > maxsize
+        mechs = [mech_from_q((0.6, 0.3, 0.1)), mech_from_q((0.2, 0.2, 0.2, 0.4))]
+        mechs += [TestReferenceEquivalence._random_mechanism(rng, 4) for _ in range(4)]
+        fresh = {}
+        for grid, n in keys:
+            for j, mech in enumerate(mechs):
+                _grid_tables.cache_clear()
+                fresh[len(grid), n, j] = repr(find_deviation(mech, grid, n=n))
+        _grid_tables.cache_clear()
+        # Cycling in order evicts every entry before its next use; the reversed pass then hits.
+        for grid, n in keys * 2 + keys[::-1]:
+            for j, mech in enumerate(mechs):
+                assert repr(find_deviation(mech, grid, n=n)) == fresh[len(grid), n, j]
+        info = _grid_tables.cache_info()
+        assert info.currsize == maxsize
+        assert info.misses > 2 * len(keys)
+        assert info.hits > 0
