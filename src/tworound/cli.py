@@ -47,16 +47,19 @@ def _error(kind: str, message: str) -> None:
 def _seed(args) -> int:
     """``--seed``, else ``TWOROUND_SEED``, else the experiments' default seed."""
     if args.seed is not None:
-        if args.seed < 0:
-            raise SchemaError(f"--seed must be a nonnegative integer, got {args.seed}")
-        return args.seed
+        return _parse_seed("--seed", args.seed)
     env = os.environ.get(SEED_ENV_VAR)
     if not env:
         return experiments.DEFAULT_SEED
+    return _parse_seed(SEED_ENV_VAR, env)
+
+
+def _parse_seed(name: str, text: str) -> int:
+    """A seed written with the digits 0-9 only."""
     with contextlib.suppress(ValueError):  # more digits than int() converts
-        if env.isascii() and env.isdigit():  # int() also takes "-3", "1_0", " 7", non-ASCII digits
-            return int(env)
-    raise SchemaError(f"{SEED_ENV_VAR} must be a nonnegative integer (digits 0-9), got {env!r}")
+        if text.isascii() and text.isdigit():  # int() also takes "-3", "1_0", " 7", non-ASCII digits
+            return int(text)
+    raise SchemaError(f"{name} must be a nonnegative integer (digits 0-9), got {text!r}")
 
 
 def _load_json(path: str):
@@ -293,13 +296,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="sampled single runs of a mechanism")
     p.add_argument("--mechanism", required=True)
     p.add_argument("--bids", required=True)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", default=None)
     p.add_argument("--runs", type=int, default=1)
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("reproduce", help="run a revenue experiment table")
     p.add_argument("--table", type=int, choices=(2, 3, 4), required=True)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", default=None)
     p.add_argument("--draws", type=int, default=10_000)
     p.add_argument("--n-valuations", type=int, default=1_000)
     p.add_argument("--out", default=None)

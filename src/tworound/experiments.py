@@ -103,6 +103,8 @@ class ExperimentConfig:
             if len(v) != 3 or not finite or v[2] <= 0 or sorted(v, reverse=True) != list(v):
                 raise ValueError(f"valuations must be finite positive descending triples: {v}")
         thetas = tuple(_require_int("thetas", t) for t in self.thetas)
+        if not thetas:
+            raise ValueError("thetas must name at least one theta")
         if any(t < 3 for t in thetas):
             raise ValueError(f"thetas must be >= 3 (a top block and two tail entries): {thetas}")
         object.__setattr__(self, "valuations", vals)

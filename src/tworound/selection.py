@@ -111,6 +111,13 @@ class SelectionDistribution:
         cdf /= cdf[-1]
         return subsets, cdf.tolist()
 
+    @cached_property
+    def _live_table(self) -> tuple[np.ndarray, np.ndarray]:
+        """The subsets of nonzero probability as a (C, alpha) array of 0-based positions, and
+        their probabilities, in lexicographic order: what ``engine.settle`` prices in one pass."""
+        live = [(s, p) for s, p in self.probs.items() if p != 0.0]
+        return np.array([s for s, _ in live], dtype=np.intp) - 1, np.array([p for _, p in live])
+
     def to_json_dict(self) -> dict:
         return {
             "theta": self.theta,

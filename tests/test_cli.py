@@ -615,6 +615,14 @@ class TestSeedBoundary:
 
     @pytest.mark.parametrize("command", ["simulate", "reproduce"])
     @pytest.mark.parametrize(
+        "seed", ["1_0", " 7", "7 ", "+7", "\u0663", "0x10", "", "abc", pytest.param("1" * 5000, id="5000-digits")]
+    )
+    def test_seed_flag_takes_only_digits(self, argvs, command, seed, monkeypatch):
+        monkeypatch.delenv(SEED_ENV_VAR, raising=False)
+        self.assert_schema_error_naming(run_main([*argvs[command], "--seed", seed]), "--seed")
+
+    @pytest.mark.parametrize("command", ["simulate", "reproduce"])
+    @pytest.mark.parametrize(
         "env", ["-3", "1_0", " 7", "7 ", "+7", "\u0663", "0x10", pytest.param("1" * 5000, id="5000-digits")]
     )
     def test_seed_variable_takes_only_digits(self, argvs, command, env, monkeypatch):

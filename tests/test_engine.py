@@ -1,8 +1,10 @@
 import math
+import sys
 
 import numpy as np
 import pytest
 
+from tworound import engine
 from tworound.engine import (
     BidProfile,
     ConfigurationError,
@@ -186,6 +188,63 @@ class TestPlace:
             below += p > theta
             tied += b in others
         assert below > 20 and tied > 100
+
+
+class TestSettlePaths:
+    """settle prices large mechanisms in one numpy pass; the per-subset loop is the reference."""
+
+    @staticmethod
+    def bits(values):
+        return [float(v).hex() for v in values]
+
+    @pytest.mark.filterwarnings("error")  # overflow to inf is silent on both paths
+    def test_numpy_pass_matches_the_loop_bit_for_bit(self, monkeypatch):
+        rng = np.random.default_rng(20261018)
+        seen = {"zero-prob": 0, "tie": 0, "signed-zero": 0, "overflow": 0}
+        for trial in range(300):
+            theta = int(rng.integers(1, 13))
+            alpha = int(rng.integers(1, theta + 1))
+            beta = int(rng.integers(1, alpha + 1))
+            subsets = enumerate_subsets(theta, alpha)
+            probs = rng.dirichlet(np.ones(len(subsets)))
+            if len(subsets) > 1 and rng.random() < 0.5:
+                probs[rng.random(len(subsets)) < 0.4] = 0.0
+                probs[rng.integers(len(subsets))] += 0.5
+                probs /= probs.sum()
+                seen["zero-prob"] += 1
+            sel = SelectionDistribution(theta, alpha, dict(zip(subsets, probs.tolist())))
+            x = random_allocation(rng, alpha, beta)
+            n = theta + int(rng.integers(0, 3))
+            kind = trial % 3
+            if kind == 0:
+                bids = rng.uniform(0, 100, size=n).tolist()
+            elif kind == 1:  # equal bids, zeros of both signs
+                bids = rng.choice([0.0, -0.0, 1.0, 2.0], size=n).tolist()
+            else:
+                # A payment is at most the largest bid times x[0], so only x[0] > 1, which the
+                # rule's 1e-12 tolerance allows, takes finite bids near the maximum to inf.
+                x = AllocationRule((1.0 + 1e-12,) + (0.0,) * (alpha - 1))
+                bids = (sys.float_info.max * (1.0 - rng.uniform(0, 1e-13, size=n))).tolist()
+            m = Mechanism(theta, alpha, sel, x)
+            s = bids[:theta]
+            profile = BidProfile(tuple(bids), tuple(bids))
+            results = []
+            for threshold in (math.inf, 0):
+                monkeypatch.setattr(engine, "_NUMPY_MIN_SUBSETS", threshold)
+                X, P = settle(m, s)
+                results.append((self.bits(X), self.bits(P), expected_revenue(m, profile).hex()))
+            assert results[0] == results[1], (theta, alpha, beta, s)
+            seen["tie"] += len(set(s)) < len(s)
+            seen["signed-zero"] += any(math.copysign(1.0, b) < 0 for b in s)  # a -0.0
+            seen["overflow"] += math.inf in settle(m, s)[1]
+        assert min(seen.values()) > 20, seen
+
+    def test_large_mechanisms_take_the_numpy_pass(self, monkeypatch):
+        m = Mechanism(6, 3, SelectionDistribution.uniform(6, 3), AllocationRule((0.7, 0.3, 0.0)))
+        assert len(m.selection.probs) >= engine._NUMPY_MIN_SUBSETS
+        monkeypatch.setattr(engine, "settle_round", None)  # the loop would call it
+        X, P = settle(m, [60.0, 50.0, 40.0, 30.0, 20.0, 10.0])
+        assert sum(X) == pytest.approx(1.0) and P[0] > P[-1] == 0.0
 
 
 class TestShortBidVectors:

@@ -46,6 +46,10 @@ class TestConfig:
         with pytest.raises(ValueError, match="finite"):
             ExperimentConfig(valuations=((top, 350, 200),))
 
+    def test_rejects_empty_thetas(self):
+        with pytest.raises(ValueError, match="thetas"):
+            ExperimentConfig(thetas=())
+
     def test_rejects_zero_draws(self):
         with pytest.raises(ValueError):
             ExperimentConfig(draws=0)
