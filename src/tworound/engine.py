@@ -7,10 +7,10 @@ noise.  Single sampled runs are available for simulation-style checks; each
 draws its subset and winner from cached CDFs in O(log C), with the same draws
 as ``Generator.choice``.
 
-A run reads two more invariants instead of recomputing them: the first-round
-ranking, which a :class:`BidProfile` sorts on first use and keeps, and
-``AllocationRule.beta``, set when the rule is built.  Both are the values the
-per-run sort and scan returned, and neither reads the generator, so a run on a
+What does not change between runs is computed once: a :class:`BidProfile`
+keeps its first-round ranking and its second-round bids in that order, and
+``AllocationRule.beta`` is set when the rule is built.  A run builds only its
+subset's bids, and none of the caches reads the generator, so a run on a
 reused profile draws the same subset and winner from the same stream position.
 
 :func:`settle` picks its method by size.  A mechanism with at least
@@ -19,10 +19,11 @@ distribution's cached table of live (nonzero-probability) subsets: one stable
 ranking of the theta bids orders every subset, the Myerson sums run bottom-up
 over ranks for all subsets at once, and ``bincount`` adds the terms in the
 loop's (subset, rank) order, so X and P keep every bit.  Smaller mechanisms
-keep the per-subset loop, which is faster there (see the constant).
-:func:`evaluate` keeps its loop for now: it builds one outcome per subset, and
-a faster ``evaluate`` fits more ops into the benchmark's timed window, whose
-per-op records would raise the measured peak memory past its bound.
+keep the per-subset loop, which is faster there (see the constant), and
+:func:`place` runs it only on the subsets where its bidder pays.
+:func:`evaluate` keeps its loop for now: a faster ``evaluate`` fits more ops
+into the benchmark's timed window, whose per-op records would raise the
+measured peak memory past its bound.
 """
 
 from __future__ import annotations
@@ -127,6 +128,11 @@ class BidProfile:
         # sorted() is stable under reverse=True, so the lower id keeps the higher position.
         return sorted(range(self.n), key=self.first_round.__getitem__, reverse=True)
 
+    @cached_property
+    def _ranked_second_round(self) -> list[float]:
+        """Every second-round bid in first-round order: ``[s[i] for i in self._ranking]``."""
+        return [self.second_round[i] for i in self._ranking]
+
     @classmethod
     def truthful(cls, values: Sequence[float]) -> "BidProfile":
         v = tuple(float(x) for x in values)
@@ -188,9 +194,13 @@ def settle(mech: Mechanism, s: Sequence[float]) -> tuple[list[float], list[float
         raise ConfigurationError(f"need theta={mech.theta} second-round bids, got {len(s)}")
     if len(mech.selection.probs) >= _NUMPY_MIN_SUBSETS:
         return _settle_all(mech, s)
-    X = [0.0] * mech.theta
-    P = [0.0] * mech.theta
-    live = ((subset, prob) for subset, prob in mech.selection.probs.items() if prob != 0.0)
+    return _settle_loop(mech, s, mech.selection.probs.items())
+
+
+def _settle_loop(mech: Mechanism, s: Sequence[float], subsets) -> tuple[list[float], list[float]]:
+    """:func:`settle`'s per-subset loop over the nonzero-probability ``(subset, prob)`` pairs."""
+    X, P = [0.0] * mech.theta, [0.0] * mech.theta
+    live = ((subset, prob) for subset, prob in subsets if prob != 0.0)
     for _ in _settled(mech, s, live, X, P):
         pass
     return X, P
@@ -227,12 +237,23 @@ def place(mech: Mechanism, others: Sequence[float], p: int, s: float) -> tuple[f
     ``others`` are the other bidders' bids, descending and the same in both rounds; the
     bidder is inserted at position p among the top theta - 1 of them, and gets ``(0.0, 0.0)``
     below position theta.  ``equilibrium.is_nash_equilibrium`` prices its deviations with it.
+    Below ``_NUMPY_MIN_SUBSETS`` only the subsets where p holds a paying rank are settled: the
+    others add nothing to row p, so it keeps the bits of :func:`settle`'s row p.
     """
     if len(others) < mech.theta - 1:
         raise ConfigurationError(f"need theta - 1 = {mech.theta - 1} other bids, got {len(others)}")
     if p > mech.theta:
         return 0.0, 0.0
-    X, P = settle(mech, [*others[: p - 1], s, *others[p - 1 : mech.theta - 1]])
+    vec = [*others[: p - 1], s, *others[p - 1 : mech.theta - 1]]
+    if len(mech.selection.probs) >= _NUMPY_MIN_SUBSETS:
+        X, P = settle(mech, vec)
+    else:
+        # ahead[q]: the bidder at position q ranks above p when both advance (ties: better q).
+        ahead = [False, *(b > s or (b == s and q < p) for q, b in enumerate(vec, 1))]
+        X, P = _settle_loop(mech, vec, (
+            sp for sp in mech.selection.probs.items()
+            if p in sp[0] and sum(map(ahead.__getitem__, sp[0])) < mech.beta
+        ))
     return X[p - 1], P[p - 1]
 
 
@@ -245,8 +266,8 @@ def expected_utility(
 
 def expected_revenue(mech: Mechanism, bids: BidProfile) -> float:
     """Probability-weighted total payment over all advancing subsets."""
-    positions = first_round_positions(mech, bids)
-    return sum(settle(mech, [bids.second_round[i] for i in positions])[1])
+    first_round_positions(mech, bids)  # at least theta bidders
+    return sum(settle(mech, bids._ranked_second_round)[1])
 
 
 def evaluate(mech: Mechanism, values: Sequence[float], bids: BidProfile) -> AuctionResult:
@@ -258,7 +279,7 @@ def evaluate(mech: Mechanism, values: Sequence[float], bids: BidProfile) -> Auct
     if len(values) != bids.n:
         raise ConfigurationError("values and bid profile differ in length")
     positions = first_round_positions(mech, bids)
-    s = [bids.second_round[i] for i in positions]
+    s = bids._ranked_second_round
     X = [0.0] * mech.theta
     P = [0.0] * mech.theta
     outcomes = [
@@ -287,23 +308,18 @@ def simulate_run(
     """
     positions = first_round_positions(mech, bids)
     subset = sample_subset(mech.selection, rng)
-    ids = [positions[p - 1] for p in subset]
-    s = [bids.second_round[i] for i in ids]
-    order, pay = settle_round(s, mech.allocation)
-    s_beta = s[order[mech.beta - 1]]
+    ranked_s = bids._ranked_second_round
+    s = [ranked_s[p - 1] for p in subset]
+    alloc = mech.allocation
+    order, pay = settle_round(s, alloc)
+    s_beta = s[order[alloc.beta - 1]]
     b_ref = bids.first_round[positions[mech.competition_rank - 1]]
     if s_beta < b_ref - UTILITY_ATOL:
         raise ConfigurationError(
             f"line of competition violated: s_beta={s_beta} < b_ref={b_ref} "
             f"(subset={subset})"
         )
-    idx = bisect_right(mech.allocation._winner_cdf, rng.random())
-    winner = ids[order[idx]] if idx < mech.beta else None
+    idx = bisect_right(alloc._winner_cdf, rng.random())
+    winner = positions[subset[order[idx]] - 1] if idx < alloc.beta else None
     total = sum(pay)
-    return AuctionResult(
-        expected_utilities=(),
-        expected_revenue=total,
-        realized_subset=subset,
-        realized_winner=winner,
-        realized_payment=total,
-    )
+    return AuctionResult((), total, (), subset, winner, total)

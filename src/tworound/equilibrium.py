@@ -454,38 +454,37 @@ def n12_position_bids(params: N12Params, ordering: tuple[int, int, int]) -> tupl
 
     ``ordering[j]`` is the bidder (1..3, by valuation) at position j+1.
     Bidders placed above a higher-valued bidder need an overbid; defaults
-    place overbids at even spacings above the values they must pass, and
-    ``params.b_overrides`` ("b2"/"b3") pins them explicitly.
+    place overbids at even spacings above the values they must pass.
+    ``params.b_overrides`` ("b2"/"b3") pin them in every ordering whose bids
+    they realize; any other ordering keeps its default bids.
     """
     v1, v2, v3, v4, _ = params.v
-    over = dict(params.b_overrides)
     gap = max(v1 - v4, 1.0)
-    if ordering == (1, 2, 3):
-        bids = (v1, v2, v3)
-    elif ordering == (1, 3, 2):
-        b3 = over.get("b3", (v1 + v2) / 2)
-        bids = (v1, b3, v2)
-    elif ordering == (2, 1, 3):
-        b2 = over.get("b2", v1 + gap)
-        bids = (b2, v1, v3)
-    elif ordering == (3, 1, 2):
-        b3 = over.get("b3", v1 + gap)
-        bids = (b3, v1, v2)
-    elif ordering == (2, 3, 1):
-        b3 = over.get("b3", v1 + gap)
-        b2 = over.get("b2", v1 + 2 * gap)
-        bids = (b2, b3, v1)
-    elif ordering == (3, 2, 1):
-        b2 = over.get("b2", v1 + gap)
-        b3 = over.get("b3", v1 + 2 * gap)
-        bids = (b3, b2, v1)
-    else:
-        raise ValueError(f"unknown ordering {ordering}")
-    if not bids[0] > bids[1] > bids[2] > v4:
-        raise ValueError(
-            f"bids {bids} do not realize ordering {ordering} above v4={v4}"
-        )
-    return bids
+    for over in (params.b_overrides, {}):
+        if ordering == (1, 2, 3):
+            bids = (v1, v2, v3)
+        elif ordering == (1, 3, 2):
+            b3 = over.get("b3", (v1 + v2) / 2)
+            bids = (v1, b3, v2)
+        elif ordering == (2, 1, 3):
+            b2 = over.get("b2", v1 + gap)
+            bids = (b2, v1, v3)
+        elif ordering == (3, 1, 2):
+            b3 = over.get("b3", v1 + gap)
+            bids = (b3, v1, v2)
+        elif ordering == (2, 3, 1):
+            b3 = over.get("b3", v1 + gap)
+            b2 = over.get("b2", v1 + 2 * gap)
+            bids = (b2, b3, v1)
+        elif ordering == (3, 2, 1):
+            b2 = over.get("b2", v1 + gap)
+            b3 = over.get("b3", v1 + 2 * gap)
+            bids = (b3, b2, v1)
+        else:
+            raise ValueError(f"unknown ordering {ordering}")
+        if bids[0] > bids[1] > bids[2] > v4:
+            return bids
+    raise ValueError(f"bids {bids} do not realize ordering {ordering} above v4={v4}")
 
 
 # The paying terms of a bidder at its own position t = 1, 2, 3, in exclusion
@@ -585,7 +584,7 @@ def n12_check_rank(params: N12Params, ordering: tuple[int, int, int]) -> N12Rank
             # u(upper) - u(upper + 1) has the sign of den * (ycoef - v_value).
             if upper == 1:
                 den = fns.V12_denominator(w, d3, d4)
-                v_value = fns.V12(w, d2, d3, d4) if den else None
+                v_value = (d2 - w) * (x1 - x2) / den if den else None  # V12, from this den
                 ycoef = ycoef12
             else:
                 den = 1.0

@@ -1,4 +1,5 @@
 import math
+import re
 import sys
 
 import numpy as np
@@ -190,6 +191,43 @@ class TestPlace:
         assert below > 20 and tied > 100
 
 
+class TestPlaceRow:
+    """Below the numpy threshold place settles only the subsets where p pays; same bits as settle."""
+
+    def test_same_bits_as_row_p_of_settle(self):
+        rng = np.random.default_rng(20261019)
+        seen = {"small": 0, "large": 0, "tie": 0, "p=theta": 0, "p>theta": 0}
+        for _ in range(400):
+            theta = int(rng.integers(1, 9))
+            alpha = int(rng.integers(1, theta + 1))
+            beta = int(rng.integers(1, alpha + 1))
+            subsets = enumerate_subsets(theta, alpha)
+            probs = rng.dirichlet(np.ones(len(subsets)))
+            if len(subsets) > 1 and rng.random() < 0.4:
+                probs[rng.random(len(subsets)) < 0.4] = 0.0
+                probs[rng.integers(len(subsets))] += 0.5
+                probs /= probs.sum()
+            sel = SelectionDistribution(theta, alpha, dict(zip(subsets, probs.tolist())))
+            m = Mechanism(theta, alpha, sel, random_allocation(rng, alpha, beta))
+            # Few distinct bids, zeros of both signs: ties with the placed bid are common.
+            pool = [-0.0, 0.0, 1.0, 2.0, 3.0, rng.uniform(0, 4)]
+            others = sorted(rng.choice(pool, size=theta - 1 + int(rng.integers(0, 3))), reverse=True)
+            s = float(rng.choice(pool))
+            p = int(rng.integers(1, theta + 3))
+            got = place(m, others, p, s)
+            if p > theta:
+                want = (0.0, 0.0)
+            else:
+                X, P = settle(m, [*others[: p - 1], s, *others[p - 1 : theta - 1]])
+                want = (X[p - 1], P[p - 1])
+            assert [v.hex() for v in got] == [v.hex() for v in want], (theta, alpha, beta, p, s)
+            seen["large" if len(subsets) >= engine._NUMPY_MIN_SUBSETS else "small"] += 1
+            seen["tie"] += s in others[: theta - 1]
+            seen["p=theta"] += p == theta
+            seen["p>theta"] += p > theta
+        assert min(seen.values()) > 40, seen
+
+
 class TestSettlePaths:
     """settle prices large mechanisms in one numpy pass; the per-subset loop is the reference."""
 
@@ -349,25 +387,32 @@ def reference_run(mech, bids, rng):
 
 
 class TestSimulateRunReference:
+    @staticmethod
+    def random_mechanism(rng):
+        """A random mechanism with theta <= 8, and whether some of its subsets have probability 0."""
+        theta = int(rng.integers(2, 9))
+        alpha = int(rng.integers(1, theta + 1))
+        beta = int(rng.integers(1, alpha + 1))
+        subsets = enumerate_subsets(theta, alpha)
+        probs = rng.dirichlet(np.ones(len(subsets)))
+        zeros = len(subsets) > 1 and rng.random() < 0.4
+        if zeros:
+            probs[rng.choice(len(subsets), size=len(subsets) // 2, replace=False)] = 0.0
+            probs /= probs.sum()
+        sel = SelectionDistribution(theta, alpha, dict(zip(subsets, probs.tolist())))
+        x = random_allocation(rng, alpha, beta).x
+        if rng.random() < 0.4:
+            scale = rng.uniform(0.3, 1.0)
+            x = tuple(v * scale for v in x)
+        return Mechanism(theta, alpha, sel, AllocationRule(x)), zeros
+
     def test_same_runs_and_stream_as_per_call_choice(self):
         rng = np.random.default_rng(20261018)
         zeros = no_winner = 0
         for _ in range(240):
-            theta = int(rng.integers(2, 9))
-            alpha = int(rng.integers(1, theta + 1))
-            beta = int(rng.integers(1, alpha + 1))
-            subsets = enumerate_subsets(theta, alpha)
-            probs = rng.dirichlet(np.ones(len(subsets)))
-            if len(subsets) > 1 and rng.random() < 0.4:
-                probs[rng.choice(len(subsets), size=len(subsets) // 2, replace=False)] = 0.0
-                probs /= probs.sum()
-                zeros += 1
-            sel = SelectionDistribution(theta, alpha, dict(zip(subsets, probs.tolist())))
-            x = random_allocation(rng, alpha, beta).x
-            if rng.random() < 0.4:
-                scale = rng.uniform(0.3, 1.0)
-                x = tuple(v * scale for v in x)
-            m = Mechanism(theta, alpha, sel, AllocationRule(x))
+            m, zeroed = self.random_mechanism(rng)
+            zeros += zeroed
+            theta = m.theta
             # Truthful integer bids: the line of competition holds and ties are common.
             bids = BidProfile.truthful(rng.integers(0, 8, size=theta + int(rng.integers(0, 3))))
             seed = int(rng.integers(2**32))
@@ -379,3 +424,78 @@ class TestSimulateRunReference:
                 no_winner += got.realized_winner is None
             assert new_rng.bit_generator.state == ref_rng.bit_generator.state
         assert zeros > 50 and no_winner > 100
+
+    def test_raised_second_round_bids_keep_the_runs_and_stream(self):
+        # s >= b keeps the line of competition: beta of any subset's bidders hold a first-round
+        # position at or above it.  Small integer raises make second-round ties common.
+        rng = np.random.default_rng(20261019)
+        raised = tied = 0
+        for _ in range(200):
+            m, _ = self.random_mechanism(rng)
+            n = m.theta + int(rng.integers(0, 3))
+            b = rng.integers(0, 8, size=n)
+            s = b + rng.integers(0, 3, size=n)
+            bids = BidProfile(tuple(b), tuple(s))
+            raised += bool((s > b).any())
+            tied += len(set(s.tolist())) < n
+            seed = int(rng.integers(2**32))
+            ref_rng, new_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            for _ in range(20):
+                got = simulate_run(m, bids, new_rng)
+                want = reference_run(m, bids, ref_rng)
+                assert (got.realized_subset, got.realized_winner, got.realized_payment) == want
+            assert new_rng.bit_generator.state == ref_rng.bit_generator.state
+        assert raised > 150 and tied > 120
+
+    def test_too_few_bidders_raise_before_any_draw(self):
+        m = Mechanism(3, 2, SelectionDistribution.uniform(3, 2), AllocationRule((1.0, 0.0)))
+        rng = np.random.default_rng(7)
+        state = rng.bit_generator.state
+        with pytest.raises(ConfigurationError, match=r"^need at least theta=3 bidders, got 2$"):
+            simulate_run(m, BidProfile.truthful((5, 3)), rng)
+        assert rng.bit_generator.state == state
+
+    def test_broken_line_of_competition_raises_after_the_subset_draw(self):
+        m = Mechanism(2, 2, SelectionDistribution.uniform(2, 2), AllocationRule((1.0, 0.0)))
+        rng, twin = np.random.default_rng(7), np.random.default_rng(7)
+        message = "line of competition violated: s_beta=1.0 < b_ref=5.0 (subset=(1, 2))"
+        with pytest.raises(ConfigurationError, match=f"^{re.escape(message)}$"):
+            simulate_run(m, BidProfile((5, 3), (1, 1)), rng)
+        twin.random()
+        assert rng.bit_generator.state == twin.bit_generator.state
+
+    def test_broken_line_of_competition_between_good_runs(self):
+        # Lowered second-round bids break the line in some subsets only: each run either
+        # matches the reference or fails on its subset draw alone, with the message's numbers.
+        rng = np.random.default_rng(20261020)
+        runs = broken = 0
+        for _ in range(150):
+            m, _ = self.random_mechanism(rng)
+            n = m.theta + int(rng.integers(0, 3))
+            b = rng.integers(0, 8, size=n)
+            bids = BidProfile(tuple(b), tuple(np.maximum(b - rng.integers(-1, 3, size=n), 0)))
+            positions = sorted(range(n), key=lambda i: (-bids.first_round[i], i))[: m.theta]
+            subsets = m.selection.subsets()
+            weights = np.array([m.selection.probs[sub] for sub in subsets])
+            seed = int(rng.integers(2**32))
+            ref_rng, new_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            for _ in range(10):
+                state = ref_rng.bit_generator.state
+                subset = subsets[ref_rng.choice(len(subsets), p=weights / weights.sum())]
+                s_beta = sorted((bids.second_round[positions[q - 1]] for q in subset), reverse=True)[
+                    m.beta - 1
+                ]
+                b_ref = bids.first_round[positions[m.competition_rank - 1]]
+                if s_beta < b_ref:
+                    broken += 1
+                    message = f"line of competition violated: s_beta={s_beta} < b_ref={b_ref} (subset={subset})"
+                    with pytest.raises(ConfigurationError, match=f"^{re.escape(message)}$"):
+                        simulate_run(m, bids, new_rng)
+                else:
+                    runs += 1
+                    ref_rng.bit_generator.state = state
+                    got = simulate_run(m, bids, new_rng)
+                    want = reference_run(m, bids, ref_rng)
+                    assert (got.realized_subset, got.realized_winner, got.realized_payment) == want
+                assert new_rng.bit_generator.state == ref_rng.bit_generator.state
+        assert runs > 300 and broken > 300, (runs, broken)

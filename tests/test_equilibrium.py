@@ -556,9 +556,29 @@ class TestN12PositionBids:
         bids = n12_position_bids(params, (2, 3, 1))
         assert bids == (2000.0, 1500.0, params.v[0])
 
-    def test_invalid_override_rejected(self, rng):
-        params = random_n12_params(rng, b_overrides={"b3": 1.0})
-        with pytest.raises(ValueError):
+    def test_unrealized_overrides_keep_the_default_bids(self, rng):
+        # Values lie below 1000, so b3 = 1.0 realizes no ordering, and with b2 = 2000 it
+        # takes b3 = 1500 to realize (1, 3, 2) or (3, 2, 1).
+        cases = (
+            ({"b3": 1.0}, ()),
+            ({"b2": 2000.0, "b3": 1500.0}, ((2, 1, 3), (3, 1, 2), (2, 3, 1))),
+        )
+        for overrides, pinned in cases:
+            params = random_n12_params(rng, b_overrides=overrides)
+            defaults = N12Params(params.v, params.Y, params.x2)
+            for ordering in N12_ORDERINGS:
+                bids = n12_position_bids(params, ordering)
+                assert (bids == n12_position_bids(defaults, ordering)) == (ordering not in pinned)
+                assert n12_rank_profile(params, ordering).bids[:3] == bids
+                assert n12_check_rank(params, ordering).bids == bids
+            v1, v2 = params.v[:2]
+            assert n12_position_bids(params, (1, 3, 2)) == (v1, (v1 + v2) / 2, v2)
+
+    def test_unrealized_defaults_rejected(self):
+        # (v1 + v2) / 2 rounds to v1 or v2 when they are adjacent floats.
+        v = (3.0, math.nextafter(3.0, 0.0), 2.0, 1.0, 0.5)
+        params = N12Params(v, (0.4, 0.3, 0.2, 0.1), 0.25, {"b3": 2.5})
+        with pytest.raises(ValueError, match=r"do not realize ordering \(1, 3, 2\) above v4=1.0"):
             n12_position_bids(params, (1, 3, 2))
 
 
@@ -737,12 +757,13 @@ def _outcome(check, params, ordering):
 
 class TestN12Reference:
     def test_reports_equal_the_reference_bit_for_bit(self, rng):
-        reports = errors = 0
+        reports = pinned = kept = 0
         for i in range(2_000):
             params = random_n12_params(rng)
+            defaults = params
             if i % 3 == 0:
                 # Overbids between v2 and v1 + 3 (v1 - v4): some orderings are
-                # realized by them, the others fail the same way on both sides.
+                # realized by them, the others keep their default bids.
                 v1, v2, _, v4, _ = params.v
                 keys = (("b2",), ("b3",), ("b2", "b3"))[i // 3 % 3]
                 over = {k: float(rng.uniform(v2, v1 + 3 * (v1 - v4))) for k in keys}
@@ -753,11 +774,12 @@ class TestN12Reference:
                 assert got == want
                 # repr spells every float exactly, so this also tells -0.0 from 0.0.
                 assert repr(got) == repr(want)
-                if isinstance(got, N12RankReport):
-                    reports += 1
-                else:
-                    errors += 1
-        assert reports > 10_000 and errors > 1_000
+                reports += isinstance(got, N12RankReport)
+                if params.b_overrides:
+                    same = got.bids == n12_position_bids(defaults, ordering)
+                    pinned += not same
+                    kept += same and ordering != (1, 2, 3)
+        assert reports == 12_000 and pinned > 1_000 and kept > 1_000, (pinned, kept)
 
     def test_position_utilities_match_the_reference_loop(self, rng):
         for _ in range(200):
