@@ -6,7 +6,6 @@ from .selection import (
     enumerate_subsets,
     from_exclusion_Y,
     marginal_probabilities,
-    sample_simplex,
     sample_subset,
     to_exclusion_Y,
 )

@@ -164,6 +164,8 @@ def find_deviation(
     instead of a cell per (b, s); slots that no s >= b reaches are masked out.
     """
     grid = sorted(float(g) for g in grid)
+    if not grid:
+        raise ValueError("grid must not be empty: nothing would be searched")
     if not all(0 <= g < math.inf for g in grid):
         raise ValueError(f"grid points must be finite and nonnegative, got {grid}")
     n = mech.theta if n is None else n

@@ -13,17 +13,17 @@ keeps its first-round ranking and its second-round bids in that order, and
 subset's bids, and none of the caches reads the generator, so a run on a
 reused profile draws the same subset and winner from the same stream position.
 
-:func:`settle` picks its method by size.  A mechanism with at least
+:func:`settle` is the one function that computes each position's expected allocation X
+and payment P, and it picks its method by size.  A mechanism with at least
 ``_NUMPY_MIN_SUBSETS`` subsets is priced in one numpy pass over the
 distribution's cached table of live (nonzero-probability) subsets: one stable
 ranking of the theta bids orders every subset, the Myerson sums run bottom-up
 over ranks for all subsets at once, and ``bincount`` adds the terms in the
 loop's (subset, rank) order, so X and P keep every bit.  Smaller mechanisms
-keep the per-subset loop, which is faster there (see the constant), and
-:func:`place` runs it only on the subsets where its bidder pays.
-:func:`evaluate` keeps its loop for now: a faster ``evaluate`` fits more ops
-into the benchmark's timed window, whose per-op records would raise the
-measured peak memory past its bound.
+keep the per-subset loop over the live subsets, which is faster there (see the
+constant).  :func:`place`, :func:`expected_revenue` and :func:`evaluate` read
+X and P from it; ``evaluate`` settles every subset once more only for its
+outcome table.
 """
 
 from __future__ import annotations
@@ -169,40 +169,28 @@ def first_round_positions(mech: Mechanism, bids: BidProfile) -> list[int]:
     return bids._ranking[: mech.theta]
 
 
-def _settled(mech: Mechanism, s: Sequence[float], subsets, X: list[float], P: list[float]):
-    """Yield ``(subset, prob, order, pay)`` of each ``(subset, prob)`` settled on bids ``s``
-    (as in :func:`settle`), adding its expected allocation and payment to X and P."""
-    alloc, beta = mech.allocation.x, mech.beta
-    for subset, prob in subsets:
-        order, pay = settle_round([s[q - 1] for q in subset], mech.allocation)
-        for r in range(beta):
-            k = subset[order[r]] - 1
-            X[k] += prob * alloc[r]
-            P[k] += prob * pay[r]
-        yield subset, prob, order, pay
-
-
 def settle(mech: Mechanism, s: Sequence[float]) -> tuple[list[float], list[float]]:
     """Expected allocation and payment of every first-round position.
 
     ``s[p - 1]`` is the second-round bid of the bidder at position p.  Returns
     ``(X, P)`` indexed the same way, so that bidder's expected utility at
     value v is v * X[p - 1] - P[p - 1].  Second-round ties go to the better
-    first-round position.
+    first-round position.  Zero-probability subsets are skipped on both paths.
     """
     if len(s) < mech.theta:
         raise ConfigurationError(f"need theta={mech.theta} second-round bids, got {len(s)}")
     if len(mech.selection.probs) >= _NUMPY_MIN_SUBSETS:
         return _settle_all(mech, s)
-    return _settle_loop(mech, s, mech.selection.probs.items())
-
-
-def _settle_loop(mech: Mechanism, s: Sequence[float], subsets) -> tuple[list[float], list[float]]:
-    """:func:`settle`'s per-subset loop over the nonzero-probability ``(subset, prob)`` pairs."""
+    alloc, beta = mech.allocation.x, mech.beta
     X, P = [0.0] * mech.theta, [0.0] * mech.theta
-    live = ((subset, prob) for subset, prob in subsets if prob != 0.0)
-    for _ in _settled(mech, s, live, X, P):
-        pass
+    for subset, prob in mech.selection.probs.items():
+        if prob == 0.0:
+            continue
+        order, pay = settle_round([s[q - 1] for q in subset], mech.allocation)
+        for r in range(beta):
+            k = subset[order[r]] - 1
+            X[k] += prob * alloc[r]
+            P[k] += prob * pay[r]
     return X, P
 
 
@@ -236,24 +224,14 @@ def place(mech: Mechanism, others: Sequence[float], p: int, s: float) -> tuple[f
 
     ``others`` are the other bidders' bids, descending and the same in both rounds; the
     bidder is inserted at position p among the top theta - 1 of them, and gets ``(0.0, 0.0)``
-    below position theta.  ``equilibrium.is_nash_equilibrium`` prices its deviations with it.
-    Below ``_NUMPY_MIN_SUBSETS`` only the subsets where p holds a paying rank are settled: the
-    others add nothing to row p, so it keeps the bits of :func:`settle`'s row p.
+    below position theta.  The result is row p of :func:`settle` on that bid vector.
+    ``equilibrium.is_nash_equilibrium`` prices its deviations with it.
     """
     if len(others) < mech.theta - 1:
         raise ConfigurationError(f"need theta - 1 = {mech.theta - 1} other bids, got {len(others)}")
     if p > mech.theta:
         return 0.0, 0.0
-    vec = [*others[: p - 1], s, *others[p - 1 : mech.theta - 1]]
-    if len(mech.selection.probs) >= _NUMPY_MIN_SUBSETS:
-        X, P = settle(mech, vec)
-    else:
-        # ahead[q]: the bidder at position q ranks above p when both advance (ties: better q).
-        ahead = [False, *(b > s or (b == s and q < p) for q, b in enumerate(vec, 1))]
-        X, P = _settle_loop(mech, vec, (
-            sp for sp in mech.selection.probs.items()
-            if p in sp[0] and sum(map(ahead.__getitem__, sp[0])) < mech.beta
-        ))
+    X, P = settle(mech, [*others[: p - 1], s, *others[p - 1 : mech.theta - 1]])
     return X[p - 1], P[p - 1]
 
 
@@ -273,24 +251,25 @@ def expected_revenue(mech: Mechanism, bids: BidProfile) -> float:
 def evaluate(mech: Mechanism, values: Sequence[float], bids: BidProfile) -> AuctionResult:
     """Full exact evaluation: utilities, revenue and the per-subset table.
 
-    One settle_round per subset feeds the table and every bidder's utility (0
-    outside the top theta); zero-probability subsets add exact zeros to X, P.
+    Utilities (0 outside the top theta) and revenue, ``sum(P)``, come from :func:`settle`,
+    so the revenue is :func:`expected_revenue`'s to the bit.  The outcome table settles
+    every subset once more, zero-probability ones included, and feeds neither.
     """
     if len(values) != bids.n:
         raise ConfigurationError("values and bid profile differ in length")
+    if not all(map(math.isfinite, values)):
+        raise ConfigurationError("values must be finite")
     positions = first_round_positions(mech, bids)
     s = bids._ranked_second_round
-    X = [0.0] * mech.theta
-    P = [0.0] * mech.theta
-    outcomes = [
-        SubsetOutcome(subset, prob, positions[subset[order[0]] - 1], sum(pay))
-        for subset, prob, order, pay in _settled(mech, s, mech.selection.probs.items(), X, P)
-    ]
+    X, P = settle(mech, s)
+    outcomes = []
+    for subset, prob in mech.selection.probs.items():
+        order, pay = settle_round([s[q - 1] for q in subset], mech.allocation)
+        outcomes.append(SubsetOutcome(subset, prob, positions[subset[order[0]] - 1], sum(pay)))
     utils = [0.0] * bids.n
     for k, i in enumerate(positions):
         utils[i] = values[i] * X[k] - P[k]
-    revenue = sum(o.probability * o.payment for o in outcomes)
-    return AuctionResult(tuple(utils), revenue, tuple(outcomes))
+    return AuctionResult(tuple(utils), sum(P), tuple(outcomes))
 
 
 def simulate_run(

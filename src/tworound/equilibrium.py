@@ -101,6 +101,8 @@ def is_nash_equilibrium(
     bids = rank.bids
     if len(values) != len(bids):
         raise ConfigurationError("values and bid profile differ in length")
+    if not all(map(math.isfinite, values)):
+        raise ConfigurationError("values must be finite")
     if len(bids) < mech.theta:
         raise ConfigurationError(f"need at least theta={mech.theta} bidders, got {len(bids)}")
     min_gap = min(a - b for a, b in zip(bids, bids[1:])) if len(bids) > 1 else 1.0

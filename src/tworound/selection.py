@@ -244,21 +244,3 @@ def sample_subset(dist: SelectionDistribution, rng: np.random.Generator) -> tupl
     subsets, cdf = dist._sampling_table
     return subsets[bisect_right(cdf, rng.random())]
 
-
-def sample_simplex(k: int, rng: np.random.Generator) -> np.ndarray:
-    """One draw from the uniform distribution on the (k-1)-simplex.
-
-    Normalized independent unit-exponential draws, which is the standard
-    Dirichlet(1,...,1) construction of the flat simplex distribution.
-    """
-    if k < 1:
-        raise SelectionError(f"k must be positive, got {k}")
-    if k == 1:
-        return np.array([1.0])
-    e = rng.exponential(size=k)
-    out = e / e.sum()
-    # Guard against pathological all-tiny draws; renormalize exactly.
-    s = out.sum()
-    if not math.isclose(s, 1.0, abs_tol=SIMPLEX_ATOL):
-        out = out / s
-    return out

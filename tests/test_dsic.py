@@ -119,6 +119,11 @@ class TestFindDeviation:
         with pytest.raises(ValueError, match="grid points must be finite and nonnegative"):
             find_deviation(m, grid)
 
+    def test_empty_grid_rejected(self):
+        # None would read as "DSIC on the grid" although nothing was searched.
+        with pytest.raises(ValueError, match="grid must not be empty"):
+            find_deviation(mech_from_q((0.6, 0.3, 0.1)), [])
+
     def test_verify_witness_rejects_a_mismatched_n(self):
         m = mech_from_q((0.6, 0.3, 0.1))
         witness = find_deviation(m, GRID, n=4)

@@ -153,6 +153,13 @@ class TestExpectedUtility:
         got = expected_utility(m, values, bids, 0)
         assert got == pytest.approx((450 - 350) / 3 + (450 - 200) / 3, abs=1e-9)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_values_rejected(self, bad):
+        m = n11_mech((0.6, 0.25, 0.15))
+        bids = BidProfile.truthful((450.0, 350.0, 200.0))
+        with pytest.raises(ConfigurationError, match="values must be finite"):
+            evaluate(m, (450.0, bad, 200.0), bids)
+
     def test_below_top_theta_gets_zero(self):
         m = n11_mech((0.6, 0.25, 0.15))
         values = (450.0, 350.0, 200.0, 100.0)
@@ -192,7 +199,7 @@ class TestPlace:
 
 
 class TestPlaceRow:
-    """Below the numpy threshold place settles only the subsets where p pays; same bits as settle."""
+    """place returns row p of settle on the bid vector with the bidder inserted at p."""
 
     def test_same_bits_as_row_p_of_settle(self):
         rng = np.random.default_rng(20261019)
@@ -266,16 +273,45 @@ class TestSettlePaths:
             m = Mechanism(theta, alpha, sel, x)
             s = bids[:theta]
             profile = BidProfile(tuple(bids), tuple(bids))
+            positions = first_round_positions(m, profile)
+            # place inserts bids[0] at position p among the others; p = theta + 1 is below the top.
+            others, own, p = sorted(bids[1:], reverse=True), bids[0], trial % (theta + 1) + 1
             results = []
             for threshold in (math.inf, 0):
                 monkeypatch.setattr(engine, "_NUMPY_MIN_SUBSETS", threshold)
                 X, P = settle(m, s)
                 results.append((self.bits(X), self.bits(P), expected_revenue(m, profile).hex()))
+                # evaluate, expected_revenue and place read settle's X and P to the bit.
+                X, P = settle(m, [bids[i] for i in positions])
+                utils = [0.0] * n
+                for k, i in enumerate(positions):
+                    utils[i] = bids[i] * X[k] - P[k]
+                result = evaluate(m, bids, profile)
+                assert self.bits(result.expected_utilities) == self.bits(utils)
+                assert result.expected_revenue.hex() == expected_revenue(m, profile).hex() == sum(P).hex()
+                want = (0.0, 0.0)
+                if p <= theta:
+                    X, P = settle(m, [*others[: p - 1], own, *others[p - 1 : theta - 1]])
+                    want = (X[p - 1], P[p - 1])
+                assert self.bits(place(m, others, p, own)) == self.bits(want)
             assert results[0] == results[1], (theta, alpha, beta, s)
             seen["tie"] += len(set(s)) < len(s)
             seen["signed-zero"] += any(math.copysign(1.0, b) < 0 for b in s)  # a -0.0
             seen["overflow"] += math.inf in settle(m, s)[1]
         assert min(seen.values()) > 20, seen
+
+    def test_zero_probability_subsets_keep_an_inf_payment_out_of_nan(self):
+        # Only (1, 2) advances and pays past the float range; 0 * inf in the two
+        # zero-probability subsets would turn evaluate's utilities and revenue into nan.
+        m = Mechanism(
+            3, 2, SelectionDistribution.point_mass(3, (1, 2)), AllocationRule((1.0 + 1e-12, 0.0))
+        )
+        top = sys.float_info.max
+        bids = BidProfile.truthful((top, top * (1 - 1e-15), top * (1 - 2e-15)))
+        result = evaluate(m, (1.0, 2.0, 3.0), bids)
+        assert result.expected_utilities == (-math.inf, 0.0, 0.0)
+        assert result.expected_revenue == expected_revenue(m, bids) == math.inf
+        assert [o.probability for o in result.outcomes] == [1.0, 0.0, 0.0]
 
     def test_large_mechanisms_take_the_numpy_pass(self, monkeypatch):
         m = Mechanism(6, 3, SelectionDistribution.uniform(6, 3), AllocationRule((0.7, 0.3, 0.0)))

@@ -219,6 +219,14 @@ class TestIsNashEquilibrium:
         with pytest.raises(ConfigurationError):
             is_nash_equilibrium(mech, V_EX[:2], RankProfile((0, 1), V_EX[:2]))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_values_rejected(self, bad):
+        # A NaN utility compares False with everything, which read as "no bidder gains".
+        x = secondround.AllocationRule((1.0, 0.0))
+        mech = Mechanism(2, 2, SelectionDistribution.uniform(2, 2), x)
+        with pytest.raises(ConfigurationError, match="values must be finite"):
+            is_nash_equilibrium(mech, (3.0, bad), RankProfile((0, 1), (3.0, 2.0)))
+
 
 class TestN11Classify:
     def test_narrow_gap_supports_truthful_only(self):

@@ -13,7 +13,6 @@ from tworound.selection import (
     enumerate_subsets,
     from_exclusion_Y,
     marginal_probabilities,
-    sample_simplex,
     sample_subset,
     to_exclusion_Y,
 )
@@ -185,18 +184,3 @@ class TestSampling:
         assert [sample_subset(d, rng) for _ in range(50)] == expected
         assert d._sampling_table is d._sampling_table
 
-
-class TestSampleSimplex:
-    def test_single_coordinate(self, rng):
-        assert sample_simplex(1, rng).tolist() == [1.0]
-
-    def test_sums_and_support(self, rng):
-        for _ in range(200):
-            v = sample_simplex(3, rng)
-            assert v.min() >= 0
-            assert v.sum() == pytest.approx(1.0, abs=1e-12)
-
-    def test_coordinate_means(self):
-        rng = np.random.default_rng(5)
-        draws = np.array([sample_simplex(4, rng) for _ in range(100_000)])
-        assert draws.mean(axis=0) == pytest.approx([0.25] * 4, abs=0.01)
