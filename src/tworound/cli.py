@@ -260,6 +260,8 @@ def _cmd_reproduce(args) -> int:
                 experiments.write_rows_csv(rows, fh)
     except OSError as exc:
         raise SchemaError(f"cannot write {args.out}: {exc}") from exc
+    except MemoryError as exc:  # the class buffers hold one float per draw
+        raise SchemaError(f"--draws {args.draws} is too large for memory: {exc}") from exc
     experiments.write_rows_csv(rows, sys.stdout)
     return EXIT_OK
 

@@ -11,9 +11,10 @@ Two independent routes to the same question:
   for a strictly profitable conservative (b <= v) or risky (v < b <= s)
   deviation.  Each (b, s) puts the deviator in a rank slot (p, k): first-round
   position p, outranked by k others in round two.  A plan built once per
-  mechanism prices a chunk's slots in one pass over cached (grid, n) tables.
+  mechanism lays out each slot's payment terms top-down, so that one
+  ``rank_payments`` call prices a chunk's slots over cached (grid, n) tables.
   :func:`verify_witness` re-prices a witness through full bid profiles
-  (``engine.evaluate``), apart from the plan.
+  (``engine.expected_utility``), apart from the plan.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from typing import Sequence
 import numpy as np
 
 from .engine import BidProfile, ConfigurationError, Mechanism, expected_utility
+from .secondround import rank_payments
 from .selection import marginal_probabilities
 
 MARGINAL_ATOL = 1e-9
@@ -102,8 +104,8 @@ def _rank_slot_plan(mech: Mechanism, n: int):
     At position p and outranked by k others in round two, the deviator holds slot (p - 1) * n + k.
     The others bid alike in both rounds, so those k sit at positions 1..k and the slot fixes its
     rank r and the positions below it in every subset.  X and the terms follow the live subsets as
-    ``engine.settle``.  A term is prob times a Myerson payment from (alpha - 1, T) matrices of bid
-    rows and steps, bottom-up as in ``rank_payments`` after r exact 0.0 pads (zero row n - 1).
+    ``engine.settle``.  A term is prob times ``rank_payments``' rank-1 payment, laid out top-down:
+    the members below the deviator in position order, then r pads (zero row n - 1, step 0.0).
     """
     alloc, steps, beta = mech.allocation.x, mech.allocation.steps, mech.beta
     X, slots, probs, cols, coefs = [0.0] * (n * n), [], [], [], []
@@ -115,12 +117,12 @@ def _rank_slot_plan(mech: Mechanism, n: int):
                     X[(p - 1) * n + k] += prob * alloc[r]
                     slots.append((p - 1) * n + k)
                     probs.append(prob)
-                    cols += [n - 1] * r + [q - 2 + (q < p) for q in subset[r:][::-1] if q != p]
-                    coefs += (0.0,) * r + steps[r:][::-1]
+                    cols += [q - 2 + (q < p) for q in subset[r:] if q != p] + [n - 1] * r
+                    coefs += steps[r:] + (0.0,) * r
     shape = (len(slots), len(steps))
-    cols = np.array(cols, dtype=np.intp).reshape(shape).T
+    order = [None, *np.array(cols, dtype=np.intp).reshape(shape).T]  # no top bid: never read
     coefs = np.array(coefs).reshape(shape).T[..., None]  # probs and coefs broadcast over profiles
-    return np.array(X), np.array(slots, dtype=np.intp), np.array(probs)[:, None], cols, coefs
+    return np.array(X), np.array(slots, dtype=np.intp), np.array(probs)[:, None], order, coefs
 
 
 @functools.lru_cache(maxsize=8)
@@ -179,14 +181,13 @@ def find_deviation(
         raise ResourceLimitError(f"need n >= theta={mech.theta}")
 
     g = np.array(grid)
-    X, slots, probs, cols, coefs = _rank_slot_plan(mech, n)
+    X, slots, probs, order, coefs = _rank_slot_plan(mech, n)
     for opp, bids, p1, reached in _grid_tables(tuple(grid), n):
         m = len(opp)
-        total = np.zeros((len(slots), m))
-        for col, coef in zip(cols, coefs):  # every term's payment
-            total = total + bids[col] * coef
+        # prob times each term's payment; the out array keeps the (term, profile) shape at alpha = 1
+        terms = np.multiply(probs, rank_payments(bids, order, coefs)[0], np.empty((len(slots), m)))
         P = np.zeros(n * n * m)  # [slot, profile], flat for add.at's fast path; in term order
-        np.add.at(P, (slots[:, None] * m + np.arange(m)).ravel(), (probs * total).ravel())
+        np.add.at(P, (slots[:, None] * m + np.arange(m)).ravel(), terms.ravel())
         U = X[:, None, None] * g[:, None] - P.reshape(n * n, 1, m)  # [slot, v, profile]
         u_truth = U[p1 * (n + 1), np.arange(len(g))[:, None], np.arange(m)]  # b = s = v
         hits = (U > u_truth + GAIN_ATOL) & reached[:, None]
@@ -206,13 +207,10 @@ def verify_witness(
     mech: Mechanism, witness: DeviationWitness, n: int | None = None
 ) -> float:
     """Gain of a witness, re-priced through full bid profiles; ``n`` must be its bidder count."""
-    values = [witness.value] + list(witness.opponent_bids)
+    opp = witness.opponent_bids
+    values = (witness.value, *opp)
     if n is not None and n != len(values):
         raise ConfigurationError(f"n={n}, but the witness has {len(values)} bidders")
-    truthful = BidProfile(tuple(values), tuple(values))
-    dev_first = [witness.first_round_bid] + list(witness.opponent_bids)
-    dev_second = [witness.second_round_bid] + list(witness.opponent_bids)
-    deviated = BidProfile(tuple(dev_first), tuple(dev_second))
-    u_t = expected_utility(mech, values, truthful, 0)
-    u_d = expected_utility(mech, values, deviated, 0)
-    return u_d - u_t
+    deviated = BidProfile((witness.first_round_bid, *opp), (witness.second_round_bid, *opp))
+    u_t = expected_utility(mech, values, BidProfile.truthful(values), 0)
+    return expected_utility(mech, values, deviated, 0) - u_t

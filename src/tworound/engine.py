@@ -17,13 +17,13 @@ reused profile draws the same subset and winner from the same stream position.
 and payment P, and it picks its method by size.  A mechanism with at least
 ``_NUMPY_MIN_SUBSETS`` subsets is priced in one numpy pass over the
 distribution's cached table of live (nonzero-probability) subsets: one stable
-ranking of the theta bids orders every subset, the Myerson sums run bottom-up
-over ranks for all subsets at once, and ``bincount`` adds the terms in the
-loop's (subset, rank) order, so X and P keep every bit.  Smaller mechanisms
-keep the per-subset loop over the live subsets, which is faster there (see the
-constant).  :func:`place`, :func:`expected_revenue` and :func:`evaluate` read
-X and P from it; ``evaluate`` settles every subset once more only for its
-outcome table.
+ranking of the theta bids orders every subset, ``rank_payments`` prices them all
+from one row of bids per rank, and ``bincount`` adds the terms in the loop's
+(subset, rank) order, so X and P keep every bit.  Smaller mechanisms keep the
+per-subset loop, faster there (see the constant), through ``settle_round``.
+:func:`place`, :func:`expected_utility`, :func:`expected_revenue` and
+:func:`evaluate` read X and P from it; ``evaluate`` settles every subset once
+more only for its outcome table.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .secondround import AllocationRule, settle_round
+from .secondround import AllocationRule, rank_payments, settle_round
 from .selection import SelectionDistribution, is_finite_number, sample_subset
 
 UTILITY_ATOL = 1e-9
@@ -203,19 +203,15 @@ def _settle_all(mech: Mechanism, s: Sequence[float]) -> tuple[list[float], list[
     ranked = np.argsort(-bids, kind="stable")
     rank = np.argsort(ranked)  # rank[position]: the inverse permutation
     order = ranked[np.sort(rank[table], axis=1)]  # (C, alpha) positions, second-round rank order
-    ranked_bids = bids[order]
-    alloc, steps, beta = mech.allocation.x, mech.allocation.steps, mech.beta
-    pay = np.zeros((len(prob), beta))
-    total = 0.0
+    alloc, beta = mech.allocation.x, mech.beta
     with np.errstate(over="ignore"):  # a payment past the float range is inf, as in the loop
-        for r in range(mech.alpha - 2, -1, -1):  # rank_payments' bottom-up sum
-            total = total + ranked_bids[:, r + 1] * steps[r]
-            if r < beta:
-                pay[:, r] = total
+        # Row r of bids[order.T] holds every subset's rank-(r + 1) bid; with beta = alpha the
+        # last rank's payment is rank_payments' scalar 0.0, and prob * 0.0 makes its column.
+        pay = rank_payments(bids[order.T], range(mech.alpha), mech.allocation.steps)[:beta]
         # bincount adds its weights one at a time in (subset, rank) order, the loop's order.
         winners = order[:, :beta].ravel()
         X = np.bincount(winners, (prob[:, None] * alloc[:beta]).ravel(), mech.theta)
-        P = np.bincount(winners, (prob[:, None] * pay).ravel(), mech.theta)
+        P = np.bincount(winners, np.column_stack([prob * p for p in pay]).ravel(), mech.theta)
     return X.tolist(), P.tolist()
 
 
@@ -235,11 +231,26 @@ def place(mech: Mechanism, others: Sequence[float], p: int, s: float) -> tuple[f
     return X[p - 1], P[p - 1]
 
 
-def expected_utility(
-    mech: Mechanism, values: Sequence[float], bids: BidProfile, bidder: int
-) -> float:
-    """Exact expected utility of one bidder over all advancing subsets."""
-    return evaluate(mech, values, bids).expected_utilities[bidder]
+def _check_values(mech: Mechanism, values: Sequence[float], n: int) -> None:
+    """One finite value for each of n >= theta bidders, or :class:`ConfigurationError`."""
+    if len(values) != n:
+        raise ConfigurationError("values and bid profile differ in length")
+    if not all(map(math.isfinite, values)):
+        raise ConfigurationError("values must be finite")
+    if n < mech.theta:
+        raise ConfigurationError(f"need at least theta={mech.theta} bidders, got {n}")
+
+
+def expected_utility(mech: Mechanism, values: Sequence[float], bids: BidProfile, bidder: int) -> float:
+    """``evaluate``'s utility of bidder 0..n - 1 from its row of :func:`settle`; 0.0 below theta."""
+    _check_values(mech, values, bids.n)
+    if isinstance(bidder, bool) or not hasattr(bidder, "__index__") or not 0 <= bidder < bids.n:
+        raise ConfigurationError(f"bidder must be an int in 0..{bids.n - 1}, got {bidder!r}")
+    k = bids._ranking.index(bidder)  # the bidder's first-round position, 0-based
+    if k >= mech.theta:
+        return 0.0
+    X, P = settle(mech, bids._ranked_second_round)
+    return values[bidder] * X[k] - P[k]
 
 
 def expected_revenue(mech: Mechanism, bids: BidProfile) -> float:
@@ -255,10 +266,7 @@ def evaluate(mech: Mechanism, values: Sequence[float], bids: BidProfile) -> Auct
     so the revenue is :func:`expected_revenue`'s to the bit.  The outcome table settles
     every subset once more, zero-probability ones included, and feeds neither.
     """
-    if len(values) != bids.n:
-        raise ConfigurationError("values and bid profile differ in length")
-    if not all(map(math.isfinite, values)):
-        raise ConfigurationError("values must be finite")
+    _check_values(mech, values, bids.n)
     positions = first_round_positions(mech, bids)
     s = bids._ranked_second_round
     X, P = settle(mech, s)

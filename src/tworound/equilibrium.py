@@ -19,7 +19,7 @@ import math
 from dataclasses import asdict, dataclass, field
 from typing import Mapping, Sequence
 
-from .engine import ConfigurationError, Mechanism, place, settle
+from .engine import Mechanism, _check_values, place, settle
 from .secondround import AllocationRule
 from .selection import ExclusionY, from_exclusion_Y, is_finite_number
 
@@ -99,12 +99,7 @@ def is_nash_equilibrium(
     """
     k = mech.competition_rank
     bids = rank.bids
-    if len(values) != len(bids):
-        raise ConfigurationError("values and bid profile differ in length")
-    if not all(map(math.isfinite, values)):
-        raise ConfigurationError("values must be finite")
-    if len(bids) < mech.theta:
-        raise ConfigurationError(f"need at least theta={mech.theta} bidders, got {len(bids)}")
+    _check_values(mech, values, len(bids))
     min_gap = min(a - b for a, b in zip(bids, bids[1:])) if len(bids) > 1 else 1.0
     delta = min_gap / 10
     # Targets: the competitive positions plus one slot below the line, which
@@ -408,11 +403,12 @@ class FormulaDomainError(ValueError):
 class N12ConditionFunctions:
     """The scalar condition functions of the two-winner example.
 
-    ``V23``/``V12`` are the valuation-side functions; ``ycoef23``/``ycoef12``
-    the distribution-side coefficients they are compared against.  Expanding
-    the position utilities gives u(1) - u(2) = (Y1+Y2) * den * (ycoef12 - V12)
-    with den = :meth:`V12_denominator`, and u(2) - u(3) a positive multiple
-    of ycoef23 - V23.
+    ``V23`` and V12 = (d2-d1)(x1-x2)/den are the valuation-side functions;
+    ``ycoef23``/``ycoef12`` the distribution-side coefficients they are
+    compared against.  Expanding the position utilities gives u(1) - u(2) =
+    (Y1+Y2) * den * (ycoef12 - V12) with den = :meth:`V12_denominator`, and
+    u(2) - u(3) a positive multiple of ycoef23 - V23.  ``n12_check_rank``
+    computes V12 from its den.
     """
 
     x2: float
@@ -428,13 +424,6 @@ class N12ConditionFunctions:
         inequality reads in the same direction as the utility comparison."""
         x1 = 1.0 - self.x2
         return (d3 - d4) * self.x2 - (d3 - d1) * x1
-
-    def V12(self, d1: float, d2: float, d3: float, d4: float) -> float:
-        denom = self.V12_denominator(d1, d3, d4)
-        if denom == 0:
-            raise FormulaDomainError("V12 denominator (d3-d4)x2 - (d3-d1)x1 vanished")
-        x1 = 1.0 - self.x2
-        return (d2 - d1) * (x1 - self.x2) / denom
 
     @property
     def ycoef23(self) -> float:

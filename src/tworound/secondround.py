@@ -84,7 +84,9 @@ def rank_payments(bids: Sequence, order: Sequence, steps: Sequence[float]) -> li
     """Myerson payment of every rank, summed bottom-up; ``order[r]`` indexes ``bids`` at rank r + 1.
 
     ``steps`` is ``AllocationRule.steps``; the top bid is never read.  ``steps[r:]`` with the
-    bidders from rank r + 1 down prices that rank.
+    bidders from rank r + 1 down prices that rank.  The package's one payment sum: bids and steps
+    may be floats or numpy rows, added elementwise to 0.0 from the bottom rank up, the order of
+    additions every caller relies on for its floats.  The last rank's entry is the scalar 0.0.
     """
     pay = [0.0] * (len(steps) + 1)
     total = 0.0

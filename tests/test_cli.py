@@ -121,6 +121,37 @@ SIMULATE_CASES = {
 }
 
 
+def _exclusion_doc(weights, x):
+    """alpha = theta - 1 mechanism that leaves out position e with weight ``weights[e - 1]``."""
+    theta = len(weights)
+    subsets = [[q for q in range(1, theta + 1) if q != e] for e in range(1, theta + 1)]
+    return {"theta": theta, "alpha": theta - 1, "probs": _probs(subsets, weights), "x": x}
+
+
+def _all_advance_doc(x):
+    theta = len(x)
+    return {"theta": theta, "alpha": theta, "probs": [{"subset": list(range(1, theta + 1)), "p": 1.0}], "x": x}
+
+
+# (mechanism, n) for `check-dsic --oracle` on the default 0:8:1 grid, the criterion-2 mix: DSIC,
+# non-DSIC and all-advance mechanisms, theta 2-4, alpha = 1 and beta = alpha among them.  With
+# n = 5 or 6 the 495 or 1,287 opponent profiles fill 8 or 21 chunks of 64; the "late" witnesses
+# sit in the eighth and ninth.
+ORACLE_CASES = {
+    "dsic-2-alpha-1": (_exclusion_doc([1, 1], [1.0]), 2),
+    "dsic-3": (_exclusion_doc([1, 1, 2], [0.7, 0.0]), 4),
+    "dsic-4": (_exclusion_doc([1, 1, 1, 3], [0.5, 0.3, 0.0]), 5),
+    "dsic-3-free-entry": (_exclusion_doc([1, 1, 1], [0.6, 0.4]), 4),
+    "non-dsic-2-alpha-1": (_exclusion_doc([3, 1], [1.0]), 3),
+    "non-dsic-3-late": (_exclusion_doc([5, 5, 4], [0.53, 0.0]), 6),
+    "non-dsic-4-late": (_exclusion_doc([3, 4, 4, 4], [0.34, 0.11, 0.0]), 6),
+    "non-dsic-4": (_exclusion_doc([1, 2, 3, 4], [0.5, 0.3, 0.0]), 4),
+    "all-advance-2": (_all_advance_doc([0.6, 0.4]), 2),
+    "all-advance-3": (_all_advance_doc([0.5, 0.2, 0.0]), 5),
+    "all-advance-4-free-entry": (_all_advance_doc([0.4, 0.3, 0.2, 0.1]), 5),
+}
+
+
 class TestValidate:
     def test_accepts_good_documents(self, tmp_path, dsic_mech_file, capsys):
         values = write_json(tmp_path, "values.json", [450, 350, 200])
@@ -277,6 +308,43 @@ class TestCheckDsic:
         doc = json.loads(capsys.readouterr().out)
         assert doc["oracle_witness_found"] is True
         assert doc["oracle_witness"]["gain"] > 0
+
+    # SHA-256 of `check-dsic --oracle` stdout and its exit code: every verdict, witness and
+    # gain must stay bit for bit the same.
+    @pytest.mark.parametrize(
+        "case,code,digest",
+        [
+            ("dsic-2-alpha-1", EXIT_OK,
+             "8c3f390d10c3df03e53bd67d7d47139392e4a2beb73d7b3f0d014e3407817c30"),
+            ("dsic-3", EXIT_OK,
+             "8c3f390d10c3df03e53bd67d7d47139392e4a2beb73d7b3f0d014e3407817c30"),
+            ("dsic-4", EXIT_OK,
+             "8c3f390d10c3df03e53bd67d7d47139392e4a2beb73d7b3f0d014e3407817c30"),
+            ("dsic-3-free-entry", EXIT_OK,
+             "b1b71c18b5c0f7c679504a34e3bae65240ecb64ecdb0ead235b1d138c3d55980"),
+            ("non-dsic-2-alpha-1", EXIT_NEGATIVE,
+             "9e43331f42483c93ca22eb8d2700dcbcaf570fafe8c53cfe2dc43424564de5db"),
+            ("non-dsic-3-late", EXIT_NEGATIVE,
+             "0d2470747de591b55a44ba55a1bcc3eb211641c787b974e8b536655aea5dae74"),
+            ("non-dsic-4-late", EXIT_NEGATIVE,
+             "2f68a45fa61f72b7145f21ef4ca04d054867b710b255555b5695f9c47fe5adef"),
+            ("non-dsic-4", EXIT_NEGATIVE,
+             "94dfba6e643cb36bf92e2170eb1cef6e64c68ce9561d143a848858145cd99def"),
+            ("all-advance-2", EXIT_OK,
+             "8c3f390d10c3df03e53bd67d7d47139392e4a2beb73d7b3f0d014e3407817c30"),
+            ("all-advance-3", EXIT_OK,
+             "8c3f390d10c3df03e53bd67d7d47139392e4a2beb73d7b3f0d014e3407817c30"),
+            ("all-advance-4-free-entry", EXIT_OK,
+             "10d27010685a32fde1b21bd0524c078f3bcdaf6d4a0f78f6d88ee710f764f119"),
+        ],
+    )
+    def test_oracle_stdout_pinned(self, tmp_path, case, code, digest):
+        doc, n = ORACLE_CASES[case]
+        argv = ["check-dsic", "--mechanism", write_json(tmp_path, "m.json", doc), "--oracle", "--n", str(n)]
+        got_code, out, err = run_main(argv)
+        assert got_code == code
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+        assert err == ""
 
     def test_bad_grid_exits_2(self, dsic_mech_file, capsys):
         code = main(
@@ -548,6 +616,17 @@ class TestReproduce:
         doc = json.loads(line)
         assert doc["error"] == "schema"
         assert doc["message"].startswith(f"cannot write {out}")
+
+    # 10^17 draws ask for 711 PiB per class buffer, more than any address space holds, so the
+    # allocation is refused at once whatever the machine's overcommit policy.
+    @pytest.mark.parametrize("table", ["2", "3", "4"])
+    def test_draws_too_large_for_memory_exit_2(self, table):
+        code, stdout, err = run_main(["reproduce", "--table", table, "--draws", str(10**17)])
+        assert (code, stdout) == (EXIT_SCHEMA, "")
+        (line,) = err.splitlines()
+        doc = json.loads(line)
+        assert doc["error"] == "schema"
+        assert doc["message"].startswith(f"--draws {10**17} is too large for memory")
 
     def test_table3_has_four_theta_rows(self, capsys):
         code = main(["reproduce", "--table", "3", "--draws", "500"])

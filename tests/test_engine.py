@@ -166,6 +166,17 @@ class TestExpectedUtility:
         bids = BidProfile.truthful(values)
         assert expected_utility(m, values, bids, 3) == 0.0
 
+    def test_bidder_ids_outside_0_to_n_minus_1_rejected(self):
+        # theta = 2, alpha = 1: each advances alone half the time and pays nothing.
+        m = Mechanism(2, 1, SelectionDistribution.uniform(2, 1), AllocationRule((1.0,)))
+        values = (5, 3, 1)
+        bids = BidProfile.truthful(values)
+        assert [expected_utility(m, values, bids, i) for i in (0, 1, 2, np.int64(1))] == [2.5, 1.5, 0.0, 1.5]
+        # Negative ids, bools and non-integers would index the utility tuple as some other bidder.
+        for bidder in (-3, -1, True, 3, 1.0, "1", None):
+            with pytest.raises(ConfigurationError, match="bidder must be an int in 0..2"):
+                expected_utility(m, values, bids, bidder)
+
 
 class TestPlace:
     def test_matches_expected_utility_through_a_profile(self):
@@ -288,6 +299,8 @@ class TestSettlePaths:
                     utils[i] = bids[i] * X[k] - P[k]
                 result = evaluate(m, bids, profile)
                 assert self.bits(result.expected_utilities) == self.bits(utils)
+                mine = [expected_utility(m, bids, profile, i) for i in range(n)]
+                assert self.bits(mine) == self.bits(result.expected_utilities)
                 assert result.expected_revenue.hex() == expected_revenue(m, profile).hex() == sum(P).hex()
                 want = (0.0, 0.0)
                 if p <= theta:

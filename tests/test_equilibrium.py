@@ -725,7 +725,7 @@ def reference_n12_check_rank(params, ordering):
                 margin = -margin
             if upper == 1:
                 den = fns.V12_denominator(w, d3, d4)
-                v_value = fns.V12(w, d2, d3, d4) if den else None
+                v_value = (d2 - w) * (params.x1 - params.x2) / den if den else None  # V12
                 ycoef = fns.ycoef12
             else:
                 den = 1.0
