@@ -87,6 +87,9 @@ def check_dsic(mech: Mechanism) -> DsicVerdict:
 
     Condition 2: y_1 = ... = y_{theta-alpha+beta} (top marginals equal).
     Condition 1: y_i <= y_{theta-alpha+beta} for every lower rank i.
+    The verdict covers n = theta bidders, and beta < alpha at any n.  With beta = alpha and
+    n > theta, a bidder outside the top theta gains by overbidding into it, because the
+    rank-alpha winner pays nothing; ``find_deviation`` at that n finds the witness.
     """
     y = marginal_probabilities(mech.selection)
     k = mech.competition_rank
@@ -103,17 +106,18 @@ def _rank_slot_plan(mech: Mechanism, n: int):
 
     At position p and outranked by k others in round two, the deviator holds slot (p - 1) * n + k.
     The others bid alike in both rounds, so those k sit at positions 1..k and the slot fixes its
-    rank r and the positions below it in every subset.  X and the terms follow the live subsets as
-    ``engine.settle``.  A term is prob times ``rank_payments``' rank-1 payment, laid out top-down:
-    the members below the deviator in position order, then r pads (zero row n - 1, step 0.0).
+    rank r and the positions below it in every subset.  X and the terms follow the selection's
+    table of live subsets, in ``engine.settle``'s order.  A term is prob times ``rank_payments``'
+    rank-1 payment, laid out top-down: the members below the deviator in position order, then r
+    pads (zero row n - 1, step 0.0).
     """
     alloc, steps, beta = mech.allocation.x, mech.allocation.steps, mech.beta
     X, slots, probs, cols, coefs = [0.0] * (n * n), [], [], [], []
     for p in range(1, mech.theta + 1):
         for k in range(p):
-            for subset, prob in mech.selection.probs.items():
+            for subset, prob in mech.selection._live_table[0]:
                 r = bisect_right(subset, k)  # subsets are sorted tuples
-                if prob != 0.0 and p in subset and r < beta:
+                if p in subset and r < beta:
                     X[(p - 1) * n + k] += prob * alloc[r]
                     slots.append((p - 1) * n + k)
                     probs.append(prob)

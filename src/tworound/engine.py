@@ -14,13 +14,14 @@ subset's bids, and none of the caches reads the generator, so a run on a
 reused profile draws the same subset and winner from the same stream position.
 
 :func:`settle` is the one function that computes each position's expected allocation X
-and payment P, and it picks its method by size.  A mechanism with at least
-``_NUMPY_MIN_SUBSETS`` subsets is priced in one numpy pass over the
-distribution's cached table of live (nonzero-probability) subsets: one stable
-ranking of the theta bids orders every subset, ``rank_payments`` prices them all
-from one row of bids per rank, and ``bincount`` adds the terms in the loop's
-(subset, rank) order, so X and P keep every bit.  Smaller mechanisms keep the
-per-subset loop, faster there (see the constant), through ``settle_round``.
+and payment P, and it picks its method by size.  Both methods read the selection
+distribution's one table of live (nonzero-probability) subsets, whose CDF sampled runs
+draw from.  A mechanism with at least ``_NUMPY_MIN_SUBSETS`` subsets is priced in one
+numpy pass over the table's (C, alpha) position array: one stable ranking of the theta
+bids orders every subset, ``rank_payments`` prices them all from one row of bids per
+rank, and ``bincount`` adds the terms in the loop's (subset, rank) order, so X and P keep
+every bit.  Smaller mechanisms loop over the table's (subset, p) pairs through
+``settle_round``, faster there (see the constant).
 :func:`place`, :func:`expected_utility`, :func:`expected_revenue` and
 :func:`evaluate` read X and P from it; ``evaluate`` settles every subset once
 more only for its outcome table.
@@ -175,7 +176,7 @@ def settle(mech: Mechanism, s: Sequence[float]) -> tuple[list[float], list[float
     ``s[p - 1]`` is the second-round bid of the bidder at position p.  Returns
     ``(X, P)`` indexed the same way, so that bidder's expected utility at
     value v is v * X[p - 1] - P[p - 1].  Second-round ties go to the better
-    first-round position.  Zero-probability subsets are skipped on both paths.
+    first-round position.  ``settle`` reads only live subsets, from the distribution's table.
     """
     if len(s) < mech.theta:
         raise ConfigurationError(f"need theta={mech.theta} second-round bids, got {len(s)}")
@@ -183,9 +184,7 @@ def settle(mech: Mechanism, s: Sequence[float]) -> tuple[list[float], list[float
         return _settle_all(mech, s)
     alloc, beta = mech.allocation.x, mech.beta
     X, P = [0.0] * mech.theta, [0.0] * mech.theta
-    for subset, prob in mech.selection.probs.items():
-        if prob == 0.0:
-            continue
+    for subset, prob in mech.selection._live_table[0]:
         order, pay = settle_round([s[q - 1] for q in subset], mech.allocation)
         for r in range(beta):
             k = subset[order[r]] - 1
@@ -195,8 +194,8 @@ def settle(mech: Mechanism, s: Sequence[float]) -> tuple[list[float], list[float
 
 
 def _settle_all(mech: Mechanism, s: Sequence[float]) -> tuple[list[float], list[float]]:
-    """:func:`settle` in one numpy pass over the live subsets, every float as the loop makes it."""
-    table, prob = mech.selection._live_table
+    """:func:`settle` in one numpy pass over the live table, every float as the loop makes it."""
+    _, table, prob, _ = mech.selection._live_table
     bids = np.array(s[: mech.theta], dtype=float)
     # A stable descending rank of all theta bids orders every subset as settle_round does:
     # of two equal bids the better first-round position, listed first in a subset, ranks higher.

@@ -165,11 +165,8 @@ def _n11_terms(Y: ExclusionY) -> tuple[float, float, float]:
 
 
 def _require_admissible(Y: ExclusionY) -> None:
-    t = Y.theta
     if not Y.ordered:
         raise ValueError(f"exclusion vector must be strictly ordered: {Y.y_vec}")
-    if not (Y.y_vec[t - 2] < 1 / (t - 1) and Y.y_vec[t - 1] < 1 / t):
-        raise ValueError(f"exclusion tail bounds violated: {Y.y_vec}")
 
 
 def n11_classify(
@@ -269,16 +266,14 @@ def n11_construct_better_Y(
     * risky order an equilibrium: D' > rm S';
     * risky revenue above truthful: S' > S (v2-v3)/(v1-v3);
     * Y'_theta >= 0: D' <= A';
-    * head above Y'_{theta-1}: A' + D' < 2 S'/(theta-2);
-    * tail bounds: A' + D' < 2/(theta-1) and A' - D' < 2/theta.
+    * head above Y'_{theta-1}: A' + D' < 2 S'/(theta-2).
 
     Eliminating D' leaves one interval for S', below 1/(1+rm) and above
-    S (v2-v3)/(v1-v3), (theta-2)/(2+(theta-2)(1-rm)),
-    (theta-3)/((theta-1)(1-rm)), (theta-2)/theta and 1-1/theta-1/(theta-1).
-    All four lie below 1/(1+rm) exactly when rm < 1/(theta-2), so a
-    better Y' exists iff rm < 1/(theta-2), unless the tail mass of Y is so
-    small (about 1e-6) that the revenue bound closes the interval.  Y' takes
-    the midpoint of the S' interval, then the midpoint of the D' interval.
+    S (v2-v3)/(v1-v3) and (theta-2)/(2+(theta-2)(1-rm)).  The second lies
+    below 1/(1+rm) exactly when rm < 1/(theta-2), so a better Y' exists iff
+    rm < 1/(theta-2), unless the tail mass of Y is so small (about 1e-6) that
+    the revenue bound closes the interval.  Y' takes the midpoint of the S'
+    interval, then the midpoint of the D' interval.
     Raises :class:`ConstructionFailure` with a certificate otherwise.
     """
     if not v1 >= v2 >= v3 > 0:
@@ -298,18 +293,12 @@ def n11_construct_better_Y(
             "every ordered exclusion vector has tail-gap ratio below 1/(theta-2), so "
             "no risky-supporting Y' exists for these valuations"
         )
-    S_lo = max(
-        S * (v2 - v3) / (v1 - v3),
-        (theta - 2) / (2 + (theta - 2) * (1 - rm)),
-        (theta - 3) / ((theta - 1) * (1 - rm)),
-        (theta - 2) / theta,
-        1 - 1 / theta - 1 / (theta - 1),
-    )
+    S_lo = max(S * (v2 - v3) / (v1 - v3), (theta - 2) / (2 + (theta - 2) * (1 - rm)))
     S_hi = 1 / (1 + rm)
     Sp = (S_lo + S_hi) / 2
     Ap = 1 - Sp
-    D_lo = max(rm * Sp, Ap - 2 / theta)
-    D_hi = min(Ap, 2 * Sp / (theta - 2) - Ap, 2 / (theta - 1) - Ap)
+    D_lo = rm * Sp
+    D_hi = min(Ap, 2 * Sp / (theta - 2) - Ap)
     if not (S_lo < S_hi and D_lo < D_hi):
         raise ConstructionFailure(
             f"no admissible Y' earning more for v={(v1, v2, v3)}, Y={Y.y_vec}: head mass "

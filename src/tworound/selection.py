@@ -103,20 +103,16 @@ class SelectionDistribution:
         return list(self.probs.keys())
 
     @cached_property
-    def _sampling_table(self) -> tuple[list[tuple[int, ...]], list[float]]:
-        """Subsets and their CDF, built on the first draw exactly as ``Generator.choice`` builds it."""
-        subsets = self.subsets()
-        weights = np.fromiter((self.probs[s] for s in subsets), dtype=float, count=len(subsets))
-        cdf = (weights / weights.sum()).cumsum()
-        cdf /= cdf[-1]
-        return subsets, cdf.tolist()
-
-    @cached_property
-    def _live_table(self) -> tuple[np.ndarray, np.ndarray]:
-        """The subsets of nonzero probability as a (C, alpha) array of 0-based positions, and
-        their probabilities, in lexicographic order: what ``engine.settle`` prices in one pass."""
-        live = [(s, p) for s, p in self.probs.items() if p != 0.0]
-        return np.array([s for s, _ in live], dtype=np.intp) - 1, np.array([p for _, p in live])
+    def _live_table(self) -> tuple[list, np.ndarray, np.ndarray, list[float]]:
+        """The live (nonzero-probability) subsets that every settlement, marginal and draw reads,
+        built on first use: ``(subset, p)`` pairs in lexicographic order, the same subsets as a
+        (C, alpha) array of 0-based positions, their probabilities, and the sampling CDF.  The CDF
+        divides by the sum of all C weights: zero weights add exact zeros to a cumulative sum, so
+        it is ``Generator.choice``'s CDF at the live indices."""
+        pairs = [(s, p) for s, p in self.probs.items() if p != 0.0]
+        prob = np.array([p for _, p in pairs])
+        cdf = (prob / np.fromiter(self.probs.values(), float, len(self.probs)).sum()).cumsum()
+        return pairs, np.array([s for s, _ in pairs], np.intp) - 1, prob, (cdf / cdf[-1]).tolist()
 
     def to_json_dict(self) -> dict:
         return {
@@ -151,14 +147,12 @@ class SelectionDistribution:
 def marginal_probabilities(dist: SelectionDistribution) -> np.ndarray:
     """Marginal advancement probability per first-round position.
 
-    y[i-1] = P(position i advances) = sum of subset probabilities over subsets
-    containing i.  The marginals always satisfy sum(y) == alpha.
+    y[i-1] = P(position i advances) = sum of subset probabilities over the live subsets
+    containing i, added subset by subset in lexicographic order.  The marginals always satisfy
+    sum(y) == alpha.
     """
-    y = np.zeros(dist.theta)
-    for subset, p in dist.probs.items():
-        for i in subset:
-            y[i - 1] += p
-    return y
+    _, table, prob, _ = dist._live_table
+    return np.bincount(table.ravel(), np.repeat(prob, dist.alpha), dist.theta)
 
 
 @dataclass(frozen=True)
@@ -238,9 +232,9 @@ def from_exclusion_Y(y: ExclusionY) -> SelectionDistribution:
 def sample_subset(dist: SelectionDistribution, rng: np.random.Generator) -> tuple[int, ...]:
     """Draw one advancing subset according to the joint distribution, in O(log C).
 
-    One ``rng.random()`` and a right bisection of the cached CDF: the draw and the generator's
-    stream position are those of ``rng.choice(C, p=...)`` with the normalized weights.
+    One ``rng.random()`` and a right bisection of the cached CDF over the live subsets: the draw
+    and the generator's stream position are those of ``rng.choice(C, p=...)`` with the normalized
+    weights, which never lands on a zero-probability subset.
     """
-    subsets, cdf = dist._sampling_table
-    return subsets[bisect_right(cdf, rng.random())]
-
+    pairs, _, _, cdf = dist._live_table
+    return pairs[bisect_right(cdf, rng.random())][0]

@@ -67,6 +67,21 @@ class TestCheckDsic:
             beta = int(rng.integers(1, theta + 1))
             assert check_dsic(make_all_advance_mechanism(rng, theta, beta)).is_dsic
 
+    def test_verdict_holds_at_n_theta_and_for_beta_below_alpha(self):
+        # With beta = alpha the rank-alpha winner pays nothing, so past n = theta a bidder
+        # outside the top theta gains by overbidding into it; with beta = 1 no witness exists.
+        for theta, alpha, gain in ((3, 2, 0.1333), (4, 2, 0.1)):
+            for x in ((0.6, 0.4), (1.0, 0.0)):
+                sel = SelectionDistribution.uniform(theta, alpha)
+                m = Mechanism(theta, alpha, sel, AllocationRule(x))
+                assert check_dsic(m).is_dsic and find_deviation(m, GRID) is None
+                for n in (theta + 1, theta + 2):
+                    w = find_deviation(m, GRID, n)
+                    if m.beta < alpha:
+                        assert w is None
+                    else:
+                        assert round(verify_witness(m, w, n), 4) == round(w.gain, 4) == gain
+
     def test_verdict_serializes(self):
         doc = check_dsic(mech_from_q((0.4, 0.3, 0.2, 0.1))).to_json_dict()
         assert doc == {"is_dsic": False, "violated_condition": "condition-2"}

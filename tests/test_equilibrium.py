@@ -289,13 +289,15 @@ class TestN11Classify:
         with pytest.raises(ValueError):
             n11_classify(*V_EX, ExclusionY((0.25, 0.6, 0.15)))
 
-    def test_tail_bounds_reject_an_ordered_y_summing_just_above_one(self):
-        # ExclusionY keeps a sum within NORMALIZE_ATOL of 1 as given, so a strictly ordered
-        # vector can still carry Y_{theta-1} >= 1/(theta-1): the tail bounds decide this case.
-        y = ExclusionY((0.5000000005, 0.5000000003, 1e-10))
-        assert y.ordered and sum(y.y_vec) != 1.0
-        with pytest.raises(ValueError, match="exclusion tail bounds violated"):
-            n11_classify(*V_EX, y)
+    def test_strictly_ordered_y_at_the_float_edge_classifies(self):
+        # Each vector is strictly ordered with Y_{theta-1} >= 1/(theta-1): the first sums to
+        # just above 1 (ExclusionY keeps a sum within NORMALIZE_ATOL as given), the second to
+        # exactly 1.0.  Over the reals strict order and a unit sum keep the tail below those
+        # bounds, so no bound of its own rejects them.
+        for y_vec in ((0.5000000005, 0.5000000003, 1e-10), (0.5 + 2**-53, 0.5, 0.0)):
+            assert ExclusionY(y_vec).ordered
+            c = n11_classify(*V_EX, ExclusionY(y_vec))
+            assert c.risky_ne and not (c.truthful_ne or c.indeterminate)
 
 
 class TestN11Revenue:

@@ -18,6 +18,15 @@ from tworound.selection import (
 )
 
 
+def sparse_distribution(rng, theta, alpha):
+    """A random distribution in which about half of the subsets have probability zero."""
+    subsets = enumerate_subsets(theta, alpha)
+    raw = rng.random(len(subsets))
+    raw[rng.random(len(subsets)) < 0.5] = 0.0
+    raw[rng.integers(len(subsets))] += 0.5
+    return SelectionDistribution(theta, alpha, dict(zip(subsets, (raw / raw.sum()).tolist())))
+
+
 class TestEnumerateSubsets:
     def test_pairs_of_three(self):
         assert enumerate_subsets(3, 2) == [(1, 2), (1, 3), (2, 3)]
@@ -109,6 +118,18 @@ class TestMarginals:
         d = SelectionDistribution(theta, alpha, {s: w / total for s, w in zip(subsets, raw)})
         assert marginal_probabilities(d).sum() == pytest.approx(alpha, abs=1e-9)
 
+    def test_equal_to_the_per_subset_loop_bit_for_bit(self):
+        # The reference adds every subset's probability, zeros included, in lexicographic order.
+        rng = np.random.default_rng(7)
+        for _ in range(200):
+            theta = int(rng.integers(1, 9))
+            d = sparse_distribution(rng, theta, int(rng.integers(1, theta + 1)))
+            y = np.zeros(theta)
+            for subset, p in d.probs.items():
+                for i in subset:
+                    y[i - 1] += p
+            assert marginal_probabilities(d).tobytes() == y.tobytes()
+
 
 class TestExclusionIndexing:
     def test_three_candidate_mapping(self):
@@ -182,5 +203,30 @@ class TestSampling:
             weights = np.array([d.probs[s] for s in d.subsets()])
             expected.append(d.subsets()[ref_rng.choice(len(subsets), p=weights / weights.sum())])
         assert [sample_subset(d, rng) for _ in range(50)] == expected
-        assert d._sampling_table is d._sampling_table
+        assert d._live_table is d._live_table
+
+    def test_cdf_is_generator_choice_at_the_live_subsets(self):
+        # Zero weights add exact zeros to the cumulative sum Generator.choice builds over all C
+        # weights, so the table's CDF is that CDF at the live indices.  At C >= 9 numpy's
+        # pairwise sum groups the live weights alone differently, so normalising by their sum
+        # would change some of these CDFs.
+        rng = np.random.default_rng(20261019)
+        for _ in range(300):
+            theta = int(rng.integers(5, 11))
+            alpha = int(rng.integers(2, theta - 1))
+            d = sparse_distribution(rng, theta, alpha)
+            subsets = d.subsets()
+            weights = np.array(list(d.probs.values()))
+            p = weights / weights.sum()
+            cdf = p.cumsum()
+            cdf /= cdf[-1]
+            pairs, _, _, table_cdf = d._live_table
+            assert len(subsets) >= 9 and 0 < len(pairs) < len(subsets)
+            assert pairs == [(s, w) for s, w in d.probs.items() if w > 0]
+            assert [c.hex() for c in table_cdf] == [c.hex() for c in cdf[weights > 0]]
+            seed = int(rng.integers(2**32))
+            ref_rng, draw_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            draws = [sample_subset(d, draw_rng) for _ in range(40)]
+            assert draws == [subsets[ref_rng.choice(len(subsets), p=p)] for _ in range(40)]
+            assert all(d.probs[s] > 0 for s in draws)
 
