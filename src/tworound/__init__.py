@@ -42,5 +42,6 @@ from .experiments import (
     run_theta_experiment,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# The imported classes and functions, not the submodules that importing them binds here.
+__all__ = [name for name in dir() if not name.startswith("_") and callable(globals()[name])]
 __version__ = "0.1.0"

@@ -12,7 +12,8 @@ Two independent routes to the same question:
   deviation.  Each (b, s) puts the deviator in a rank slot (p, k): first-round
   position p, outranked by k others in round two.  A plan built once per
   mechanism lays out each slot's payment terms top-down, so that one
-  ``rank_payments`` call prices a chunk's slots over cached (grid, n) tables.
+  ``rank_payments`` call prices a chunk's slots over cached (grid, n) tables; priced on
+  n step profiles first, it may prove every gain at most ``GAIN_ATOL`` and skip the sweep.
   :func:`verify_witness` re-prices a witness through full bid profiles
   (``engine.expected_utility``), apart from the plan.
 """
@@ -22,7 +23,7 @@ from __future__ import annotations
 import functools
 import math
 from bisect import bisect_right
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from itertools import combinations_with_replacement, islice
 from typing import Sequence
 
@@ -79,7 +80,7 @@ class DsicVerdict:
     violated_condition: str | None  # None | "condition-1" | "condition-2"
 
     def to_json_dict(self) -> dict:
-        return asdict(self)
+        return {"is_dsic": self.is_dsic, "violated_condition": self.violated_condition}
 
 
 def check_dsic(mech: Mechanism) -> DsicVerdict:
@@ -155,6 +156,37 @@ def _grid_tables(grid: tuple[float, ...], n: int) -> tuple:
     return tuple(chunks)
 
 
+def _utilities(plan: tuple, bids: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """U[slot, v, profile] = v X[slot] - P[slot] at every value in ``g`` and column of ``bids``."""
+    X, slots, probs, order, coefs = plan
+    m = bids.shape[1]
+    # prob times each term's payment; the out array keeps the (term, profile) shape at alpha = 1
+    terms = np.multiply(probs, rank_payments(bids, order, coefs)[0], np.empty((len(slots), m)))
+    # P[slot, profile], flat; bincount adds the terms one at a time, in term order
+    P = np.bincount((slots[:, None] * m + np.arange(m)).ravel(), terms.ravel(), len(X) * m)
+    return X[:, None, None] * g[:, None] - P.reshape(len(X), 1, m)
+
+
+def _rays_gain_nothing(plan: tuple, n: int, top: float) -> bool:
+    """True only if no profile of values and bids in [0, top] gains over ``GAIN_ATOL``.
+
+    With v at position p0 of the sorted bids z (a tie in the cone its tie-break picks), a slot's
+    gain over the truthful slot (p0, p0 - 1) is linear in z; z sums the rays 1 on 1..j with weights
+    z_j - z_{j+1} >= 0 adding up to z_1 <= top, so no gain exceeds top max(c, 0), c the largest
+    over cones p0, rays j (v = [p0 <= j], j - v opponents at 1) and all slots.  Floats: K roundings
+    on a chain and W = max X + sum(prob sum|coef|) over slots put U and u_truth within K u top W
+    and c within 2 K u W, u = 2**-53; 8 K u (top W + GAIN_ATOL) covers all that.
+    """
+    X, slots, probs, order, coefs = plan
+    r = np.arange(n)
+    U = _utilities(plan, (r[:, None] < r) * 1.0, np.array([0.0, 1.0])).reshape(n * n, 2 * n)
+    ray = (r >= r[:, None]) * (n - 1) + r + 1  # [p0 - 1, j - 1]: column v n + m of U, m = j - v
+    gain = U.max(0)[ray] - U[r[:, None] * (n + 1), ray]  # the best slot over the truthful one
+    W = (abs(X) + np.bincount(slots, (probs * abs(coefs).sum(0)).ravel(), n * n)).max()
+    K = len(order) + len(slots) + 3
+    return top * max(gain.max(), 0.0) + 8 * K * 2**-53 * (top * W + GAIN_ATOL) <= GAIN_ATOL
+
+
 def find_deviation(
     mech: Mechanism, grid: Sequence[float], n: int | None = None
 ) -> DeviationWitness | None:
@@ -166,8 +198,9 @@ def find_deviation(
     order: opponent profiles in ``combinations_with_replacement`` order over
     the descending grid, then v, b and s ascending.
 
-    Chunks are scanned over (slot, v, profile), n^2 rank slots per (profile, v)
-    instead of a cell per (b, s); slots that no s >= b reaches are masked out.
+    Chunks are scanned over (slot, v, profile), n^2 rank slots per (profile, v) instead of a
+    cell per (b, s); slots that no s >= b reaches are masked out.  No chunk is scanned when
+    :func:`_rays_gain_nothing` proves that no profile gains.
     """
     grid = sorted(float(g) for g in grid)
     if not grid:
@@ -184,16 +217,13 @@ def find_deviation(
     if n < mech.theta:
         raise ResourceLimitError(f"need n >= theta={mech.theta}")
 
+    chunks, plan = _grid_tables(tuple(grid), n), _rank_slot_plan(mech, n)
+    if len(chunks) > 1 and _rays_gain_nothing(plan, n, grid[-1]):
+        return None
     g = np.array(grid)
-    X, slots, probs, order, coefs = _rank_slot_plan(mech, n)
-    for opp, bids, p1, reached in _grid_tables(tuple(grid), n):
-        m = len(opp)
-        # prob times each term's payment; the out array keeps the (term, profile) shape at alpha = 1
-        terms = np.multiply(probs, rank_payments(bids, order, coefs)[0], np.empty((len(slots), m)))
-        P = np.zeros(n * n * m)  # [slot, profile], flat for add.at's fast path; in term order
-        np.add.at(P, (slots[:, None] * m + np.arange(m)).ravel(), terms.ravel())
-        U = X[:, None, None] * g[:, None] - P.reshape(n * n, 1, m)  # [slot, v, profile]
-        u_truth = U[p1 * (n + 1), np.arange(len(g))[:, None], np.arange(m)]  # b = s = v
+    for opp, bids, p1, reached in chunks:
+        U = _utilities(plan, bids, g)  # [slot, v, profile]
+        u_truth = U[p1 * (n + 1), np.arange(len(g))[:, None], np.arange(len(opp))]  # b = s = v
         hits = (U > u_truth + GAIN_ATOL) & reached[:, None]
         if hits.any():
             i, v = divmod(hits.any(0).T.argmax(), len(g))  # the first (profile, v) with a hit

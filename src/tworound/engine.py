@@ -14,14 +14,14 @@ subset's bids, and none of the caches reads the generator, so a run on a
 reused profile draws the same subset and winner from the same stream position.
 
 :func:`settle` is the one function that computes each position's expected allocation X
-and payment P, and it picks its method by size.  Both methods read the selection
-distribution's one table of live (nonzero-probability) subsets, whose CDF sampled runs
-draw from.  A mechanism with at least ``_NUMPY_MIN_SUBSETS`` subsets is priced in one
-numpy pass over the table's (C, alpha) position array: one stable ranking of the theta
+and payment P, and it picks its method by the number of live (nonzero-probability)
+subsets in the selection distribution's one table, whose CDF sampled runs draw from.
+With at least ``_NUMPY_MIN_SUBSETS`` of them, one numpy pass reads the table's arrays,
+which the distribution builds on the pass's first call: one stable ranking of the theta
 bids orders every subset, ``rank_payments`` prices them all from one row of bids per
 rank, and ``bincount`` adds the terms in the loop's (subset, rank) order, so X and P keep
-every bit.  Smaller mechanisms loop over the table's (subset, p) pairs through
-``settle_round``, faster there (see the constant).
+every bit.  Fewer live subsets are settled one by one from the table's (subset, p) pairs
+through ``settle_round``, faster there (see the constant).
 :func:`place`, :func:`expected_utility`, :func:`expected_revenue` and
 :func:`evaluate` read X and P from it; ``evaluate`` settles every subset once
 more only for its outcome table.
@@ -41,11 +41,11 @@ from .secondround import AllocationRule, rank_payments, settle_round
 from .selection import SelectionDistribution, is_finite_number, sample_subset
 
 UTILITY_ATOL = 1e-9
-# settle prices a mechanism with at least this many subsets in one numpy pass.  One settle
-# call, loop vs numpy, in microseconds (Python 3.11, numpy 2.4, 2-core Xeon): C = 3: 9 vs 19;
-# C = 6: 16-27 vs 21-26; C = 9: 52 vs 47; C = 10: 39-42 vs 28-33; C = 15: 38-62 vs 22;
-# C = 495: 2,761 vs 115; C = 3,432: 17,219 vs 527.  The pass has a fixed cost of about 20 us
-# and a subset costs the loop 3-5 us, so below 10 subsets the loop wins or the two tie.
+# settle prices a mechanism with at least this many live subsets in one numpy pass.  One settle
+# call with all C subsets live, loop vs numpy, in microseconds (Python 3.11, numpy 2.4, 2-core
+# Xeon): C = 3: 9 vs 19; C = 6: 16-27 vs 21-26; C = 9: 52 vs 47; C = 10: 39-42 vs 28-33;
+# C = 15: 38-62 vs 22; C = 495: 2,761 vs 115; C = 3,432: 17,219 vs 527.  The pass has a fixed
+# cost of about 20 us and a subset costs the loop 3-5 us, so below 10 the loop wins or they tie.
 _NUMPY_MIN_SUBSETS = 10
 
 
@@ -180,7 +180,7 @@ def settle(mech: Mechanism, s: Sequence[float]) -> tuple[list[float], list[float
     """
     if len(s) < mech.theta:
         raise ConfigurationError(f"need theta={mech.theta} second-round bids, got {len(s)}")
-    if len(mech.selection.probs) >= _NUMPY_MIN_SUBSETS:
+    if len(mech.selection._live_table[0]) >= _NUMPY_MIN_SUBSETS:
         return _settle_all(mech, s)
     alloc, beta = mech.allocation.x, mech.beta
     X, P = [0.0] * mech.theta, [0.0] * mech.theta
@@ -195,7 +195,7 @@ def settle(mech: Mechanism, s: Sequence[float]) -> tuple[list[float], list[float
 
 def _settle_all(mech: Mechanism, s: Sequence[float]) -> tuple[list[float], list[float]]:
     """:func:`settle` in one numpy pass over the live table, every float as the loop makes it."""
-    _, table, prob, _ = mech.selection._live_table
+    table, prob = mech.selection._live_arrays
     bids = np.array(s[: mech.theta], dtype=float)
     # A stable descending rank of all theta bids orders every subset as settle_round does:
     # of two equal bids the better first-round position, listed first in a subset, ranks higher.

@@ -15,8 +15,9 @@ import sys
 from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass, field
-from functools import cached_property
-from itertools import combinations
+from functools import cached_property, reduce
+from itertools import accumulate, combinations
+from operator import add
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -32,6 +33,15 @@ class SelectionError(ValueError):
 def is_finite_number(v) -> bool:
     """A JSON number a float holds finitely: not a bool, NaN, an infinity or too large an integer."""
     return isinstance(v, (int, float)) and not isinstance(v, bool) and abs(v) <= sys.float_info.max
+
+
+def _pairwise_sum(a: list[float]) -> float:
+    """``np.sum`` of ``a`` as a float64 array, bit for bit: numpy's pairwise summation."""
+    n, head = len(a), len(a) - len(a) % 8
+    if n > 128:  # split at half the length, rounded down to a multiple of 8
+        return _pairwise_sum(a[: n // 16 * 8]) + _pairwise_sum(a[n // 16 * 8 :])
+    r = [reduce(add, a[j:head:8]) for j in range(8)] if head else [0.0] * 8
+    return reduce(add, a[head:], ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7])))
 
 
 def enumerate_subsets(theta: int, alpha: int) -> list[tuple[int, ...]]:
@@ -103,16 +113,22 @@ class SelectionDistribution:
         return list(self.probs.keys())
 
     @cached_property
-    def _live_table(self) -> tuple[list, np.ndarray, np.ndarray, list[float]]:
+    def _live_table(self) -> tuple[list, tuple, tuple, list[float]]:
         """The live (nonzero-probability) subsets that every settlement, marginal and draw reads,
-        built on first use: ``(subset, p)`` pairs in lexicographic order, the same subsets as a
-        (C, alpha) array of 0-based positions, their probabilities, and the sampling CDF.  The CDF
-        divides by the sum of all C weights: zero weights add exact zeros to a cumulative sum, so
-        it is ``Generator.choice``'s CDF at the live indices."""
+        built in Python on first use: ``(subset, p)`` pairs in lexicographic order, the subsets
+        and the probabilities, and the sampling CDF.  That divides by ``np.sum`` of all C weights:
+        zero weights add exact zeros to a cumulative sum, so it is ``Generator.choice``'s CDF at
+        the live indices.  Only ``engine._settle_all`` reads numpy arrays, :attr:`_live_arrays`."""
         pairs = [(s, p) for s, p in self.probs.items() if p != 0.0]
-        prob = np.array([p for _, p in pairs])
-        cdf = (prob / np.fromiter(self.probs.values(), float, len(self.probs)).sum()).cumsum()
-        return pairs, np.array([s for s, _ in pairs], np.intp) - 1, prob, (cdf / cdf[-1]).tolist()
+        subsets, prob = zip(*pairs)
+        total = _pairwise_sum(list(self.probs.values()))
+        cdf = list(accumulate(p / total for p in prob))
+        return pairs, subsets, prob, [c / cdf[-1] for c in cdf]
+
+    @cached_property
+    def _live_arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """The live subsets as a (C, alpha) array of 0-based positions, and their probabilities."""
+        return np.array(self._live_table[1], np.intp) - 1, np.array(self._live_table[2])
 
     def to_json_dict(self) -> dict:
         return {
@@ -151,8 +167,11 @@ def marginal_probabilities(dist: SelectionDistribution) -> np.ndarray:
     containing i, added subset by subset in lexicographic order.  The marginals always satisfy
     sum(y) == alpha.
     """
-    _, table, prob, _ = dist._live_table
-    return np.bincount(table.ravel(), np.repeat(prob, dist.alpha), dist.theta)
+    y = [0.0] * dist.theta
+    for subset, p in dist._live_table[0]:
+        for i in subset:
+            y[i - 1] += p
+    return np.array(y)
 
 
 @dataclass(frozen=True)
@@ -207,26 +226,15 @@ def to_exclusion_Y(dist: SelectionDistribution) -> ExclusionY:
     """Re-index an alpha = theta - 1 distribution by excluded position."""
     if dist.alpha != dist.theta - 1:
         raise SelectionError(
-            f"exclusion indexing needs alpha = theta - 1, got "
-            f"theta={dist.theta} alpha={dist.alpha}"
+            f"exclusion indexing needs alpha = theta - 1, got theta={dist.theta} alpha={dist.alpha}"
         )
-    theta = dist.theta
-    all_positions = set(range(1, theta + 1))
-    y = [0.0] * theta
-    for subset, p in dist.probs.items():
-        (excluded,) = all_positions - set(subset)
-        y[theta - excluded] = p  # 0-based slot for Y_{theta - excluded + 1}
-    return ExclusionY(tuple(y))
+    return ExclusionY(tuple(dist.probs.values()))  # lexicographic: excluding theta, ..., 1
 
 
 def from_exclusion_Y(y: ExclusionY) -> SelectionDistribution:
     """Inverse of :func:`to_exclusion_Y`; exact round-trip."""
-    theta = y.theta
-    probs = {}
-    for excluded in range(1, theta + 1):
-        subset = tuple(i for i in range(1, theta + 1) if i != excluded)
-        probs[subset] = y.excluding(excluded)
-    return SelectionDistribution(theta, theta - 1, probs)
+    subsets = enumerate_subsets(y.theta, y.theta - 1)[::-1]  # excluding 1 first, as __post_init__ sums
+    return SelectionDistribution(y.theta, y.theta - 1, dict(zip(subsets, y.y_vec[::-1])))
 
 
 def sample_subset(dist: SelectionDistribution, rng: np.random.Generator) -> tuple[int, ...]:

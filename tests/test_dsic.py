@@ -14,6 +14,7 @@ from conftest import (
     make_non_dsic_mechanism,
     random_allocation,
 )
+from tworound import dsic
 from tworound.dsic import (
     CHUNK_PROFILES,
     GAIN_ATOL,
@@ -85,6 +86,10 @@ class TestCheckDsic:
     def test_verdict_serializes(self):
         doc = check_dsic(mech_from_q((0.4, 0.3, 0.2, 0.1))).to_json_dict()
         assert doc == {"is_dsic": False, "violated_condition": "condition-2"}
+
+    def test_verdict_keys_keep_the_field_order(self):
+        for q in ((0.4, 0.3, 0.2, 0.1), (0.2, 0.2, 0.2, 0.4)):
+            assert list(check_dsic(mech_from_q(q)).to_json_dict()) == ["is_dsic", "violated_condition"]
 
 
 class TestFindDeviation:
@@ -447,3 +452,81 @@ class TestGridTables:
         assert info.currsize == maxsize
         assert info.misses > 2 * len(keys)
         assert info.hits > 0
+
+
+class TestRayCertificate:
+    """The ray certificate only ends searches the sweep finds no witness in, so no result moves."""
+
+    @staticmethod
+    def _sweep(monkeypatch, mech, grid, n):
+        """``find_deviation`` with the certificate switched off: the full sweep decides."""
+        with monkeypatch.context() as patch:
+            patch.setattr(dsic, "_rays_gain_nothing", lambda *args: False)
+            return find_deviation(mech, grid, n=n)
+
+    @staticmethod
+    def _fires(mech, grid, n):
+        return dsic._rays_gain_nothing(dsic._rank_slot_plan(mech, n), n, float(max(grid)))
+
+    def test_the_certificate_never_changes_a_result(self, monkeypatch):
+        # alpha = theta - 1 selections near uniform, with e moved between two subsets: from far
+        # inside GAIN_ATOL to violations any grid shows, through the band where the grid misses.
+        rng = np.random.default_rng(20261021)
+        seen = {"fired": 0, "declined, witness": 0, "declined, none": 0}
+        for trial in range(600):
+            theta = int(rng.integers(2, 5))
+            n = int(rng.integers(theta, 7))
+            probs = np.full(theta, 1.0 / theta)
+            e = 10 ** rng.uniform(-13, -1)
+            i, j = rng.choice(theta, size=2, replace=False)
+            probs[i] += e
+            probs[j] -= e
+            subsets = enumerate_subsets(theta, theta - 1)
+            sel = SelectionDistribution(theta, theta - 1, dict(zip(subsets, probs.tolist())))
+            x = random_allocation(rng, theta - 1, int(rng.integers(1, theta)))
+            mech = Mechanism(theta, theta - 1, sel, x)
+            if trial % 3 == 0:
+                grid = GRID
+            else:  # random grids, up to 1e6 on every third trial
+                top = 9.0 if trial % 3 == 1 else 10 ** rng.uniform(0, 6)
+                grid = rng.uniform(0, top, size=int(rng.integers(4, 10))).tolist()
+            got = find_deviation(mech, grid, n=n)
+            want = self._sweep(monkeypatch, mech, grid, n)
+            assert repr(got) == repr(want), (mech, grid, n)
+            if len(_grid_tables(tuple(sorted(map(float, grid))), n)) > 1:  # where the certificate runs
+                if self._fires(mech, grid, n):
+                    assert want is None
+                    seen["fired"] += 1
+                else:
+                    seen["declined, witness" if want else "declined, none"] += 1
+        assert min(seen.values()) >= 20, seen
+
+    def test_criterion_2_mix(self, monkeypatch):
+        # Criterion 2's mechanisms, drawn as it draws them: the certificate fires on every DSIC and
+        # all-advance one whose sweep has more than one chunk, and never where a witness exists.
+        rng = np.random.default_rng(20240702)
+        seen = {"fired": 0, "witness": 0}
+        for total in range(200):
+            theta = int(rng.integers(2, 5))
+            beta = int(rng.integers(1, theta))
+            kind = total % 5
+            if kind in (0, 1):
+                mech = make_dsic_mechanism(rng, theta, beta)
+            elif kind in (2, 3):
+                mech = make_non_dsic_mechanism(rng, theta, beta)
+            else:
+                mech = make_all_advance_mechanism(rng, theta, int(rng.integers(1, theta + 1)))
+            if theta == 4 or mech.beta == mech.alpha:
+                n = theta
+            else:
+                n = int(rng.integers(theta, min(theta + 2, 7)))
+            witness = self._sweep(monkeypatch, mech, GRID, n)
+            fires = self._fires(mech, GRID, n)
+            assert (witness is not None) == (kind in (2, 3))
+            if witness is not None:
+                assert not fires
+                seen["witness"] += 1
+            elif len(_grid_tables(tuple(map(float, GRID)), n)) > 1:
+                assert fires, (mech, n)
+                seen["fired"] += 1
+        assert seen["fired"] >= 40 and seen["witness"] == 80, seen

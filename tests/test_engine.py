@@ -334,6 +334,30 @@ class TestSettlePaths:
         assert sum(X) == pytest.approx(1.0) and P[0] > P[-1] == 0.0
 
 
+class TestSettlePathChoice:
+    """settle picks its path by the number of live subsets, not by C."""
+
+    def test_few_live_subsets_take_the_loop_with_the_same_floats(self, monkeypatch):
+        rng = np.random.default_rng(20261021)
+        for theta, alpha in ((6, 3), (8, 4), (5, 2)):
+            subsets = enumerate_subsets(theta, alpha)
+            live = rng.choice(len(subsets), size=3, replace=False)
+            probs = dict.fromkeys(subsets, 0.0)
+            probs.update((subsets[i], p) for i, p in zip(live, (0.5, 0.3, 0.2)))
+            sel = SelectionDistribution(theta, alpha, probs)
+            m = Mechanism(theta, alpha, sel, random_allocation(rng, alpha, 2))
+            assert len(subsets) >= engine._NUMPY_MIN_SUBSETS > len(m.selection._live_table[0])
+            s = [float(v) for v in rng.choice([0.0, 1.0, 2.5, 4.0, 7.0], size=theta)]
+            with monkeypatch.context() as patch:
+                patch.setattr(engine, "_settle_all", None)  # the numpy pass would call it
+                X, P = settle(m, s)
+            assert "_live_arrays" not in m.selection.__dict__  # no numpy table was built
+            with monkeypatch.context() as patch:
+                patch.setattr(engine, "_NUMPY_MIN_SUBSETS", 0)
+                want = settle(m, s)
+            assert [v.hex() for v in X + P] == [v.hex() for v in want[0] + want[1]]
+
+
 class TestShortBidVectors:
     def test_settle_needs_theta_bids(self):
         m = n11_mech((0.6, 0.25, 0.15))

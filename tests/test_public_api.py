@@ -17,14 +17,10 @@ PUBLIC_NAMES = [
     "RankProfile",
     "SelectionDistribution",
     "check_dsic",
-    "dsic",
-    "engine",
     "enumerate_subsets",
-    "equilibrium",
     "evaluate",
     "expected_revenue",
     "expected_utility",
-    "experiments",
     "find_deviation",
     "from_exclusion_Y",
     "is_nash_equilibrium",
@@ -40,8 +36,6 @@ PUBLIC_NAMES = [
     "run_random_valuation_experiment",
     "run_theta_experiment",
     "sample_subset",
-    "secondround",
-    "selection",
     "settle_round",
     "simulate_run",
     "to_exclusion_Y",

@@ -6,6 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tworound.dsic import check_dsic, find_deviation
+from tworound.engine import Mechanism, settle
+from tworound.secondround import AllocationRule
 from tworound.selection import (
     ExclusionY,
     SelectionDistribution,
@@ -230,3 +233,43 @@ class TestSampling:
             assert draws == [subsets[ref_rng.choice(len(subsets), p=p)] for _ in range(40)]
             assert all(d.probs[s] > 0 for s in draws)
 
+
+
+class TestLiveTable:
+    """The live table is built in Python; only the numpy settlement pass builds numpy arrays."""
+
+    def test_python_marginals_and_cdf_equal_numpy_bit_for_bit(self):
+        # The numpy formulas the table used before: bincount over a position array, and the CDF
+        # of the live weights divided by np.sum of all C weights.  C runs from 10 to 3,432, past
+        # the 128 entries where numpy's pairwise sum splits in halves.
+        rng = np.random.default_rng(20261021)
+        for trial in range(150):
+            theta = int(rng.integers(5, 15)) if trial % 3 else 14
+            alpha = int(rng.integers(2, theta - 1))
+            d = sparse_distribution(rng, theta, alpha)
+            weights = np.array(list(d.probs.values()))
+            assert len(weights) >= 8 and (weights == 0.0).any()
+            table = np.array([s for s, w in d.probs.items() if w != 0.0], np.intp) - 1
+            prob = weights[weights != 0.0]
+            y = np.bincount(table.ravel(), np.repeat(prob, alpha), theta)
+            cdf = (prob / weights.sum()).cumsum()
+            assert marginal_probabilities(d).tobytes() == y.tobytes()
+            assert [c.hex() for c in d._live_table[3]] == [c.hex() for c in (cdf / cdf[-1])]
+            positions, live_prob = d._live_arrays
+            assert positions.tobytes() == table.tobytes() and live_prob.tobytes() == prob.tobytes()
+
+    def test_the_dsic_checks_build_no_numpy_table(self):
+        # Uniform (4, 3) at n = 5 is DSIC, so the ray certificate ends the search; the others sweep.
+        rng = np.random.default_rng(20261022)
+        for theta, alpha, x, n in ((4, 3, (1.0, 0.0, 0.0), 5), (3, 2, (0.6, 0.4), 4)):
+            for sel in (
+                SelectionDistribution.uniform(theta, alpha), sparse_distribution(rng, theta, alpha)
+            ):
+                m = Mechanism(theta, alpha, sel, AllocationRule(x))
+                check_dsic(m)
+                find_deviation(m, range(9), n)
+                assert "_live_arrays" not in sel.__dict__
+                assert not any(isinstance(part, np.ndarray) for part in sel._live_table)
+        m = Mechanism(6, 3, SelectionDistribution.uniform(6, 3), AllocationRule((0.7, 0.3, 0.0)))
+        settle(m, [6.0, 5.0, 4.0, 3.0, 2.0, 1.0])  # 20 live subsets: the numpy pass
+        assert "_live_arrays" in m.selection.__dict__
