@@ -153,11 +153,13 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_check_dsic(args) -> int:
+    if not args.oracle and (args.grid is not None or args.n is not None):
+        raise SchemaError("--grid and --n configure the deviation search; pass them with --oracle")
     mech = _load_mechanism(args.mechanism)
     verdict = check_dsic(mech)
     doc = verdict.to_json_dict()
     if args.oracle:
-        grid = _parse_grid(args.grid)
+        grid = _parse_grid("0:8:1" if args.grid is None else args.grid)
         try:
             witness = find_deviation(mech, grid, n=args.n)
         except ResourceLimitError as exc:
@@ -227,31 +229,21 @@ def _cmd_simulate(args) -> int:
 
 GAP_VALUATIONS = ((450, 350, 200), (450, 400, 200), (450, 425, 200), (450, 440, 200))
 THETA_VALUATION = (450, 400, 200)
+# Each table's harness in `experiments` (looked up by name per call), valuations and thetas.
+_TABLES = {
+    2: ("run_gap_experiment", GAP_VALUATIONS, (3,)),
+    3: ("run_theta_experiment", (THETA_VALUATION,), (3, 4, 5, 6)),
+    4: ("run_random_valuation_experiment", (), (3, 4, 5, 6)),
+}
 
 
 def _cmd_reproduce(args) -> int:
-    seed = _seed(args)
-    if args.table == 2:
-        config = experiments.ExperimentConfig(
-            valuations=GAP_VALUATIONS, thetas=(3,), draws=args.draws, seed=seed
-        )
-        run = experiments.run_gap_experiment
-    elif args.table == 3:
-        config = experiments.ExperimentConfig(
-            valuations=(THETA_VALUATION,),
-            thetas=(3, 4, 5, 6),
-            draws=args.draws,
-            seed=seed,
-        )
-        run = experiments.run_theta_experiment
-    else:
-        config = experiments.ExperimentConfig(
-            thetas=(3, 4, 5, 6),
-            draws=args.draws,
-            n_valuations=args.n_valuations,
-            seed=seed,
-        )
-        run = experiments.run_random_valuation_experiment
+    name, valuations, thetas = _TABLES[args.table]
+    # Every table checks --n-valuations, which only table 4 reads.
+    config = experiments.ExperimentConfig(
+        valuations, thetas, args.draws, args.n_valuations, seed=_seed(args)
+    )
+    run = getattr(experiments, name)
     # --out is opened before the experiment runs, so a bad path fails fast.
     try:
         with open(args.out, "w", newline="") if args.out else contextlib.nullcontext() as fh:
@@ -282,7 +274,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check-dsic", help="closed-form DSIC verdict, optional oracle")
     p.add_argument("--mechanism", required=True)
     p.add_argument("--oracle", action="store_true")
-    p.add_argument("--grid", default="0:8:1")
+    p.add_argument("--grid", default=None, help="oracle grid lo:hi:step (default 0:8:1)")
     p.add_argument("--n", type=int, default=None)
     p.set_defaults(func=_cmd_check_dsic)
 

@@ -190,11 +190,15 @@ def _rays_gain_nothing(plan: tuple, n: int, top: float) -> bool:
 def find_deviation(
     mech: Mechanism, grid: Sequence[float], n: int | None = None
 ) -> DeviationWitness | None:
-    """Exhaustive grid search for a profitable deviation; None if DSIC on grid.
+    """Exhaustive grid search for a profitable deviation; None if no grid profile gains.
 
     Values, truthful bids and deviating (b, s) pairs all range over ``grid``;
     the n-1 opponents bid identically in both rounds and sweep every multiset
-    of grid values.  Returns the first witness under a deterministic search
+    of grid values.  None is therefore not a DSIC proof: a deviation is seen only when the value,
+    both bids and every opponent bid lie on the grid.  With theta = 3, alpha = 2, x = (1, 0),
+    p(1,2) = 1/3, p(1,3) = 1/3 + 0.01 and p(2,3) = 1/3 - 0.01, condition 2 fails and value 7.9
+    gains 0.12467 with b = s = 8 against opponents (8, 0), yet ``range(9)`` gives None.
+    Returns the first witness under a deterministic search
     order: opponent profiles in ``combinations_with_replacement`` order over
     the descending grid, then v, b and s ascending.
 

@@ -181,7 +181,8 @@ def n11_classify(
     the truthful order is an equilibrium iff r > R, and the order with the
     second bidder overbidding to the top slot is an equilibrium iff r < R
     (some sufficiently large overbid b2' then always validates it; the
-    smallest grid multiple is reported as witness).
+    smallest grid multiple is reported as witness, or None when no double is
+    that large).  A gap ratio too large for a double is rejected.
     """
     if not v1 >= v2 >= v3 > 0:
         raise ValueError(f"need v1 >= v2 >= v3 > 0, got {(v1, v2, v3)}")
@@ -190,6 +191,8 @@ def n11_classify(
     _require_admissible(Y)
     S, A, D = _n11_terms(Y)
     r = (v1 - v2) / (v2 - v3)
+    if r == math.inf:
+        raise DegenerateRatioError(f"the gap ratio (v1-v2)/(v2-v3) overflows at {(v1, v2, v3)}")
     ratio = D / S
     scale = max(abs(r), abs(ratio), 1.0)
     if abs(r - ratio) <= EQ_ATOL * scale:
@@ -198,11 +201,13 @@ def n11_classify(
         return NEClassification("n11", True, False, False, None, r, ratio)
     # Risky order: b2' must satisfy (b2' - v1)/(v1 - v3) > ratio.
     min_over = v1 + ratio * (v1 - v3)
-    steps = math.floor(min_over / _WITNESS_STEP) + 1
-    b2 = steps * _WITNESS_STEP
+    steps = min_over / _WITNESS_STEP
+    b2 = (math.floor(steps) + 1) * _WITNESS_STEP if steps < math.inf else min_over
     while (b2 - v1) / (v1 - v3) <= ratio:
-        b2 += _WITNESS_STEP
-    return NEClassification("n11", False, True, False, b2, r, ratio)
+        # From 2**47 (about 1.4e14) up, b2 + 0.01 rounds back to b2; step one ulp there.
+        b2 = max(b2 + _WITNESS_STEP, math.nextafter(b2, math.inf))
+    witness = b2 if b2 < math.inf else None  # no double is a large enough overbid
+    return NEClassification("n11", False, True, False, witness, r, ratio)
 
 
 def n11_revenue(kind: str, v1: float, v2: float, v3: float, Y: ExclusionY) -> float:

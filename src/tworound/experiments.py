@@ -28,8 +28,9 @@ normalizing first, sorting each row and summing the sorted rows with numpy:
   network runs does not show in the output;
 * both sums, the raw row sum and S = Y_1 + ... + Y_{theta-2} (largest entry
   first), add their terms in the order numpy's row reduction uses
-  (:func:`_row_sum`); adding S from the smallest entry up changes last bits
-  from theta = 5 on;
+  (:func:`tworound.selection._pairwise_sum` over columns, the same function
+  that sums the sampling CDF's weights); adding S from the smallest entry up
+  changes last bits from theta = 5 on;
 * division by the same positive sum is monotone, so ``sorted(w) / s`` and
   ``sorted(w / s)`` hold the same doubles in the same order;
 * with the columns sorted, min(Y_1..Y_{theta-3}) > Y_{theta-1} follows from
@@ -39,7 +40,8 @@ Each chunk's revenues are compressed straight into one buffer per class, so
 a row keeps only its class revenues, in draw order.  Those are the doubles a
 full-batch ``rev[mask]`` would select, in the same order, so the class means
 (numpy's pairwise sum over a contiguous array) and maxima come out the same
-bits.  The harnesses build each row from the kernel's result at once, which
+bits.  Every row, table 4's included, is built by :func:`_class_row`; gap and
+theta rows are built from the kernel's result at once (:func:`_sweep`), which
 frees one row's buffers before the next row draws.  The tests keep the
 sort-based implementation as the reference and compare bit for bit.
 """
@@ -56,6 +58,7 @@ from typing import Sequence, TextIO
 import numpy as np
 
 from .equilibrium import DegenerateRatioError
+from .selection import _pairwise_sum
 
 logger = logging.getLogger(__name__)
 
@@ -132,34 +135,6 @@ class ExperimentRow:
         return 100.0 * (self.risky_avg_rev - self.truthful_avg_rev) / self.truthful_avg_rev
 
 
-def _row_sum(cols: list[np.ndarray]) -> np.ndarray:
-    """Elementwise sum of ``cols`` in numpy's pairwise order for one row.
-
-    ``a.sum(axis=1)`` on a (rows, k) array adds each row's k entries left to
-    right when k < 8, and otherwise in eight interleaved partial sums (split
-    in halves above 128 entries); repeating that order over whole columns
-    gives the same bits.  The tests compare the result with numpy's own sum.
-    """
-    k = len(cols)
-    if k < 8:
-        out = cols[0].copy()
-        for col in cols[1:]:
-            out += col
-        return out
-    if k > 128:
-        half = k // 2 - (k // 2) % 8
-        return _row_sum(cols[:half]) + _row_sum(cols[half:])
-    stop = k - k % 8
-    r = [col.copy() for col in cols[:8]]
-    for i in range(8, stop, 8):
-        for j in range(8):
-            r[j] += cols[i + j]
-    out = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
-    for col in cols[stop:]:
-        out += col
-    return out
-
-
 @functools.cache
 def _sort_network(n: int) -> tuple[tuple[int, int], ...]:
     """Batcher's odd-even merge sort on ``n`` wires as comparators (i, j), i < j.
@@ -208,7 +183,7 @@ def _classify_draws(
         # order (as w.sum(axis=1) would) before the network sorts the columns
         # ascending.
         cols = list(np.ascontiguousarray(rng.random((stop - start, theta)).T))
-        total = _row_sum(cols)
+        total = _pairwise_sum(cols)
         spare = np.empty_like(total)
         for i, j in network:
             lo, hi = cols[i], cols[j]
@@ -218,7 +193,7 @@ def _classify_draws(
         for col in cols:
             np.divide(col, total, out=col)
         y_last, y_pen = cols[0], cols[1]
-        S = _row_sum(cols[:1:-1])
+        S = _pairwise_sum(cols[:1:-1])
         A = y_pen + y_last
         ratio = (y_pen - y_last) / S
         ordered = (cols[2] > y_pen) & (y_pen > y_last)
@@ -262,16 +237,22 @@ def _class_row(
     )
 
 
+def _sweep(config: ExperimentConfig, cells) -> list[ExperimentRow]:
+    """One row per ``(experiment_id, v, theta)`` cell, in order, all drawn from one generator."""
+    rng = np.random.default_rng(config.seed)
+    return [
+        _class_row(eid, v, theta, *_classify_draws(rng, theta, config.draws, v))
+        for eid, v, theta in cells
+    ]
+
+
 def run_gap_experiment(config: ExperimentConfig) -> list[ExperimentRow]:
     """Sweep valuation triples at fixed theta (default 3)."""
     if not config.valuations:
         raise ValueError("gap experiment needs a list of valuation triples")
     theta = config.thetas[0]
-    rng = np.random.default_rng(config.seed)
-    return [
-        _class_row(f"gap-{idx}", v, theta, *_classify_draws(rng, theta, config.draws, v))
-        for idx, v in enumerate(config.valuations, start=1)
-    ]
+    cells = ((f"gap-{idx}", v, theta) for idx, v in enumerate(config.valuations, start=1))
+    return _sweep(config, cells)
 
 
 def run_theta_experiment(config: ExperimentConfig) -> list[ExperimentRow]:
@@ -279,11 +260,8 @@ def run_theta_experiment(config: ExperimentConfig) -> list[ExperimentRow]:
     if len(config.valuations) != 1:
         raise ValueError("theta experiment needs exactly one valuation triple")
     v = config.valuations[0]
-    rng = np.random.default_rng(config.seed)
-    return [
-        _class_row(f"theta-{idx}", v, theta, *_classify_draws(rng, theta, config.draws, v))
-        for idx, theta in enumerate(config.thetas, start=1)
-    ]
+    cells = ((f"theta-{idx}", v, theta) for idx, theta in enumerate(config.thetas, start=1))
+    return _sweep(config, cells)
 
 
 def run_random_valuation_experiment(config: ExperimentConfig) -> list[ExperimentRow]:
@@ -313,26 +291,15 @@ def run_random_valuation_experiment(config: ExperimentConfig) -> list[Experiment
                 continue
             risky_best.append(float(rev_risky.max()))
             truthful_best.append(float(rev_truthful.max()))
-        retained = len(risky_best)
         logger.info(
             "random-valuation theta=%d: retained %d/%d valuations (%d skipped)",
             theta,
-            retained,
+            len(risky_best),
             config.n_valuations,
             skipped,
         )
-        rows.append(
-            ExperimentRow(
-                experiment_id=f"random-{idx}",
-                v=(float("nan"),) * 3,
-                theta=theta,
-                risky_count=retained,
-                risky_avg_rev=float(np.mean(risky_best)) if retained else None,
-                truthful_count=retained,
-                truthful_avg_rev=float(np.mean(truthful_best)) if retained else None,
-                discarded=discarded,
-            )
-        )
+        risky, truthful = np.array(risky_best), np.array(truthful_best)
+        rows.append(_class_row(f"random-{idx}", (math.nan,) * 3, theta, risky, truthful, discarded))
     return rows
 
 

@@ -17,7 +17,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property, reduce
 from itertools import accumulate, combinations
-from operator import add
+from operator import iadd
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -35,13 +35,19 @@ def is_finite_number(v) -> bool:
     return isinstance(v, (int, float)) and not isinstance(v, bool) and abs(v) <= sys.float_info.max
 
 
-def _pairwise_sum(a: list[float]) -> float:
-    """``np.sum`` of ``a`` as a float64 array, bit for bit: numpy's pairwise summation."""
-    n, head = len(a), len(a) - len(a) % 8
-    if n > 128:  # split at half the length, rounded down to a multiple of 8
+def _pairwise_sum(a: list):
+    """numpy's pairwise summation of ``a``, bit for bit: ``np.sum`` of a list of floats as one
+    float64 array, or, for a list of equal-length float64 columns, ``sum(axis=1)`` of the array
+    that holds them as columns.  Left to right below 8 entries, eight interleaved lanes up to 128,
+    halves split at a multiple of 8 above.  It adds into a new float or array, not into ``a``."""
+    n = len(a)
+    if n > 128:
         return _pairwise_sum(a[: n // 16 * 8]) + _pairwise_sum(a[n // 16 * 8 :])
-    r = [reduce(add, a[j:head:8]) for j in range(8)] if head else [0.0] * 8
-    return reduce(add, a[head:], ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7])))
+    if n < 8:
+        return reduce(iadd, a[2:], a[0] + a[1]) if n > 1 else a[0] + 0.0
+    head = n - n % 8
+    r = [reduce(iadd, a[j + 16 : head : 8], a[j] + a[j + 8]) for j in range(8)] if head > 8 else a
+    return reduce(iadd, a[head:], ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7])))
 
 
 def enumerate_subsets(theta: int, alpha: int) -> list[tuple[int, ...]]:

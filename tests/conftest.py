@@ -73,6 +73,17 @@ def make_all_advance_mechanism(rng: np.random.Generator, theta: int, beta: int) 
     return Mechanism(theta, theta, dist, random_allocation(rng, theta, beta))
 
 
+def off_grid_violation(e: float = 0.01) -> Mechanism:
+    """theta = 3, alpha = 2, x = (1, 0), p(1,2) = 1/3, p(1,3) = 1/3 + e, p(2,3) = 1/3 - e.
+
+    Condition 2 fails for every e > 0, but at e = 0.01 every profitable deviation needs a value
+    off the integer grid (7.9 against opponents (8, 0) gains 0.12467), so the 0..8 grid oracle
+    finds none.
+    """
+    dist = SelectionDistribution(3, 2, {(1, 2): 1 / 3, (1, 3): 1 / 3 + e, (2, 3): 1 / 3 - e})
+    return Mechanism(3, 2, dist, AllocationRule((1.0, 0.0)))
+
+
 @pytest.fixture
 def rng() -> np.random.Generator:
     return np.random.default_rng(20240601)

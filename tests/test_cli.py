@@ -8,6 +8,7 @@ import json
 import math
 import operator
 import os
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -16,6 +17,8 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+
+from conftest import off_grid_violation
 
 import tworound
 from tworound import experiments
@@ -40,6 +43,35 @@ def run_main(argv):
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
     return code, out.getvalue(), err.getvalue()
+
+
+class Hung(Exception):
+    """Raised by :func:`time_limit`; not an OSError or ValueError, so no CLI handler catches it."""
+
+
+@contextlib.contextmanager
+def time_limit(seconds):
+    """Fail the test, instead of hanging the suite, when the block runs longer than ``seconds``."""
+
+    def fail(signum, frame):
+        raise Hung(f"still running after {seconds} s")
+
+    old = signal.signal(signal.SIGALRM, fail)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, old)
+
+
+def strict_json(text):
+    """``json.loads`` that also rejects NaN and Infinity, which are not JSON."""
+
+    def reject(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    return json.loads(text, parse_constant=reject)
 
 
 def write_json(tmp_path, name, doc):
@@ -309,6 +341,15 @@ class TestCheckDsic:
         assert doc["oracle_witness_found"] is True
         assert doc["oracle_witness"]["gain"] > 0
 
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 2")
+    def test_oracle_reports_an_off_grid_violation(self, tmp_path):
+        # check_dsic says condition-2; the grid oracle sees no witness, since the value must lie
+        # off the grid (see tests/test_dsic.py).
+        mech = write_json(tmp_path, "m.json", off_grid_violation().to_json_dict())
+        code, out, _ = run_main(["check-dsic", "--mechanism", mech, "--oracle", "--n", "3"])
+        assert code == EXIT_NEGATIVE
+        assert json.loads(out)["oracle_witness_found"] is True
+
     # SHA-256 of `check-dsic --oracle` stdout and its exit code: every verdict, witness and
     # gain must stay bit for bit the same.
     @pytest.mark.parametrize(
@@ -393,6 +434,15 @@ class TestCheckDsic:
     def test_missing_mechanism_flag_exits_1(self, capsys):
         assert main(["check-dsic"]) == EXIT_USAGE
 
+    @pytest.mark.parametrize(
+        "flag", [["--grid", "oops"], ["--grid", "0:8:1"], ["--n", "-5"], ["--n", "4"]]
+    )
+    def test_oracle_flags_without_oracle_exit_2(self, dsic_mech_file, flag):
+        code, out, err = run_main(["check-dsic", "--mechanism", dsic_mech_file, *flag])
+        assert (code, out) == (EXIT_SCHEMA, "")
+        (line,) = err.splitlines()
+        assert json.loads(line)["error"] == "schema"
+
 
 class TestAnalyzeNe:
     def test_n11_truthful(self, tmp_path, capsys):
@@ -413,6 +463,29 @@ class TestAnalyzeNe:
         assert doc["risky_ne"] is True
         assert doc["risky_witness_bid"] == pytest.approx(633.34)
         assert doc["risky_revenue"] == pytest.approx(312.5)
+
+    # At 1e16, b2 + 0.01 == b2: the witness steps one ulp at a time.  At 1e308 the smallest
+    # risky overbid, 1.8e308, is no double.
+    @pytest.mark.parametrize(
+        "values,witness", [([1e16, 9.9e15, 1], 1.8000000000000002e16), ([1e308, 9.9e307, 1], None)]
+    )
+    def test_n11_witness_at_the_float_edge(self, tmp_path, values, witness):
+        argv = ["analyze-ne", "--mode", "n11", "--values", write_json(tmp_path, "v.json", values)]
+        argv += ["--Y", write_json(tmp_path, "y.json", [0.5, 0.45, 0.05])]
+        with time_limit(1.0):
+            code, out, err = run_main(argv)
+        assert (code, err) == (EXIT_OK, "")
+        doc = strict_json(out)
+        assert doc["risky_ne"] is True
+        assert doc["risky_witness_bid"] == witness
+
+    def test_n11_gap_ratio_overflow_exits_2(self, tmp_path):
+        values = write_json(tmp_path, "v.json", [1e308, 2e-300, 1e-300])
+        y = write_json(tmp_path, "y.json", [0.5, 0.45, 0.05])
+        code, out, err = run_main(["analyze-ne", "--mode", "n11", "--values", values, "--Y", y])
+        assert (code, out) == (EXIT_SCHEMA, "")
+        (line,) = err.splitlines()
+        assert "gap ratio" in json.loads(line)["message"]
 
     def test_n11_unordered_y_exits_2(self, tmp_path, capsys):
         values = write_json(tmp_path, "v.json", [450, 350, 200])
@@ -663,6 +736,14 @@ class TestReproduce:
     def test_invalid_table_exits_1(self, capsys):
         assert main(["reproduce", "--table", "9"]) == EXIT_USAGE
 
+    @pytest.mark.parametrize("table", ["2", "3", "4"])
+    def test_n_valuations_is_checked_for_every_table(self, table):
+        argv = ["reproduce", "--table", table, "--draws", "10", "--n-valuations", "0"]
+        code, out, err = run_main(argv)
+        assert (code, out) == (EXIT_SCHEMA, "")
+        (line,) = err.splitlines()
+        assert json.loads(line) == {"error": "invariant", "message": "n_valuations must be >= 1"}
+
 
 class TestSeedBoundary:
     """``--seed`` and ``TWOROUND_SEED`` take nonnegative integers; anything else is one schema line."""
@@ -798,6 +879,10 @@ def replace_node(doc, path, value):
     return doc
 
 
+# Valid valuations from 1e-300 to 1e308, spread over the magnitudes.
+EXTREME = st.floats(1e-300, 1e308) | st.floats(-300, 308).map(lambda e: 10.0**e)
+N11_Y = ([0.5, 0.45, 0.05], [0.6, 0.25, 0.15], [0.4, 0.3, 0.2, 0.1])
+
 ENV_TEXT = st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\x00"), max_size=8)
 
 
@@ -825,6 +910,18 @@ class TestFuzz:
         path = fuzz_dir / f"{flag[2:]}.json"
         path.write_text(json.dumps(doc))
         assert_clean_exit(*run_main(["validate", flag, str(path)]))
+
+    @settings(max_examples=100, deadline=None)
+    @given(values=st.lists(EXTREME, min_size=3, max_size=3), y=st.sampled_from(N11_Y))
+    def test_n11_extreme_valuations(self, fuzz_dir, values, y):
+        argv = ["analyze-ne", "--mode", "n11", "--Y", str(fuzz_dir / "y.json")]
+        (fuzz_dir / "y.json").write_text(json.dumps(y))
+        (fuzz_dir / "v.json").write_text(json.dumps(sorted(values, reverse=True)))
+        with time_limit(1.0):
+            code, out, err = run_main([*argv, "--values", str(fuzz_dir / "v.json")])
+        assert_clean_exit(code, out, err)
+        if code != EXIT_SCHEMA:
+            strict_json(out)
 
     @settings(max_examples=30, deadline=None)
     @given(env=ENV_TEXT | st.integers().map(str))

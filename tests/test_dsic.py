@@ -12,6 +12,7 @@ from conftest import (
     make_all_advance_mechanism,
     make_dsic_mechanism,
     make_non_dsic_mechanism,
+    off_grid_violation,
     random_allocation,
 )
 from tworound import dsic
@@ -82,6 +83,13 @@ class TestCheckDsic:
                         assert w is None
                     else:
                         assert round(verify_witness(m, w, n), 4) == round(w.gain, 4) == gain
+
+    def test_off_grid_violation_is_seen_by_the_closed_form_and_verify_witness(self):
+        # The grid oracle misses it (ROADMAP item 2): the value 7.9 lies off the 0..8 grid.
+        m = off_grid_violation()
+        assert check_dsic(m).violated_condition == "condition-2"
+        witness = DeviationWitness(7.9, 8.0, 8.0, (8.0, 0.0), 0.0, 0.0)
+        assert round(verify_witness(m, witness, n=3), 5) == 0.12467
 
     def test_verdict_serializes(self):
         doc = check_dsic(mech_from_q((0.4, 0.3, 0.2, 0.1))).to_json_dict()

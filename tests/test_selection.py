@@ -13,6 +13,7 @@ from tworound.selection import (
     ExclusionY,
     SelectionDistribution,
     SelectionError,
+    _pairwise_sum,
     enumerate_subsets,
     from_exclusion_Y,
     marginal_probabilities,
@@ -28,6 +29,33 @@ def sparse_distribution(rng, theta, alpha):
     raw[rng.random(len(subsets)) < 0.5] = 0.0
     raw[rng.integers(len(subsets))] += 0.5
     return SelectionDistribution(theta, alpha, dict(zip(subsets, (raw / raw.sum()).tolist())))
+
+
+class TestPairwiseSum:
+    # Lengths cross each of numpy's boundaries: 8 lanes, the 128-entry split, and splits twice.
+    LENGTHS = (1, 2, 7, 8, 9, 15, 16, 17, 127, 128, 129, 136, 255, 257, 300)
+
+    @pytest.mark.parametrize("n", LENGTHS)
+    def test_floats_sum_as_np_sum(self, n):
+        rng = np.random.default_rng(n)
+        for _ in range(20):
+            a = (rng.random(n) * 10.0 ** rng.integers(-8, 8, n) * rng.choice([-1, 1], n)).tolist()
+            kept = list(a)
+            total = _pairwise_sum(a)
+            assert type(total) is float
+            assert total == float(np.sum(np.array(a)))
+            assert a == kept
+
+    @pytest.mark.parametrize("k", LENGTHS)
+    def test_columns_sum_as_the_row_sums(self, k):
+        rng = np.random.default_rng(k)
+        w = rng.random((33, k)) * 10.0 ** rng.integers(-8, 8, (33, k))
+        cols = list(np.ascontiguousarray(w.T))
+        kept = [col.copy() for col in cols]
+        total = _pairwise_sum(cols)
+        assert np.array_equal(total, w.sum(axis=1))
+        assert all(np.array_equal(col, old) for col, old in zip(cols, kept))
+        assert not any(np.shares_memory(total, col) for col in cols)
 
 
 class TestEnumerateSubsets:
