@@ -192,13 +192,8 @@ def _cmd_analyze_ne(args) -> int:
     # n12
     if len(values) != 5:
         raise SchemaError("n12 analysis needs exactly five values")
-    overrides = {}
-    if args.b2 is not None:
-        overrides["b2"] = args.b2
-    if args.b3 is not None:
-        overrides["b3"] = args.b3
     try:
-        params = N12Params(tuple(values), tuple(y_vec), args.x2, overrides)
+        params = N12Params(tuple(values), tuple(y_vec), args.x2, args.b2, args.b3)
         reports = [n12_check_rank(params, ordering) for ordering in N12_ORDERINGS]
     except ValueError as exc:
         raise SchemaError(str(exc)) from exc

@@ -16,8 +16,9 @@ bidding).  This module classifies the resulting pure-strategy equilibria:
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
-from typing import Mapping, Sequence
+import sys
+from dataclasses import asdict, dataclass
+from typing import Sequence
 
 from .engine import Mechanism, _check_values, place, settle
 from .secondround import AllocationRule
@@ -164,9 +165,16 @@ def _n11_terms(Y: ExclusionY) -> tuple[float, float, float]:
     return S, A, D
 
 
-def _require_admissible(Y: ExclusionY) -> None:
+def _n11_inputs(v1: float, v2: float, v3: float, Y: ExclusionY) -> tuple[float, float, float, float]:
+    """(r, S, A, D) of a one-winner input, r = (v1-v2)/(v2-v3), once the input is checked."""
+    if not v1 >= v2 >= v3 > 0:
+        raise ValueError(f"need v1 >= v2 >= v3 > 0, got {(v1, v2, v3)}")
+    if v2 == v3:
+        raise DegenerateRatioError("v2 == v3 makes the gap ratio undefined")
     if not Y.ordered:
         raise ValueError(f"exclusion vector must be strictly ordered: {Y.y_vec}")
+    S, A, D = _n11_terms(Y)
+    return (v1 - v2) / (v2 - v3), S, A, D
 
 
 def n11_classify(
@@ -184,13 +192,7 @@ def n11_classify(
     smallest grid multiple is reported as witness, or None when no double is
     that large).  A gap ratio too large for a double is rejected.
     """
-    if not v1 >= v2 >= v3 > 0:
-        raise ValueError(f"need v1 >= v2 >= v3 > 0, got {(v1, v2, v3)}")
-    if v2 == v3:
-        raise DegenerateRatioError("v2 == v3 makes the gap ratio undefined")
-    _require_admissible(Y)
-    S, A, D = _n11_terms(Y)
-    r = (v1 - v2) / (v2 - v3)
+    r, S, _, D = _n11_inputs(v1, v2, v3, Y)
     if r == math.inf:
         raise DegenerateRatioError(f"the gap ratio (v1-v2)/(v2-v3) overflows at {(v1, v2, v3)}")
     ratio = D / S
@@ -281,14 +283,8 @@ def n11_construct_better_Y(
     interval, then the midpoint of the D' interval.
     Raises :class:`ConstructionFailure` with a certificate otherwise.
     """
-    if not v1 >= v2 >= v3 > 0:
-        raise ValueError(f"need v1 >= v2 >= v3 > 0, got {(v1, v2, v3)}")
-    if v2 == v3:
-        raise DegenerateRatioError("v2 == v3 makes the gap ratio undefined")
-    _require_admissible(Y)
+    r, S, _, D = _n11_inputs(v1, v2, v3, Y)
     theta = Y.theta
-    S, _, D = _n11_terms(Y)
-    r = (v1 - v2) / (v2 - v3)
     if not r > D / S:
         raise ValueError("Y does not support the truthful ordering")
     rm = r * (1 + 1e-6) + 1e-12
@@ -339,15 +335,16 @@ class N12Params:
 
     ``v`` holds five descending valuations (only the top four enter the
     conditions); ``Y`` is the exclusion vector over the four advancing
-    subsets; ``x2`` is the runner-up allocation in (0, 0.5); ``b_overrides``
-    optionally pins the overbids of bidders 2 and 3 in risky orderings
-    (keys "b2", "b3").
+    subsets; ``x2`` is the runner-up allocation in (0, 0.5); ``b2`` and
+    ``b3``, when not None, pin the overbids of bidders 2 and 3 in the
+    orderings whose bids they realize (see :func:`n12_position_bids`).
     """
 
     v: tuple[float, float, float, float, float]
     Y: tuple[float, float, float, float]
     x2: float
-    b_overrides: Mapping[str, float] = field(default_factory=dict)
+    b2: float | None = None
+    b3: float | None = None
 
     def __post_init__(self) -> None:
         v = tuple(float(x) for x in self.v)
@@ -368,14 +365,11 @@ class N12Params:
             raise ValueError(f"x2 must lie in (0, 0.5), got {x2}")
         object.__setattr__(self, "v", v)
         object.__setattr__(self, "Y", Y)
-        if not isinstance(self.b_overrides, Mapping):
-            raise ValueError(f"b_overrides must be a mapping, got {self.b_overrides!r}")
-        for key, b in self.b_overrides.items():
-            if key not in ("b2", "b3"):
-                raise ValueError(f"unknown b_overrides key {key!r}: expected 'b2' or 'b3'")
-            if not is_finite_number(b):
-                raise ValueError(f"b_overrides[{key!r}] must be a finite number, got {b!r}")
-        object.__setattr__(self, "b_overrides", {k: float(b) for k, b in self.b_overrides.items()})
+        for name in ("b2", "b3"):
+            b = getattr(self, name)
+            if b is not None and not is_finite_number(b):
+                raise ValueError(f"{name} must be a finite number or None, got {b!r}")
+            object.__setattr__(self, name, None if b is None else float(b))
 
     @property
     def x1(self) -> float:
@@ -389,49 +383,30 @@ class N12Params:
         return Mechanism(4, 3, dist, AllocationRule((self.x1, self.x2, 0.0)))
 
 
-class FormulaDomainError(ValueError):
-    """A condition-function denominator vanished; names the formula."""
+# The condition functions: V23 and V12 = (d2-d1)(x1-x2)/den on the valuation side,
+# ycoef23 and ycoef12 on the distribution side.  u(1) - u(2) = (Y1+Y2) * den *
+# (ycoef12 - V12), and u(2) - u(3) is a positive multiple of ycoef23 - V23.  The
+# other denominators are positive: d1 in {v1, v2, v3} lies above d4 = v4, and
+# Y4 > 0 with 0 < x2 < 0.5 keeps Y1*x2 + Y4*(x1-x2) above zero.
+
+def _V23(d1: float, d3: float, d4: float) -> float:
+    return (d3 - d1) / (d1 - d4)
 
 
-@dataclass(frozen=True)
-class N12ConditionFunctions:
-    """The scalar condition functions of the two-winner example.
+def _V12_denominator(x1: float, x2: float, d1: float, d3: float, d4: float) -> float:
+    """(d3-d4)x2 - (d3-d1)x1; its sign decides whether the V12-form
+    inequality reads in the same direction as the utility comparison."""
+    return (d3 - d4) * x2 - (d3 - d1) * x1
 
-    ``V23`` and V12 = (d2-d1)(x1-x2)/den are the valuation-side functions;
-    ``ycoef23``/``ycoef12`` the distribution-side coefficients they are
-    compared against.  Expanding the position utilities gives u(1) - u(2) =
-    (Y1+Y2) * den * (ycoef12 - V12) with den = :meth:`V12_denominator`, and
-    u(2) - u(3) a positive multiple of ycoef23 - V23.  ``n12_check_rank``
-    computes V12 from its den.
-    """
 
-    x2: float
-    Y: tuple[float, float, float, float]
+def _ycoef23(Y: Sequence[float], x1: float, x2: float) -> float:
+    Y1, Y2, Y3, Y4 = Y
+    return (Y2 - Y3) * x2 / (Y1 * x2 + Y4 * (x1 - x2))
 
-    def V23(self, d1: float, d3: float, d4: float) -> float:
-        if d1 <= d4:
-            raise FormulaDomainError(f"V23 needs d1 > d4, got d1={d1}, d4={d4}")
-        return (d3 - d1) / (d1 - d4)
 
-    def V12_denominator(self, d1: float, d3: float, d4: float) -> float:
-        """(d3-d4)x2 - (d3-d1)x1; its sign decides whether the V12-form
-        inequality reads in the same direction as the utility comparison."""
-        x1 = 1.0 - self.x2
-        return (d3 - d4) * self.x2 - (d3 - d1) * x1
-
-    @property
-    def ycoef23(self) -> float:
-        Y1, Y2, Y3, Y4 = self.Y
-        x1 = 1.0 - self.x2
-        denom = Y1 * self.x2 + Y4 * (x1 - self.x2)
-        if denom == 0:
-            raise FormulaDomainError("ycoef23 denominator Y1*x2 + Y4*(x1-x2) vanished")
-        return (Y2 - Y3) * self.x2 / denom
-
-    @property
-    def ycoef12(self) -> float:
-        Y1, Y2, Y3, Y4 = self.Y
-        return (Y3 - Y4) / (Y1 + Y2)
+def _ycoef12(Y: Sequence[float]) -> float:
+    Y1, Y2, Y3, Y4 = Y
+    return (Y3 - Y4) / (Y1 + Y2)
 
 
 def n12_position_bids(params: N12Params, ordering: tuple[int, int, int]) -> tuple[float, float, float]:
@@ -439,34 +414,34 @@ def n12_position_bids(params: N12Params, ordering: tuple[int, int, int]) -> tupl
 
     ``ordering[j]`` is the bidder (1..3, by valuation) at position j+1.
     Bidders placed above a higher-valued bidder need an overbid; defaults
-    place overbids at even spacings above the values they must pass.
-    ``params.b_overrides`` ("b2"/"b3") pin them in every ordering whose bids
-    they realize; any other ordering keeps its default bids.
+    place overbids at even spacings above the values they must pass, or,
+    where such a spacing overflows, at finite bids in the same order.
+    ``params.b2`` and ``params.b3`` pin the overbids of bidders 2 and 3 in
+    every ordering whose bids they realize; any other ordering keeps its
+    default bids.
     """
+    if ordering not in N12_ORDERINGS:
+        raise ValueError(f"unknown ordering {ordering}")
     v1, v2, v3, v4, _ = params.v
     gap = max(v1 - v4, 1.0)
-    for over in (params.b_overrides, {}):
-        if ordering == (1, 2, 3):
-            bids = (v1, v2, v3)
-        elif ordering == (1, 3, 2):
-            b3 = over.get("b3", (v1 + v2) / 2)
-            bids = (v1, b3, v2)
-        elif ordering == (2, 1, 3):
-            b2 = over.get("b2", v1 + gap)
-            bids = (b2, v1, v3)
-        elif ordering == (3, 1, 2):
-            b3 = over.get("b3", v1 + gap)
-            bids = (b3, v1, v2)
-        elif ordering == (2, 3, 1):
-            b3 = over.get("b3", v1 + gap)
-            b2 = over.get("b2", v1 + 2 * gap)
-            bids = (b2, b3, v1)
-        elif ordering == (3, 2, 1):
-            b2 = over.get("b2", v1 + gap)
-            b3 = over.get("b3", v1 + 2 * gap)
-            bids = (b3, b2, v1)
-        else:
-            raise ValueError(f"unknown ordering {ordering}")
+    mid, lo, hi = (v1 + v2) / 2, v1 + gap, v1 + 2 * gap
+    if mid == math.inf:
+        mid = v1 / 2 + v2 / 2
+    if lo == math.inf:
+        lo = v1 + (sys.float_info.max - v1) / 3
+    if hi == math.inf:
+        hi = lo / 2 + sys.float_info.max / 2
+    for b2, b3 in ((params.b2, params.b3), (None, None)):
+        b2_lo, b2_hi = (lo, hi) if b2 is None else (b2, b2)
+        b3_mid, b3_lo, b3_hi = (mid, lo, hi) if b3 is None else (b3, b3, b3)
+        bids = {
+            (1, 2, 3): (v1, v2, v3),
+            (1, 3, 2): (v1, b3_mid, v2),
+            (2, 1, 3): (b2_lo, v1, v3),
+            (3, 1, 2): (b3_lo, v1, v2),
+            (2, 3, 1): (b2_hi, b3_lo, v1),
+            (3, 2, 1): (b3_hi, b2_lo, v1),
+        }[ordering]
         if bids[0] > bids[1] > bids[2] > v4:
             return bids
     raise ValueError(f"bids {bids} do not realize ordering {ordering} above v4={v4}")
@@ -549,8 +524,7 @@ def n12_check_rank(params: N12Params, ordering: tuple[int, int, int]) -> N12Rank
     bids = n12_position_bids(params, ordering)
     v, Y, x2 = params.v, params.Y, params.x2
     x1 = 1.0 - x2
-    fns = N12ConditionFunctions(x2=x2, Y=Y)
-    ycoef12, ycoef23 = fns.ycoef12, fns.ycoef23
+    ycoef12, ycoef23 = _ycoef12(Y), _ycoef23(Y, x1, x2)
 
     conditions: list[N12Condition] = []
     for pos in (1, 2, 3):
@@ -566,20 +540,24 @@ def n12_check_rank(params: N12Params, ordering: tuple[int, int, int]) -> N12Rank
             margin = u[upper - 1] - u[upper]
             if not want_upper:
                 margin = -margin
+            if not math.isfinite(margin):
+                raise ValueError(f"bidder {bidder}'s {comparison} utility margin overflows at bids {bids}")
             # u(upper) - u(upper + 1) has the sign of den * (ycoef - v_value).
             if upper == 1:
-                den = fns.V12_denominator(w, d3, d4)
-                v_value = (d2 - w) * (x1 - x2) / den if den else None  # V12, from this den
+                den = _V12_denominator(x1, x2, w, d3, d4)
+                v_value = (d2 - w) * (x1 - x2) / den if den else math.nan  # V12, from this den
                 ycoef = ycoef12
             else:
                 den = 1.0
-                v_value = fns.V23(w, d3, d4)
+                v_value = _V23(w, d3, d4)
                 ycoef = ycoef23
             direction = "<" if want_upper == (den >= 0) else ">"
-            # Positional, in field order: keywords would cost a tenth of the call.
+            # Positional, in field order: keywords would cost a tenth of the call.  An
+            # undefined (den = 0) or overflowing v_value is reported as None.
             conditions.append(N12Condition(
                 bidder, pos, comparison, margin, margin > EQ_ATOL, abs(margin) <= EQ_ATOL,
-                v_value, ycoef, direction, v_value is not None and v_value < 0 and direction == "<",
+                v_value if math.isfinite(v_value) else None, ycoef, direction,
+                v_value < 0 and direction == "<",
             ))
 
     return N12RankReport(

@@ -33,7 +33,7 @@ from tworound.cli import (
 )
 from tworound.dsic import MAX_GRID_POINTS
 from tworound.engine import Mechanism
-from tworound.equilibrium import n11_mechanism
+from tworound.equilibrium import N12_ORDERINGS, n11_mechanism
 from tworound.selection import ExclusionY
 
 
@@ -118,6 +118,14 @@ N12_CASES = {
 
 # (mechanism, bids) documents for `simulate`: zero-probability subsets, an allocation summing
 # below 1 (so some runs have no winner) and tied first-round bids.
+N12_EDGE_CASES = {
+    "overbid-overflow": ([1e308, 9e307, 8e307, 1e-300, 1e-310], [0.4, 0.3, 0.2, 0.1]),
+    "v-value-overflow": (
+        [1.744066568970485e250, 1.6430287499992953e-31, 3.415288317044645e-116, 1.7493387307082858e-173,
+         1.702115731297645e-290],
+        [0.46586527206327766, 0.19575587864140162, 0.1929990834134391, 0.14537976588188165],
+    ),
+}
 SIMULATE_CASES = {
     "zero-prob": (
         {
@@ -495,6 +503,24 @@ class TestAnalyzeNe:
             == EXIT_SCHEMA
         )
 
+    def test_n11_indeterminate_exits_3(self, tmp_path):
+        # r = 0.6666666666666666 and D/S = 0.6666666666666667 lie within the EQ_ATOL band.
+        values = write_json(tmp_path, "v.json", [450, 350, 200])
+        y = write_json(tmp_path, "y.json", [0.6, 0.4, 0.0])
+        code, out, err = run_main(["analyze-ne", "--mode", "n11", "--values", values, "--Y", y])
+        assert (code, err) == (EXIT_NEGATIVE, "")
+        doc = strict_json(out)
+        assert (doc["indeterminate"], doc["truthful_ne"], doc["risky_ne"]) == (True, False, False)
+        assert (doc["gap_ratio"], doc["y_ratio"]) == (0.6666666666666666, 0.6666666666666667)
+
+    def test_n11_theta_below_3_exits_2(self, tmp_path):
+        values = write_json(tmp_path, "v.json", [450, 350, 200])
+        y = write_json(tmp_path, "y.json", [0.6, 0.4])
+        code, out, err = run_main(["analyze-ne", "--mode", "n11", "--values", values, "--Y", y])
+        assert (code, out) == (EXIT_SCHEMA, "")
+        (line,) = err.splitlines()
+        assert "theta >= 3" in json.loads(line)["message"]
+
     def test_n12_reports_six_orderings(self, tmp_path, capsys):
         values = write_json(tmp_path, "v.json", [450, 350, 300, 200, 100])
         y = write_json(tmp_path, "y.json", [0.4, 0.3, 0.2, 0.1])
@@ -553,6 +579,31 @@ class TestAnalyzeNe:
         assert got_code == code
         assert hashlib.sha256(out.encode()).hexdigest() == digest
         assert err == ""
+
+    # Near the float maximum the default overbids v1 + gap and v1 + 2 * gap overflow and fall back
+    # to finite bids; far-apart values make V23 and V12 overflow, reported as null.
+    @pytest.mark.parametrize("case, nulls", [("overbid-overflow", 0), ("v-value-overflow", 3)])
+    def test_n12_float_edge_prints_strict_json(self, tmp_path, case, nulls):
+        values, y = N12_EDGE_CASES[case]
+        argv = ["analyze-ne", "--mode", "n12", "--values", write_json(tmp_path, "v.json", values)]
+        with time_limit(1.0):
+            code, out, err = run_main([*argv, "--Y", write_json(tmp_path, "y.json", y)])
+        assert (code, err) == (EXIT_NEGATIVE, "")
+        ranks = strict_json(out)["ranks"]
+        assert [r["ordering"] for r in ranks] == [list(o) for o in N12_ORDERINGS]
+        assert all(b < math.inf for r in ranks for b in r["bids"])
+        assert sum(c["v_value"] is None for r in ranks for c in r["conditions"]) == nulls
+
+    def test_n12_margin_overflow_exits_2(self, tmp_path):
+        # x1 = 1 - 1e-300 rounds to 1, and the top three Y sum above 1, so the top bidder's
+        # expected utility at position 1 exceeds the largest double.
+        values = write_json(tmp_path, "v.json", [sys.float_info.max * (1 - 1e-10), 1.0, 0.5, 0.25, 0.1])
+        y = write_json(tmp_path, "y.json", [0.5, 0.3, 0.2 + 5e-10, 1e-300])
+        argv = ["analyze-ne", "--mode", "n12", "--values", values, "--Y", y, "--x2", "1e-300"]
+        code, out, err = run_main(argv)
+        assert (code, out) == (EXIT_SCHEMA, "")
+        (line,) = err.splitlines()
+        assert "utility margin overflows" in json.loads(line)["message"]
 
     def test_n12_wrong_value_count_exits_2(self, tmp_path, capsys):
         values = write_json(tmp_path, "v.json", [450, 350, 200])
@@ -882,6 +933,7 @@ def replace_node(doc, path, value):
 # Valid valuations from 1e-300 to 1e308, spread over the magnitudes.
 EXTREME = st.floats(1e-300, 1e308) | st.floats(-300, 308).map(lambda e: 10.0**e)
 N11_Y = ([0.5, 0.45, 0.05], [0.6, 0.25, 0.15], [0.4, 0.3, 0.2, 0.1])
+N12_Y = ([0.4, 0.3, 0.2, 0.1], [0.7, 0.2, 0.07, 0.03], N12_EDGE_CASES["v-value-overflow"][1])
 
 ENV_TEXT = st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\x00"), max_size=8)
 
@@ -919,6 +971,22 @@ class TestFuzz:
         (fuzz_dir / "v.json").write_text(json.dumps(sorted(values, reverse=True)))
         with time_limit(1.0):
             code, out, err = run_main([*argv, "--values", str(fuzz_dir / "v.json")])
+        assert_clean_exit(code, out, err)
+        if code != EXIT_SCHEMA:
+            strict_json(out)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        values=st.lists(EXTREME, min_size=5, max_size=5, unique=True),
+        y=st.sampled_from(N12_Y),
+        x2=st.floats(0.01, 0.49),
+    )
+    def test_n12_extreme_valuations(self, fuzz_dir, values, y, x2):
+        argv = ["analyze-ne", "--mode", "n12", "--Y", str(fuzz_dir / "y4.json"), "--x2", repr(x2)]
+        (fuzz_dir / "y4.json").write_text(json.dumps(y))
+        (fuzz_dir / "v5.json").write_text(json.dumps(sorted(values, reverse=True)))
+        with time_limit(1.0):
+            code, out, err = run_main([*argv, "--values", str(fuzz_dir / "v5.json")])
         assert_clean_exit(code, out, err)
         if code != EXIT_SCHEMA:
             strict_json(out)

@@ -100,6 +100,34 @@ class TestCheckDsic:
             assert list(check_dsic(mech_from_q(q)).to_json_dict()) == ["is_dsic", "violated_condition"]
 
 
+def near_uniform(e):
+    """theta = 3, alpha = 2, x = (0.6, 0.4), p(1,2) = 1/3, p(1,3) = 1/3 + e, p(2,3) = 1/3 - e."""
+    dist = SelectionDistribution(3, 2, {(1, 2): 1 / 3, (1, 3): 1 / 3 + e, (2, 3): 1 / 3 - e})
+    return Mechanism(3, 2, dist, AllocationRule((0.6, 0.4)))
+
+
+class TestToleranceDisagreement:
+    """Near uniform selection the two DSIC routes apply different absolute tolerances (ROADMAP
+    item 4): ``check_dsic`` compares marginals within MARGINAL_ATOL, ``find_deviation`` gains
+    within GAIN_ATOL at values up to 8, so a marginal gap below the one is a gain above the other."""
+
+    GAINS = {5e-10: "1.4000005599e-09", 9e-10: "2.5200006526e-09"}
+
+    def test_the_closed_form_says_dsic_while_the_oracle_finds_a_witness(self):
+        for e, gain in self.GAINS.items():
+            m = near_uniform(e)
+            assert check_dsic(m).is_dsic
+            w = find_deviation(m, GRID, 3)
+            assert (w.value, w.first_round_bid, w.second_round_bid, w.opponent_bids) == (7, 0, 0, (8, 7))
+            assert f"{w.gain:.10e}" == f"{verify_witness(m, w, 3):.10e}" == gain
+
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 4")
+    def test_the_two_routes_agree(self):
+        for e in self.GAINS:
+            m = near_uniform(e)
+            assert check_dsic(m).is_dsic == (find_deviation(m, GRID, 3) is None)
+
+
 class TestFindDeviation:
     def test_no_witness_for_characterized_mechanism(self):
         m = mech_from_q((0.2, 0.2, 0.2, 0.4))

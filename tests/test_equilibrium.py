@@ -19,15 +19,16 @@ from tworound.equilibrium import (
     ConstructionFailure,
     DeviationRecord,
     DegenerateRatioError,
-    FormulaDomainError,
     N12_ORDERINGS,
     N12Condition,
-    N12ConditionFunctions,
     N12Params,
     N12RankReport,
     RankProfile,
+    _V12_denominator,
+    _V23,
     _n12_position_utilities,
-    _require_admissible,
+    _ycoef12,
+    _ycoef23,
     is_nash_equilibrium,
     n11_classify,
     n11_construct_better_Y,
@@ -467,7 +468,7 @@ class TestN11Construction:
                 continue
             assert rm < hi
             built += 1
-            _require_admissible(better)
+            assert better.ordered
             c = n11_classify(v1, v2, v3, better)
             assert c.risky_ne and not c.indeterminate
             assert n11_revenue("risky", v1, v2, v3, better) > n11_revenue("truthful", v1, v2, v3, Y)
@@ -486,21 +487,13 @@ class TestN11Construction:
 
 class TestN12ConditionFunctions:
     def test_v23_hand_value(self):
-        fns = N12ConditionFunctions(x2=0.3, Y=(0.4, 0.3, 0.2, 0.1))
-        assert fns.V23(450, 350, 200) == pytest.approx(-0.4)
+        assert _V23(450, 350, 200) == pytest.approx(-0.4)
 
     def test_ycoef23_hand_value(self):
-        fns = N12ConditionFunctions(x2=0.5, Y=(0.4, 0.3, 0.2, 0.1))
-        assert fns.ycoef23 == pytest.approx(0.25)
+        assert _ycoef23((0.4, 0.3, 0.2, 0.1), 0.5, 0.5) == pytest.approx(0.25)
 
     def test_ycoef12_hand_value(self):
-        fns = N12ConditionFunctions(x2=0.3, Y=(0.4, 0.3, 0.2, 0.1))
-        assert fns.ycoef12 == pytest.approx(1 / 7)
-
-    def test_domain_errors(self):
-        fns = N12ConditionFunctions(x2=0.3, Y=(0.3, 0.3, 0.2, 0.2))
-        with pytest.raises(FormulaDomainError):
-            fns.V23(200, 350, 200)
+        assert _ycoef12((0.4, 0.3, 0.2, 0.1)) == pytest.approx(1 / 7)
 
 
 class TestN12Params:
@@ -524,30 +517,26 @@ class TestN12Params:
 
     @pytest.mark.parametrize(
         "overrides, key",
-        [({"b2": math.nan}, "b2"), ({"b3": math.inf}, "b3"), ({"b3": "600"}, "b3"), ({"b2": 600.0, "b4": 500.0}, "b4")],
+        [({"b2": math.nan}, "b2"), ({"b3": math.inf}, "b3"), ({"b3": "600"}, "b3")],
     )
     def test_rejects_bad_overrides(self, overrides, key):
-        with pytest.raises(ValueError, match=f"'{key}'"):
-            N12Params((450, 400, 300, 200, 100), (0.4, 0.3, 0.2, 0.1), 0.25, overrides)
+        with pytest.raises(ValueError, match=f"^{key} must be a finite number or None"):
+            N12Params((450, 400, 300, 200, 100), (0.4, 0.3, 0.2, 0.1), 0.25, **overrides)
 
     def test_rejects_a_bool_override(self):
-        with pytest.raises(ValueError, match="^b_overrides\\['b2'\\] must be a finite number, got True"):
-            N12Params((450, 400, 300, 200, 100), (0.4, 0.3, 0.2, 0.1), 0.25, {"b2": True})
+        with pytest.raises(ValueError, match="^b2 must be a finite number or None, got True"):
+            N12Params((450, 400, 300, 200, 100), (0.4, 0.3, 0.2, 0.1), 0.25, b2=True)
 
     def test_rejects_an_override_beyond_the_float_range(self):
-        with pytest.raises(ValueError, match="^b_overrides\\['b3'\\] must be a finite number"):
-            N12Params((450, 400, 300, 200, 100), (0.4, 0.3, 0.2, 0.1), 0.25, {"b3": 2**1024})
+        with pytest.raises(ValueError, match="^b3 must be a finite number or None"):
+            N12Params((450, 400, 300, 200, 100), (0.4, 0.3, 0.2, 0.1), 0.25, b3=2**1024)
 
     def test_integer_overrides_are_stored_as_floats(self):
-        params = N12Params((450, 400, 300, 200, 100), (0.4, 0.3, 0.2, 0.1), 0.25, {"b2": 700})
-        assert type(params.b_overrides["b2"]) is float
+        params = N12Params((450, 400, 300, 200, 100), (0.4, 0.3, 0.2, 0.1), 0.25, b2=700)
+        assert type(params.b2) is float and params.b3 is None
         bids = n12_check_rank(params, (2, 1, 3)).bids
         assert bids == (700.0, 450.0, 300.0)
         assert all(type(b) is float for b in bids)
-
-    def test_rejects_a_non_mapping(self):
-        with pytest.raises(ValueError, match="^b_overrides must be a mapping"):
-            N12Params((450, 400, 300, 200, 100), (0.4, 0.3, 0.2, 0.1), 0.25, [("b2", 700.0)])
 
     def test_mechanism_shape(self, rng):
         params = random_n12_params(rng)
@@ -562,7 +551,7 @@ class TestN12PositionBids:
         assert n12_position_bids(params, (1, 2, 3)) == params.v[:3]
 
     def test_overrides_are_respected(self, rng):
-        params = random_n12_params(rng, b_overrides={"b2": 2000.0, "b3": 1500.0})
+        params = random_n12_params(rng, b2=2000.0, b3=1500.0)
         bids = n12_position_bids(params, (2, 3, 1))
         assert bids == (2000.0, 1500.0, params.v[0])
 
@@ -574,7 +563,7 @@ class TestN12PositionBids:
             ({"b2": 2000.0, "b3": 1500.0}, ((2, 1, 3), (3, 1, 2), (2, 3, 1))),
         )
         for overrides, pinned in cases:
-            params = random_n12_params(rng, b_overrides=overrides)
+            params = random_n12_params(rng, **overrides)
             defaults = N12Params(params.v, params.Y, params.x2)
             for ordering in N12_ORDERINGS:
                 bids = n12_position_bids(params, ordering)
@@ -587,7 +576,7 @@ class TestN12PositionBids:
     def test_unrealized_defaults_rejected(self):
         # (v1 + v2) / 2 rounds to v1 or v2 when they are adjacent floats.
         v = (3.0, math.nextafter(3.0, 0.0), 2.0, 1.0, 0.5)
-        params = N12Params(v, (0.4, 0.3, 0.2, 0.1), 0.25, {"b3": 2.5})
+        params = N12Params(v, (0.4, 0.3, 0.2, 0.1), 0.25, b3=2.5)
         with pytest.raises(ValueError, match=r"do not realize ordering \(1, 3, 2\) above v4=1.0"):
             n12_position_bids(params, (1, 3, 2))
 
@@ -711,7 +700,6 @@ def reference_n12_check_rank(params, ordering):
     ordering = tuple(ordering)
     bids = n12_position_bids(params, ordering)
     v = params.v
-    fns = N12ConditionFunctions(x2=params.x2, Y=params.Y)
 
     conditions = []
     for pos in (1, 2, 3):
@@ -726,13 +714,13 @@ def reference_n12_check_rank(params, ordering):
             if not want_upper:
                 margin = -margin
             if upper == 1:
-                den = fns.V12_denominator(w, d3, d4)
+                den = _V12_denominator(params.x1, params.x2, w, d3, d4)
                 v_value = (d2 - w) * (params.x1 - params.x2) / den if den else None  # V12
-                ycoef = fns.ycoef12
+                ycoef = _ycoef12(params.Y)
             else:
                 den = 1.0
-                v_value = fns.V23(w, d3, d4)
-                ycoef = fns.ycoef23
+                v_value = _V23(w, d3, d4)
+                ycoef = _ycoef23(params.Y, params.x1, params.x2)
             direction = "<" if want_upper == (den >= 0) else ">"
             conditions.append(
                 N12Condition(
@@ -777,7 +765,7 @@ class TestN12Reference:
                 v1, v2, _, v4, _ = params.v
                 keys = (("b2",), ("b3",), ("b2", "b3"))[i // 3 % 3]
                 over = {k: float(rng.uniform(v2, v1 + 3 * (v1 - v4))) for k in keys}
-                params = N12Params(params.v, params.Y, params.x2, over)
+                params = N12Params(params.v, params.Y, params.x2, **over)
             for ordering in N12_ORDERINGS:
                 got = _outcome(n12_check_rank, params, ordering)
                 want = _outcome(reference_n12_check_rank, params, ordering)
@@ -785,7 +773,7 @@ class TestN12Reference:
                 # repr spells every float exactly, so this also tells -0.0 from 0.0.
                 assert repr(got) == repr(want)
                 reports += isinstance(got, N12RankReport)
-                if params.b_overrides:
+                if params.b2 is not None or params.b3 is not None:
                     same = got.bids == n12_position_bids(defaults, ordering)
                     pinned += not same
                     kept += same and ordering != (1, 2, 3)
