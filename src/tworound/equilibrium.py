@@ -11,6 +11,10 @@ bidding).  This module classifies the resulting pure-strategy equilibria:
   procedure,
 * the two-winner example (theta=4, alpha=3, beta=2): the six adjacent-position
   inequalities for each of the 6 orderings of the top three bidders.
+
+The per-call records (DeviationRecord, N12Condition, N12RankReport) are named
+tuples, which cost a quarter of a frozen dataclass to build; the ``analyze-ne``
+JSON is unchanged.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import asdict, dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .engine import Mechanism, _check_values, place, settle
 from .secondround import AllocationRule
@@ -71,8 +75,7 @@ class RankProfile:
         object.__setattr__(self, "bids", bids)
 
 
-@dataclass(frozen=True)
-class DeviationRecord:
+class DeviationRecord(NamedTuple):
     bidder: int
     from_position: int
     to_position: int
@@ -415,33 +418,37 @@ def n12_position_bids(params: N12Params, ordering: tuple[int, int, int]) -> tupl
     ``ordering[j]`` is the bidder (1..3, by valuation) at position j+1.
     Bidders placed above a higher-valued bidder need an overbid; defaults
     place overbids at even spacings above the values they must pass, or,
-    where such a spacing overflows, at finite bids in the same order.
+    where such a spacing overflows or leaves no room above the lower
+    overbid, at finite bids in the same order.
     ``params.b2`` and ``params.b3`` pin the overbids of bidders 2 and 3 in
     every ordering whose bids they realize; any other ordering keeps its
     default bids.
     """
     if ordering not in N12_ORDERINGS:
-        raise ValueError(f"unknown ordering {ordering}")
+        raise ValueError(f"ordering must be one of {N12_ORDERINGS}, got {ordering}")
     v1, v2, v3, v4, _ = params.v
+    if ordering == (1, 2, 3):
+        return v1, v2, v3  # N12Params keeps v strictly descending
     gap = max(v1 - v4, 1.0)
     mid, lo, hi = (v1 + v2) / 2, v1 + gap, v1 + 2 * gap
     if mid == math.inf:
         mid = v1 / 2 + v2 / 2
-    if lo == math.inf:
-        lo = v1 + (sys.float_info.max - v1) / 3
     if hi == math.inf:
         hi = lo / 2 + sys.float_info.max / 2
+        if not lo < hi:  # no room above the lower overbid, or it overflowed too
+            lo = v1 + (sys.float_info.max - v1) / 3
+            hi = lo / 2 + sys.float_info.max / 2
     for b2, b3 in ((params.b2, params.b3), (None, None)):
-        b2_lo, b2_hi = (lo, hi) if b2 is None else (b2, b2)
-        b3_mid, b3_lo, b3_hi = (mid, lo, hi) if b3 is None else (b3, b3, b3)
-        bids = {
-            (1, 2, 3): (v1, v2, v3),
-            (1, 3, 2): (v1, b3_mid, v2),
-            (2, 1, 3): (b2_lo, v1, v3),
-            (3, 1, 2): (b3_lo, v1, v2),
-            (2, 3, 1): (b2_hi, b3_lo, v1),
-            (3, 2, 1): (b3_hi, b2_lo, v1),
-        }[ordering]
+        if ordering == (1, 3, 2):
+            bids = (v1, mid if b3 is None else b3, v2)
+        elif ordering == (2, 1, 3):
+            bids = (lo if b2 is None else b2, v1, v3)
+        elif ordering == (3, 1, 2):
+            bids = (lo if b3 is None else b3, v1, v2)
+        elif ordering == (2, 3, 1):
+            bids = (hi if b2 is None else b2, lo if b3 is None else b3, v1)
+        else:
+            bids = (hi if b3 is None else b3, lo if b2 is None else b2, v1)
         if bids[0] > bids[1] > bids[2] > v4:
             return bids
     raise ValueError(f"bids {bids} do not realize ordering {ordering} above v4={v4}")
@@ -481,8 +488,7 @@ def _n12_position_utilities(
     return utilities
 
 
-@dataclass(frozen=True)
-class N12Condition:
+class N12Condition(NamedTuple):
     bidder: int  # 1..3, by valuation
     position: int  # current first-round position
     comparison: str  # "1<->2" or "2<->3"
@@ -495,8 +501,7 @@ class N12Condition:
     auto_satisfied: bool  # negative v_value with a "<" requirement
 
 
-@dataclass(frozen=True)
-class N12RankReport:
+class N12RankReport(NamedTuple):
     ordering: tuple[int, int, int]
     bids: tuple[float, float, float]
     is_ne: bool
@@ -504,7 +509,7 @@ class N12RankReport:
     conditions: tuple[N12Condition, ...]
 
     def to_json_dict(self) -> dict:
-        return asdict(self)
+        return {**self._asdict(), "conditions": [c._asdict() for c in self.conditions]}
 
 
 def n12_check_rank(params: N12Params, ordering: tuple[int, int, int]) -> N12RankReport:
@@ -518,20 +523,18 @@ def n12_check_rank(params: N12Params, ordering: tuple[int, int, int]) -> N12Rank
     are reported indeterminate rather than coerced.  Each condition's
     ``v_value <direction> ycoef`` holds iff its margin is positive.
     """
-    if tuple(ordering) not in N12_ORDERINGS:
-        raise ValueError(f"ordering must be one of {N12_ORDERINGS}, got {ordering}")
     ordering = tuple(ordering)
-    bids = n12_position_bids(params, ordering)
+    bids = b1, b2, b3 = n12_position_bids(params, ordering)
     v, Y, x2 = params.v, params.Y, params.x2
     x1 = 1.0 - x2
+    v4 = v[3]
     ycoef12, ycoef23 = _ycoef12(Y), _ycoef23(Y, x1, x2)
 
     conditions: list[N12Condition] = []
-    for pos in (1, 2, 3):
-        bidder = ordering[pos - 1]
+    is_ne, indeterminate = True, False
+    # Each position's bidder and the other bids, descending, as seen from the top position.
+    for pos, bidder, others in zip((1, 2, 3), ordering, ((b2, b3, v4), (b1, b3, v4), (b1, b2, v4))):
         w = v[bidder - 1]
-        # The other bids, descending, as seen from the top position.
-        others = [*bids[: pos - 1], *bids[pos:], v[3]]
         u = _n12_position_utilities(Y, x1, x2, w, others)
         d2, d3, d4 = others
         for upper, comparison in ((1, "1<->2"), (2, "2<->3")):
@@ -552,21 +555,16 @@ def n12_check_rank(params: N12Params, ordering: tuple[int, int, int]) -> N12Rank
                 v_value = _V23(w, d3, d4)
                 ycoef = ycoef23
             direction = "<" if want_upper == (den >= 0) else ">"
-            # Positional, in field order: keywords would cost a tenth of the call.  An
-            # undefined (den = 0) or overflowing v_value is reported as None.
+            holds, near = margin > EQ_ATOL, abs(margin) <= EQ_ATOL
+            is_ne, indeterminate = is_ne and holds, indeterminate or near
+            # Positional, in field order: keywords would double the cost of each
+            # condition.  An undefined (den = 0) or overflowing v_value is reported as None.
             conditions.append(N12Condition(
-                bidder, pos, comparison, margin, margin > EQ_ATOL, abs(margin) <= EQ_ATOL,
+                bidder, pos, comparison, margin, holds, near,
                 v_value if math.isfinite(v_value) else None, ycoef, direction,
                 v_value < 0 and direction == "<",
             ))
-
-    return N12RankReport(
-        ordering=ordering,
-        bids=bids,
-        is_ne=all(c.holds for c in conditions),
-        indeterminate=any(c.indeterminate for c in conditions),
-        conditions=tuple(conditions),
-    )
+    return N12RankReport(ordering, bids, is_ne, indeterminate, tuple(conditions))
 
 
 def n12_rank_profile(params: N12Params, ordering: tuple[int, int, int]) -> RankProfile:

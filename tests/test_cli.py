@@ -125,6 +125,8 @@ N12_EDGE_CASES = {
          1.702115731297645e-290],
         [0.46586527206327766, 0.19575587864140162, 0.1929990834134391, 0.14537976588188165],
     ),
+    # v1 + gap rounds to exactly the largest double, leaving no room for v1 + 2 * gap above it.
+    "lower-overbid-at-max": ([sys.float_info.max / 2, 1.0, 0.5, 0.25, 0.1], [0.4, 0.3, 0.2, 0.1]),
 }
 SIMULATE_CASES = {
     "zero-prob": (
@@ -580,15 +582,18 @@ class TestAnalyzeNe:
         assert hashlib.sha256(out.encode()).hexdigest() == digest
         assert err == ""
 
-    # Near the float maximum the default overbids v1 + gap and v1 + 2 * gap overflow and fall back
-    # to finite bids; far-apart values make V23 and V12 overflow, reported as null.
-    @pytest.mark.parametrize("case, nulls", [("overbid-overflow", 0), ("v-value-overflow", 3)])
+    # Near the float maximum the default overbids v1 + gap and v1 + 2 * gap overflow, or leave no
+    # room between them, and fall back to finite bids; far-apart values make V23 and V12 overflow,
+    # reported as null.  Only the at-max case has an equilibrium (the truthful ordering).
+    @pytest.mark.parametrize(
+        "case, nulls", [("overbid-overflow", 0), ("v-value-overflow", 3), ("lower-overbid-at-max", 6)]
+    )
     def test_n12_float_edge_prints_strict_json(self, tmp_path, case, nulls):
         values, y = N12_EDGE_CASES[case]
         argv = ["analyze-ne", "--mode", "n12", "--values", write_json(tmp_path, "v.json", values)]
         with time_limit(1.0):
             code, out, err = run_main([*argv, "--Y", write_json(tmp_path, "y.json", y)])
-        assert (code, err) == (EXIT_NEGATIVE, "")
+        assert (code, err) == (EXIT_OK if case == "lower-overbid-at-max" else EXIT_NEGATIVE, "")
         ranks = strict_json(out)["ranks"]
         assert [r["ordering"] for r in ranks] == [list(o) for o in N12_ORDERINGS]
         assert all(b < math.inf for r in ranks for b in r["bids"])

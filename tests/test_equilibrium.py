@@ -664,6 +664,35 @@ class TestN12CheckRank:
         with pytest.raises(ValueError):
             n12_check_rank(params, (1, 1, 2))
 
+    def test_records_are_immutable_values(self, rng):
+        params = random_n12_params(rng)
+        report = n12_check_rank(params, (2, 1, 3))
+        record = DeviationRecord(0, 1, 2, 1.5, 2.25)
+        for rec, field in ((report, "is_ne"), (report.conditions[0], "margin"), (record, "bidder")):
+            with pytest.raises(AttributeError):
+                setattr(rec, field, 0)
+        for rec, twin in (
+            (report, n12_check_rank(N12Params(params.v, params.Y, params.x2), (2, 1, 3))),
+            (report.conditions[3], N12Condition(*report.conditions[3])),
+            (record, DeviationRecord(0, 1, 2, 1.5, 2.25)),
+        ):
+            assert rec is not twin and rec == twin and hash(rec) == hash(twin)
+        assert record.gain == 2.25 - 1.5
+        condition_fields = [
+            "bidder", "position", "comparison", "margin", "holds", "indeterminate",
+            "v_value", "ycoef", "direction", "auto_satisfied",
+        ]
+        want = {
+            "ordering": (2, 1, 3),
+            "bids": report.bids,
+            "is_ne": report.is_ne,
+            "indeterminate": report.indeterminate,
+            "conditions": [dict(zip(condition_fields, c)) for c in report.conditions],
+        }
+        doc = report.to_json_dict()
+        assert doc == want and list(doc) == list(want)
+        assert [list(c) for c in doc["conditions"]] == [condition_fields] * 6
+
 
 def reference_n12_position_utility(params, w, my_pos, others_desc):
     """The position-by-position utility loop the term table replaced."""
