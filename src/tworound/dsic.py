@@ -10,10 +10,10 @@ Two independent routes to the same question:
   profile on a finite grid it searches the deviator's (b, s) pairs, s >= b,
   for a strictly profitable conservative (b <= v) or risky (v < b <= s)
   deviation.  Each (b, s) puts the deviator in a rank slot (p, k): first-round
-  position p, outranked by k others in round two.  A plan built once per
-  mechanism lays out each slot's payment terms top-down, so that one
-  ``rank_payments`` call prices a chunk's slots over cached (grid, n) tables; priced on
-  n step profiles first, it may prove every gain at most ``GAIN_ATOL`` and skip the sweep.
+  position p, outranked by k others in round two.  The engine's rank-slot plan, built once
+  per call over every slot k < p <= theta, lays out each slot's payment terms top-down, so
+  that one ``rank_payments`` call prices a chunk's slots over cached (grid, n) tables; priced
+  on n step profiles first, it may prove every gain at most ``GAIN_ATOL`` and skip the sweep.
   :func:`verify_witness` re-prices a witness through full bid profiles
   (``engine.expected_utility``), apart from the plan.
 """
@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import functools
 import math
-from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import combinations_with_replacement, islice
 from typing import Sequence
@@ -30,7 +29,7 @@ from typing import Sequence
 import numpy as np
 
 from .engine import BidProfile, ConfigurationError, Mechanism, expected_utility
-from .secondround import rank_payments
+from .engine import _rank_slot_plan, _utilities
 from .selection import marginal_probabilities
 
 MARGINAL_ATOL = 1e-9
@@ -102,34 +101,6 @@ def check_dsic(mech: Mechanism) -> DsicVerdict:
     return DsicVerdict(is_dsic=True, violated_condition=None)
 
 
-def _rank_slot_plan(mech: Mechanism, n: int):
-    """Deviator's expected allocation X[slot] and the payment terms that sum to P[slot].
-
-    At position p and outranked by k others in round two, the deviator holds slot (p - 1) * n + k.
-    The others bid alike in both rounds, so those k sit at positions 1..k and the slot fixes its
-    rank r and the positions below it in every subset.  X and the terms follow the selection's
-    table of live subsets, in ``engine.settle``'s order.  A term is prob times ``rank_payments``'
-    rank-1 payment, laid out top-down: the members below the deviator in position order, then r
-    pads (zero row n - 1, step 0.0).
-    """
-    alloc, steps, beta = mech.allocation.x, mech.allocation.steps, mech.beta
-    X, slots, probs, cols, coefs = [0.0] * (n * n), [], [], [], []
-    for p in range(1, mech.theta + 1):
-        for k in range(p):
-            for subset, prob in mech.selection._live_table[0]:
-                r = bisect_right(subset, k)  # subsets are sorted tuples
-                if p in subset and r < beta:
-                    X[(p - 1) * n + k] += prob * alloc[r]
-                    slots.append((p - 1) * n + k)
-                    probs.append(prob)
-                    cols += [q - 2 + (q < p) for q in subset[r:] if q != p] + [n - 1] * r
-                    coefs += steps[r:] + (0.0,) * r
-    shape = (len(slots), len(steps))
-    order = [None, *np.array(cols, dtype=np.intp).reshape(shape).T]  # no top bid: never read
-    coefs = np.array(coefs).reshape(shape).T[..., None]  # probs and coefs broadcast over profiles
-    return np.array(X), np.array(slots, dtype=np.intp), np.array(probs)[:, None], order, coefs
-
-
 @functools.lru_cache(maxsize=8)
 def _grid_tables(grid: tuple[float, ...], n: int) -> tuple:
     """Per chunk of ``CHUNK_PROFILES`` opponent profiles, read-only (opp, bids, p1, reached).
@@ -154,17 +125,6 @@ def _grid_tables(grid: tuple[float, ...], n: int) -> tuple:
             a.flags.writeable = False
         chunks.append((opp, *arrays))
     return tuple(chunks)
-
-
-def _utilities(plan: tuple, bids: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """U[slot, v, profile] = v X[slot] - P[slot] at every value in ``g`` and column of ``bids``."""
-    X, slots, probs, order, coefs = plan
-    m = bids.shape[1]
-    # prob times each term's payment; the out array keeps the (term, profile) shape at alpha = 1
-    terms = np.multiply(probs, rank_payments(bids, order, coefs)[0], np.empty((len(slots), m)))
-    # P[slot, profile], flat; bincount adds the terms one at a time, in term order
-    P = np.bincount((slots[:, None] * m + np.arange(m)).ravel(), terms.ravel(), len(X) * m)
-    return X[:, None, None] * g[:, None] - P.reshape(len(X), 1, m)
 
 
 def _rays_gain_nothing(plan: tuple, n: int, top: float) -> bool:
@@ -221,7 +181,8 @@ def find_deviation(
     if n < mech.theta:
         raise ResourceLimitError(f"need n >= theta={mech.theta}")
 
-    chunks, plan = _grid_tables(tuple(grid), n), _rank_slot_plan(mech, n)
+    chunks = _grid_tables(tuple(grid), n)
+    plan = _rank_slot_plan(mech, n, [(p, k) for p in range(1, mech.theta + 1) for k in range(p)])
     if len(chunks) > 1 and _rays_gain_nothing(plan, n, grid[-1]):
         return None
     g = np.array(grid)

@@ -22,9 +22,11 @@ bids orders every subset, ``rank_payments`` prices them all from one row of bids
 rank, and ``bincount`` adds the terms in the loop's (subset, rank) order, so X and P keep
 every bit.  Fewer live subsets are settled one by one from the table's (subset, p) pairs
 through ``settle_round``, faster there (see the constant).
-:func:`place`, :func:`expected_utility`, :func:`expected_revenue` and
-:func:`evaluate` read X and P from it; ``evaluate`` settles every subset once
-more only for its outcome table.
+:func:`expected_utility`, :func:`expected_revenue` and :func:`evaluate` read X
+and P from it; ``evaluate`` settles every subset once more only for its outcome table.
+Both deviation checks, ``dsic.find_deviation`` and ``equilibrium.is_nash_equilibrium``,
+price rank slots: :func:`_rank_slot_plan` lays out the slots a caller reads and
+:func:`_utilities` prices them over many opponent columns and values at once.
 """
 
 from __future__ import annotations
@@ -214,20 +216,46 @@ def _settle_all(mech: Mechanism, s: Sequence[float]) -> tuple[list[float], list[
     return X.tolist(), P.tolist()
 
 
-def place(mech: Mechanism, others: Sequence[float], p: int, s: float) -> tuple[float, float]:
-    """Expected ``(X, P)`` of a bidder at first-round position p bidding s in round two.
+def _rank_slot_plan(mech: Mechanism, n: int, slots):
+    """A bidder's expected allocation X[slot] among n, and the payment terms that sum to P[slot].
 
-    ``others`` are the other bidders' bids, descending and the same in both rounds; the
-    bidder is inserted at position p among the top theta - 1 of them, and gets ``(0.0, 0.0)``
-    below position theta.  The result is row p of :func:`settle` on that bid vector.
-    ``equilibrium.is_nash_equilibrium`` prices its deviations with it.
+    ``slots`` lists the (p, k), k < p, that the caller reads: first-round position p, outranked
+    by k others in round two.  Slot (p, k) is row (p - 1) * n + k; rows left out price 0.0.  The
+    others bid alike in both rounds, so those k sit at positions 1..k and the slot fixes its rank
+    r and the positions below it in every subset; its own bid never enters its payment.  X and
+    the terms follow the live-subset table in :func:`settle`'s order, so a slot is row p of
+    ``settle`` with the bidder inserted at p, to the bit.  A term is prob times ``rank_payments``'
+    rank-1 payment, laid out top-down: the members below the bidder in position order, then r
+    pads (zero row n - 1, step 0.0).
     """
-    if len(others) < mech.theta - 1:
-        raise ConfigurationError(f"need theta - 1 = {mech.theta - 1} other bids, got {len(others)}")
-    if p > mech.theta:
-        return 0.0, 0.0
-    X, P = settle(mech, [*others[: p - 1], s, *others[p - 1 : mech.theta - 1]])
-    return X[p - 1], P[p - 1]
+    alloc, steps, beta = mech.allocation.x, mech.allocation.steps, mech.beta
+    X, rows, probs, cols, coefs = [0.0] * (n * n), [], [], [], []
+    for p, k in slots:
+        for subset, prob in mech.selection._live_table[0]:
+            r = bisect_right(subset, k)  # subsets are sorted tuples
+            if p in subset and r < beta:
+                X[(p - 1) * n + k] += prob * alloc[r]
+                rows.append((p - 1) * n + k)
+                probs.append(prob)
+                cols += [q - 2 + (q < p) for q in subset[r:] if q != p] + [n - 1] * r
+                coefs += steps[r:] + (0.0,) * r
+    shape = (len(rows), len(steps))
+    order = [None, *np.array(cols, dtype=np.intp).reshape(shape).T]  # no top bid: never read
+    coefs = np.array(coefs).reshape(shape).T[..., None]  # probs and coefs broadcast over profiles
+    return np.array(X), np.array(rows, dtype=np.intp), np.array(probs)[:, None], order, coefs
+
+
+def _utilities(plan: tuple, bids: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """U[slot, v, column] = v X[slot] - P[slot] at every value in ``g`` and column of ``bids``:
+    the n - 1 others' bids, descending, then the zero row."""
+    X, slots, probs, order, coefs = plan
+    m = bids.shape[1]
+    with np.errstate(over="ignore", invalid="ignore"):  # inf and nan as Python floats make them
+        # prob times each term's payment; the out array keeps the (term, column) shape at alpha = 1
+        terms = np.multiply(probs, rank_payments(bids, order, coefs)[0], np.empty((len(slots), m)))
+        # P[slot, column], flat; bincount adds the terms one at a time, in term order
+        P = np.bincount((slots[:, None] * m + np.arange(m)).ravel(), terms.ravel(), len(X) * m)
+        return X[:, None, None] * g[:, None] - P.reshape(len(X), 1, m)
 
 
 def _check_values(mech: Mechanism, values: Sequence[float], n: int) -> None:

@@ -4,7 +4,8 @@ Once the selection marginals are strictly decreasing in first-round rank, the
 auction is no longer DSIC and bidders may profitably overbid ("risky"
 bidding).  This module classifies the resulting pure-strategy equilibria:
 
-* a general position-deviation check driven by exact engine evaluation,
+* a general position-deviation check, each move priced as a rank slot of the
+  engine's plan (position t under the t - 1 others above it),
 * closed forms for the one-winner mode (alpha = theta - 1, beta = 1,
   second-price second round): classification, revenue, a supremum bound on
   the risky-order revenue, and a constructive "improve the distribution"
@@ -24,9 +25,11 @@ import sys
 from dataclasses import asdict, dataclass
 from typing import NamedTuple, Sequence
 
-from .engine import Mechanism, _check_values, place, settle
+import numpy as np
+
+from .engine import Mechanism, _check_values, _rank_slot_plan, _utilities
 from .secondround import AllocationRule
-from .selection import ExclusionY, from_exclusion_Y, is_finite_number
+from .selection import ExclusionY, _as_ints, from_exclusion_Y, is_finite_number
 
 EQ_ATOL = 1e-9
 _WITNESS_STEP = 0.01  # grid of the reported risky overbid
@@ -61,7 +64,7 @@ class RankProfile:
     bids: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        ordering = tuple(int(i) for i in self.ordering)
+        ordering = _as_ints(self.ordering, ValueError)
         bids = tuple(float(b) for b in self.bids)
         if sorted(ordering) != list(range(len(ordering))):
             raise ValueError(f"ordering must be a permutation of bidder ids: {ordering}")
@@ -96,45 +99,30 @@ def is_nash_equilibrium(
 
     Bidders occupying competitive positions (<= theta - alpha + beta) may move
     to any other competitive position, or retreat just below the competition
-    line; moving to position t means bidding one step (a tenth of the smallest
-    bid gap) above the incumbent position-t bid when moving up, and one step
-    below it when moving down (the minimal bid change that realizes position
-    t).  Returns (no bidder strictly gains, per-deviation utility table).
+    line.  Moving to position t, like staying there, is rank slot (t, t - 1) of
+    the engine's plan: position t, outranked in round two by the t - 1 others
+    above it.  Returns (no bidder strictly gains, per-deviation utility table).
     """
-    k = mech.competition_rank
-    bids = rank.bids
-    _check_values(mech, values, len(bids))
-    min_gap = min(a - b for a, b in zip(bids, bids[1:])) if len(bids) > 1 else 1.0
-    delta = min_gap / 10
-    # Targets: the competitive positions plus one slot below the line, which
+    bids, n = rank.bids, len(rank.bids)
+    _check_values(mech, values, n)
+    # Targets: the competitive positions 1..top plus one slot below the line, which
     # realizes "stop competing" (its allocation probability is always zero).
-    top = min(k, len(bids))
-    targets = list(range(1, top + 1)) + ([top + 1] if top < len(bids) else [])
-
-    # Every standing utility comes from the one settlement of the top theta bids, the vector
-    # place(mech, others, p, bids[p - 1]) rebuilds for each p <= theta.
-    X_now, P_now = settle(mech, bids[: mech.theta])
-    records: list[DeviationRecord] = []
-    ok = True
-    for p in range(1, top + 1):
-        bidder = rank.ordering[p - 1]
-        v = values[bidder]
-        others = bids[: p - 1] + bids[p:]
-        u_cur = v * X_now[p - 1] - P_now[p - 1]
-        for t in targets:
-            if t == p:
-                continue
-            if t < p:
-                new_bid = bids[t - 1] + delta
-            else:
-                floor = bids[t] if t < len(bids) else 0.0
-                new_bid = bids[t - 1] - min(delta, (bids[t - 1] - floor) / 2)
-            X, P = place(mech, others, t, new_bid)
-            u_dev = v * X - P
-            records.append(DeviationRecord(bidder, p, t, u_cur, u_dev))
-            if u_dev > u_cur + EQ_ATOL:
-                ok = False
-    return ok, records
+    top = min(mech.competition_rank, n)
+    targets = range(1, min(top + 1, n) + 1)
+    # One _utilities call prices every move: column j holds the others of the bidder at position
+    # j + 1, descending, then the zero row; U[t - 1][j] is its utility at slot (t, t - 1).
+    others = np.array([bids[:j] + bids[j + 1 :] + (0.0,) for j in range(top)]).T
+    v = np.array([values[i] for i in rank.ordering[:top]], dtype=float)
+    j = np.arange(top)
+    plan = _rank_slot_plan(mech, n, [(t, t - 1) for t in targets])
+    U = _utilities(plan, others, v)[:: n + 1, j, j].tolist()
+    records = [
+        DeviationRecord(rank.ordering[p - 1], p, t, U[p - 1][p - 1], U[t - 1][p - 1])
+        for p in range(1, top + 1)
+        for t in targets
+        if t != p
+    ]
+    return not any(r.utility_deviation > r.utility_current + EQ_ATOL for r in records), records
 
 
 # ---------------------------------------------------------------------------

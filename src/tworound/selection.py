@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 import sys
 from bisect import bisect_right
 from collections import Counter
@@ -33,6 +34,18 @@ class SelectionError(ValueError):
 def is_finite_number(v) -> bool:
     """A JSON number a float holds finitely: not a bool, NaN, an infinity or too large an integer."""
     return isinstance(v, (int, float)) and not isinstance(v, bool) and abs(v) <= sys.float_info.max
+
+
+def _as_ints(values: Iterable, error: type[ValueError] = SelectionError) -> tuple[int, ...]:
+    """``values`` as Python ints, each an int or numpy integer: ``int()`` would truncate a float,
+    parse a string and take a bool as 0 or 1."""
+    values = tuple(values)
+    if bool not in map(type, values):
+        try:
+            return tuple(map(operator.index, values))
+        except TypeError:
+            pass
+    raise error(f"expected integers, got {values!r}")
 
 
 def _pairwise_sum(a: list):
@@ -79,7 +92,7 @@ class SelectionDistribution:
         subsets = enumerate_subsets(self.theta, self.alpha)
         canonical: dict[tuple[int, ...], float] = {}
         for key, p in self.probs.items():
-            tkey = tuple(sorted(int(i) for i in key))
+            tkey = tuple(sorted(_as_ints(key)))
             if tkey in canonical:
                 raise SelectionError(f"duplicate subset {tkey}")
             canonical[tkey] = float(p)
@@ -111,7 +124,7 @@ class SelectionDistribution:
 
     @classmethod
     def point_mass(cls, theta: int, subset: Iterable[int]) -> "SelectionDistribution":
-        key = tuple(sorted(int(i) for i in subset))
+        key = tuple(sorted(_as_ints(subset)))
         subsets = enumerate_subsets(theta, len(key))
         return cls(theta, len(key), {s: (1.0 if s == key else 0.0) for s in subsets})
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from tworound.engine import Mechanism
+from tworound.engine import Mechanism, settle
 from tworound.secondround import AllocationRule
 from tworound.selection import SelectionDistribution
 
@@ -82,6 +82,19 @@ def off_grid_violation(e: float = 0.01) -> Mechanism:
     """
     dist = SelectionDistribution(3, 2, {(1, 2): 1 / 3, (1, 3): 1 / 3 + e, (2, 3): 1 / 3 - e})
     return Mechanism(3, 2, dist, AllocationRule((1.0, 0.0)))
+
+
+def place(mech: Mechanism, others, p: int, s: float) -> tuple[float, float]:
+    """Expected ``(X, P)`` of a bidder at first-round position p bidding s in round two.
+
+    ``others`` are the other bidders' bids, descending and the same in both rounds.  Row p of
+    ``engine.settle`` on the vector with the bidder inserted at p, and ``(0.0, 0.0)`` below
+    position theta: the reference searches price every deviation with it.
+    """
+    if p > mech.theta:
+        return 0.0, 0.0
+    X, P = settle(mech, [*others[: p - 1], s, *others[p - 1 : mech.theta - 1]])
+    return X[p - 1], P[p - 1]
 
 
 @pytest.fixture

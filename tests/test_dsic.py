@@ -13,9 +13,10 @@ from conftest import (
     make_dsic_mechanism,
     make_non_dsic_mechanism,
     off_grid_violation,
+    place,
     random_allocation,
 )
-from tworound import dsic
+from tworound import dsic, engine
 from tworound.dsic import (
     CHUNK_PROFILES,
     GAIN_ATOL,
@@ -26,7 +27,7 @@ from tworound.dsic import (
     find_deviation,
     verify_witness,
 )
-from tworound.engine import ConfigurationError, Mechanism, place
+from tworound.engine import ConfigurationError, Mechanism
 from tworound.secondround import AllocationRule
 from tworound.selection import SelectionDistribution, enumerate_subsets
 
@@ -266,7 +267,7 @@ class TestPinnedWitnesses:
 
 
 def reference_find_deviation(mech, grid, n):
-    """The grid search as a triple loop, every deviation priced by ``engine.place``."""
+    """The grid search as a triple loop, every deviation priced by ``place`` over ``engine.settle``."""
     grid = sorted(float(g) for g in grid)
     for opp in combinations_with_replacement(reversed(grid), n - 1):
         # opp is descending; at an equal bid the deviator (id 0) takes the better position.
@@ -502,7 +503,8 @@ class TestRayCertificate:
 
     @staticmethod
     def _fires(mech, grid, n):
-        return dsic._rays_gain_nothing(dsic._rank_slot_plan(mech, n), n, float(max(grid)))
+        slots = [(p, k) for p in range(1, mech.theta + 1) for k in range(p)]
+        return dsic._rays_gain_nothing(engine._rank_slot_plan(mech, n, slots), n, float(max(grid)))
 
     def test_the_certificate_never_changes_a_result(self, monkeypatch):
         # alpha = theta - 1 selections near uniform, with e moved between two subsets: from far

@@ -14,7 +14,6 @@ from tworound.engine import (
     expected_revenue,
     expected_utility,
     first_round_positions,
-    place,
     settle,
     simulate_run,
 )
@@ -178,6 +177,20 @@ class TestExpectedUtility:
                 expected_utility(m, values, bids, bidder)
 
 
+def price_slot(m, others, p, k, v=0.0):
+    """Rank slot (p, k) against ``others``, descending, as the kernel prices it: (X, P, v X - P)."""
+    n = len(others) + 1
+    plan = engine._rank_slot_plan(m, n, [(p, k)])
+    U = engine._utilities(plan, np.array([*others, 0.0])[:, None], np.array([0.0, v]))
+    u0, u = U[(p - 1) * n + k, :, 0].tolist()
+    return plan[0][(p - 1) * n + k].item(), 0.0 - u0, u
+
+
+def slot_of(others, s, p):
+    """k of a bidder at position p bidding s in round two: the others above it at >= s."""
+    return min(p - 1, sum(o >= s for o in others))
+
+
 class TestPlace:
     def test_matches_expected_utility_through_a_profile(self):
         # Bidder 0 bids (b, s) against opponents bidding the same in both
@@ -201,16 +214,16 @@ class TestPlace:
             s = b + int(rng.integers(0, 3))
             v = float(rng.uniform(0, 8))
             p = 1 + sum(o > b for o in others)
-            X, P = place(m, others, p, s)
+            _, _, u = price_slot(m, others, p, slot_of(others, s, p), v)
             bids = BidProfile((b, *others), (s, *others))
-            assert v * X - P == expected_utility(m, (v, *others), bids, 0)
+            assert u == expected_utility(m, (v, *others), bids, 0)
             below += p > theta
             tied += b in others
         assert below > 20 and tied > 100
 
 
 class TestPlaceRow:
-    """place returns row p of settle on the bid vector with the bidder inserted at p."""
+    """Rank slot (p, k) prices row p of settle on the bid vector with the bidder inserted at p."""
 
     def test_same_bits_as_row_p_of_settle(self):
         rng = np.random.default_rng(20261019)
@@ -231,19 +244,49 @@ class TestPlaceRow:
             pool = [-0.0, 0.0, 1.0, 2.0, 3.0, rng.uniform(0, 4)]
             others = sorted(rng.choice(pool, size=theta - 1 + int(rng.integers(0, 3))), reverse=True)
             s = float(rng.choice(pool))
-            p = int(rng.integers(1, theta + 3))
-            got = place(m, others, p, s)
+            # Any position at which no other below the bidder outbids it.
+            p = int(rng.integers(1 + sum(o > s for o in others), len(others) + 2))
+            X, P, _ = price_slot(m, others, p, slot_of(others, s, p))
             if p > theta:
                 want = (0.0, 0.0)
             else:
-                X, P = settle(m, [*others[: p - 1], s, *others[p - 1 : theta - 1]])
-                want = (X[p - 1], P[p - 1])
-            assert [v.hex() for v in got] == [v.hex() for v in want], (theta, alpha, beta, p, s)
+                Xs, Ps = settle(m, [*others[: p - 1], s, *others[p - 1 : theta - 1]])
+                want = (Xs[p - 1], Ps[p - 1])
+            assert [X.hex(), P.hex()] == [v.hex() for v in want], (theta, alpha, beta, p, s)
             seen["large" if len(subsets) >= engine._NUMPY_MIN_SUBSETS else "small"] += 1
             seen["tie"] += s in others[: theta - 1]
             seen["p=theta"] += p == theta
             seen["p>theta"] += p > theta
         assert min(seen.values()) > 40, seen
+
+    def test_a_plan_over_some_slots_prices_them_as_the_full_plan(self):
+        rng = np.random.default_rng(20261020)
+        for _ in range(200):
+            theta = int(rng.integers(1, 8))
+            alpha = int(rng.integers(1, theta + 1))
+            beta = int(rng.integers(1, alpha + 1))
+            subsets = enumerate_subsets(theta, alpha)
+            probs = rng.dirichlet(np.ones(len(subsets)))
+            if len(subsets) > 1 and rng.random() < 0.4:
+                probs[rng.random(len(subsets)) < 0.4] = 0.0
+                probs[rng.integers(len(subsets))] += 0.5
+                probs /= probs.sum()
+            sel = SelectionDistribution(theta, alpha, dict(zip(subsets, probs.tolist())))
+            m = Mechanism(theta, alpha, sel, random_allocation(rng, alpha, beta))
+            n = theta + int(rng.integers(0, 3))
+            full = [(p, k) for p in range(1, theta + 1) for k in range(p)]
+            some = [full[i] for i in rng.permutation(len(full))[: rng.integers(0, len(full) + 1)]]
+            pool = [-0.0, 0.0, 1.0, 2.5, rng.uniform(0, 4)]
+            bids = np.vstack([-np.sort(-rng.choice(pool, size=(n - 1, 4)), axis=0), np.zeros(4)])
+            g = np.array([-1.5, 0.0, 3.0])
+            want = engine._utilities(engine._rank_slot_plan(m, n, full), bids, g)
+            plan = engine._rank_slot_plan(m, n, some)
+            got = engine._utilities(plan, bids, g)
+            read = np.zeros(n * n, dtype=bool)
+            read[[(p - 1) * n + k for p, k in some]] = True
+            assert got[read].tobytes() == want[read].tobytes()
+            assert not plan[0][~read].any()
+            assert got[~read].tobytes() == np.broadcast_to(g[:, None] * 0.0 - 0.0, got[~read].shape).tobytes()
 
 
 class TestSettlePaths:
@@ -285,14 +328,17 @@ class TestSettlePaths:
             s = bids[:theta]
             profile = BidProfile(tuple(bids), tuple(bids))
             positions = first_round_positions(m, profile)
-            # place inserts bids[0] at position p among the others; p = theta + 1 is below the top.
-            others, own, p = sorted(bids[1:], reverse=True), bids[0], trial % (theta + 1) + 1
+            # Rank slot (p, k) puts bids[0] at position p among the others; p > theta is below the top.
+            others, own = sorted(bids[1:], reverse=True), bids[0]
+            above = sum(o > own for o in others)
+            p = above + 1 + trial % (n - above)
             results = []
             for threshold in (math.inf, 0):
                 monkeypatch.setattr(engine, "_NUMPY_MIN_SUBSETS", threshold)
                 X, P = settle(m, s)
                 results.append((self.bits(X), self.bits(P), expected_revenue(m, profile).hex()))
-                # evaluate, expected_revenue and place read settle's X and P to the bit.
+                # evaluate and expected_revenue read settle's X and P to the bit, and the kernel
+                # prices them alike.
                 X, P = settle(m, [bids[i] for i in positions])
                 utils = [0.0] * n
                 for k, i in enumerate(positions):
@@ -306,7 +352,7 @@ class TestSettlePaths:
                 if p <= theta:
                     X, P = settle(m, [*others[: p - 1], own, *others[p - 1 : theta - 1]])
                     want = (X[p - 1], P[p - 1])
-                assert self.bits(place(m, others, p, own)) == self.bits(want)
+                assert self.bits(price_slot(m, others, p, slot_of(others, own, p))[:2]) == self.bits(want)
             assert results[0] == results[1], (theta, alpha, beta, s)
             seen["tie"] += len(set(s)) < len(s)
             seen["signed-zero"] += any(math.copysign(1.0, b) < 0 for b in s)  # a -0.0
@@ -363,13 +409,6 @@ class TestShortBidVectors:
         m = n11_mech((0.6, 0.25, 0.15))
         with pytest.raises(ConfigurationError, match="need theta=3 second-round bids, got 2"):
             settle(m, [5.0, 3.0])
-
-    def test_place_needs_theta_minus_one_others(self):
-        m = n11_mech((0.6, 0.25, 0.15))
-        for p in (1, 2, 3, 4):
-            with pytest.raises(ConfigurationError, match="need theta - 1 = 2 other bids, got 1"):
-                place(m, [5.0], p, 4.0)
-        assert place(m, [5.0, 3.0], 4, 4.0) == (0.0, 0.0)
 
 
 class TestExpectedRevenue:

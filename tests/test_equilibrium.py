@@ -10,10 +10,11 @@ from conftest import (
     make_all_advance_mechanism,
     make_dsic_mechanism,
     make_non_dsic_mechanism,
+    place,
     random_allocation,
 )
 from tworound import engine, secondround
-from tworound.engine import BidProfile, ConfigurationError, Mechanism, expected_revenue, place
+from tworound.engine import BidProfile, ConfigurationError, Mechanism, expected_revenue
 from tworound.equilibrium import (
     EQ_ATOL,
     ConstructionFailure,
@@ -73,6 +74,16 @@ class TestRankProfile:
     def test_rejects_non_permutation(self):
         with pytest.raises(ValueError):
             RankProfile((0, 0, 2), (450, 350, 200))
+
+    @pytest.mark.parametrize("ordering", [(0, 1.7, 2), (True, 0.2, 2), ("1", "0", "2"), (np.True_, 0, 2)])
+    def test_rejects_non_integer_ids(self, ordering):
+        # int() would truncate these to the permutations (0, 1, 2) and (1, 0, 2).
+        with pytest.raises(ValueError, match="expected integers"):
+            RankProfile(ordering, (450, 350, 200))
+
+    def test_numpy_integer_ids_accepted(self):
+        rank = RankProfile(tuple(np.array([1, 0, 2])), (450, 350, 200))
+        assert rank.ordering == (1, 0, 2) and all(type(i) is int for i in rank.ordering)
 
 
 def reference_is_nash_equilibrium(mech, values, rank):
@@ -212,6 +223,20 @@ class TestIsNashEquilibrium:
             full += beta == alpha and n > theta
             beyond += n > theta
         assert full > 50 and beyond > 150
+
+    def test_payments_past_the_float_range_match_the_reference(self):
+        # x[0] = 1 + 1e-12 takes payments on bids near the float maximum to inf; the reference
+        # prices them with Python floats, which overflow silently, and so must the check.
+        top = sys.float_info.max
+        for theta, n in ((3, 3), (3, 4), (4, 4)):
+            x = secondround.AllocationRule((1.0 + 1e-12,) + (0.0,) * (theta - 2))
+            mech = Mechanism(theta, theta - 1, SelectionDistribution.uniform(theta, theta - 1), x)
+            bids = tuple(top * (1 - i * 1e-15) for i in range(n))
+            rank = RankProfile(tuple(range(n)), bids)
+            values = (top, top / 2, *bids[2:])
+            ok, records = is_nash_equilibrium(mech, values, rank)
+            assert _bits((ok, records)) == _bits(reference_is_nash_equilibrium(mech, values, rank))
+            assert any(math.isinf(r.utility_deviation) for r in records)
 
     def test_malformed_inputs_rejected(self):
         mech = n11_mechanism(Y_TRUTH)
@@ -820,7 +845,7 @@ class TestN12Reference:
     def test_never_reaches_the_engine(self, rng, monkeypatch):
         # Criterion 10 cross-checks these conditions against the engine; that only
         # means something while the n12 path does not price through the engine itself.
-        originals = (engine.settle, engine.place, secondround.settle_round)
+        originals = (engine.settle, engine._rank_slot_plan, secondround.settle_round)
 
         def forbidden(*args, **kwargs):
             raise AssertionError("the n12 conditions called the engine")

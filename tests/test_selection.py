@@ -101,6 +101,24 @@ class TestSelectionDistribution:
         with pytest.raises(SelectionError):
             SelectionDistribution(3, 2, {(1, 2): 0.5, (1, 3): 0.5})
 
+    @pytest.mark.parametrize(
+        "subsets",
+        [[(1, 2.7), (1, 3), (2.2, 3)], [(1, 3), (2, 3), (2, True)], [(1, 2), (1, 3), ("2", "3")]],
+    )
+    def test_rejects_non_integer_subset_entries(self, subsets):
+        # int() would truncate 2.7 and 2.2 to (1, 2) and (2, 3) and read True as 1.
+        with pytest.raises(SelectionError, match="expected integers"):
+            SelectionDistribution(3, 2, dict(zip(subsets, (0.5, 0.3, 0.2))))
+        with pytest.raises(SelectionError, match="expected integers"):
+            SelectionDistribution.point_mass(3, subsets[-1])
+
+    def test_numpy_integer_subset_entries_accepted(self):
+        ids = np.arange(1, 4)
+        d = SelectionDistribution(3, 2, {(ids[0], ids[1]): 0.5, (1, 3): 0.3, (ids[1], np.int32(3)): 0.2})
+        assert list(d.probs.items()) == [((1, 2), 0.5), ((1, 3), 0.3), ((2, 3), 0.2)]
+        assert all(type(i) is int for key in d.probs for i in key)
+        assert SelectionDistribution.point_mass(3, ids[1:]).probs[(2, 3)] == 1.0
+
     def test_json_round_trip(self):
         d = SelectionDistribution.uniform(4, 2)
         doc = json.loads(d.to_json())
