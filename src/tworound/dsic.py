@@ -21,7 +21,6 @@ Two independent routes to the same question:
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 from itertools import combinations_with_replacement, islice
 from typing import Sequence
@@ -30,7 +29,7 @@ import numpy as np
 
 from .engine import BidProfile, ConfigurationError, Mechanism, expected_utility
 from .engine import _rank_slot_plan, _utilities
-from .selection import marginal_probabilities
+from .selection import is_finite_number, marginal_probabilities
 
 MARGINAL_ATOL = 1e-9
 GAIN_ATOL = 1e-9
@@ -166,11 +165,12 @@ def find_deviation(
     cell per (b, s); slots that no s >= b reaches are masked out.  No chunk is scanned when
     :func:`_rays_gain_nothing` proves that no profile gains.
     """
-    grid = sorted(float(g) for g in grid)
+    grid = list(grid)
     if not grid:
         raise ValueError("grid must not be empty: nothing would be searched")
-    if not all(0 <= g < math.inf for g in grid):
+    if not all(is_finite_number(g) and g >= 0 for g in grid):
         raise ValueError(f"grid points must be finite and nonnegative, got {grid}")
+    grid = sorted(map(float, grid))
     n = mech.theta if n is None else n
     if len(grid) > MAX_GRID_POINTS:
         raise ResourceLimitError(

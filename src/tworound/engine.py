@@ -31,7 +31,6 @@ price rank slots: :func:`_rank_slot_plan` lays out the slots a caller reads and
 
 from __future__ import annotations
 
-import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -112,12 +111,12 @@ class BidProfile:
     second_round: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        b = tuple(float(v) for v in self.first_round)
-        s = tuple(float(v) for v in self.second_round)
+        b, s = tuple(self.first_round), tuple(self.second_round)
         if len(b) != len(s):
             raise ConfigurationError("first/second round bid vectors differ in length")
-        if not all(0 <= v < math.inf for v in b + s):
+        if not all(is_finite_number(v) and v >= 0 for v in b + s):
             raise ConfigurationError("bids must be finite and nonnegative")
+        b, s = tuple(map(float, b)), tuple(map(float, s))
         object.__setattr__(self, "first_round", b)
         object.__setattr__(self, "second_round", s)
 
@@ -138,7 +137,7 @@ class BidProfile:
 
     @classmethod
     def truthful(cls, values: Sequence[float]) -> "BidProfile":
-        v = tuple(float(x) for x in values)
+        v = tuple(values)
         return cls(v, v)
 
 
@@ -262,7 +261,7 @@ def _check_values(mech: Mechanism, values: Sequence[float], n: int) -> None:
     """One finite value for each of n >= theta bidders, or :class:`ConfigurationError`."""
     if len(values) != n:
         raise ConfigurationError("values and bid profile differ in length")
-    if not all(map(math.isfinite, values)):
+    if not all(map(is_finite_number, values)):
         raise ConfigurationError("values must be finite")
     if n < mech.theta:
         raise ConfigurationError(f"need at least theta={mech.theta} bidders, got {n}")

@@ -65,15 +65,16 @@ class RankProfile:
 
     def __post_init__(self) -> None:
         ordering = _as_ints(self.ordering, ValueError)
-        bids = tuple(float(b) for b in self.bids)
+        bids = tuple(self.bids)
         if sorted(ordering) != list(range(len(ordering))):
             raise ValueError(f"ordering must be a permutation of bidder ids: {ordering}")
         if len(bids) != len(ordering):
             raise ValueError("bids and ordering differ in length")
+        if not all(is_finite_number(b) and b >= 0 for b in bids):
+            raise ValueError(f"bids must be finite and nonnegative: {bids}")
+        bids = tuple(map(float, bids))
         if any(bids[i] <= bids[i + 1] for i in range(len(bids) - 1)):
             raise ValueError(f"bids must be strictly decreasing: {bids}")
-        if not all(0 <= b < math.inf for b in bids):
-            raise ValueError(f"bids must be finite and nonnegative: {bids}")
         object.__setattr__(self, "ordering", ordering)
         object.__setattr__(self, "bids", bids)
 
@@ -338,12 +339,11 @@ class N12Params:
     b3: float | None = None
 
     def __post_init__(self) -> None:
-        v = tuple(float(x) for x in self.v)
-        Y = tuple(float(x) for x in self.Y)
-        x2 = float(self.x2)
+        v, Y, x2 = tuple(self.v), tuple(self.Y), self.x2
         for name, values in (("v", v), ("Y", Y), ("x2", (x2,))):
-            if not all(map(math.isfinite, values)):
+            if not all(map(is_finite_number, values)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
+        v, Y, x2 = tuple(map(float, v)), tuple(map(float, Y)), float(x2)
         if len(v) != 5 or any(b >= a for a, b in zip(v, v[1:])):
             raise ValueError(f"need five strictly descending valuations, got {v}")
         if v[-1] < 0:

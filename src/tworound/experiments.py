@@ -36,14 +36,19 @@ normalizing first, sorting each row and summing the sorted rows with numpy:
 * with the columns sorted, min(Y_1..Y_{theta-3}) > Y_{theta-1} follows from
   Y_{theta-2} > Y_{theta-1}, so the ordering test reads three columns.
 
-Each chunk's revenues are compressed straight into one buffer per class, so
-a row keeps only its class revenues, in draw order.  Those are the doubles a
-full-batch ``rev[mask]`` would select, in the same order, so the class means
-(numpy's pairwise sum over a contiguous array) and maxima come out the same
-bits.  Every row, table 4's included, is built by :func:`_class_row`; gap and
-theta rows are built from the kernel's result at once (:func:`_sweep`), which
-frees one row's buffers before the next row draws.  The tests keep the
-sort-based implementation as the reference and compare bit for bit.
+The kernel's memory is allocated once per table, in a :class:`_Workspace`
+sized for its largest theta: the column block and the chunk's working
+buffers, which every chunk fills in place, and one class buffer of n
+doubles.  Each chunk's risky revenues are compressed into that buffer from
+the front and its truthful revenues from the back, backwards, so a row keeps
+8 bytes per classified draw and the truthful class reads in draw order as a
+reversed view.  Those are the doubles a full-batch ``rev[mask]`` would
+select, in the same order, so the class maxima and means come out the same
+bits (numpy sums a reversed 1-D view in its own order, as it sums a
+contiguous copy).  Every row, table 4's included, is built by
+:func:`_class_row`; gap and theta rows are built from the kernel's result at
+once (:func:`_sweep`), before the next row overwrites the buffer.  The tests
+keep the sort-based implementation as the reference and compare bit for bit.
 """
 
 from __future__ import annotations
@@ -58,7 +63,7 @@ from typing import Sequence, TextIO
 import numpy as np
 
 from .equilibrium import DegenerateRatioError
-from .selection import _pairwise_sum
+from .selection import _pairwise_sum, is_finite_number
 
 logger = logging.getLogger(__name__)
 
@@ -97,14 +102,16 @@ class ExperimentConfig:
             raise ValueError("n_valuations must be >= 1")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
-        if not 0 < self.value_max < math.inf:
+        if not is_finite_number(self.value_max) or not self.value_max > 0:
             # value_max = 0 would make table 4's tie retry draw (0, 0, 0) forever.
-            raise ValueError(f"value_max must be positive and finite, got {self.value_max}")
-        vals = tuple(tuple(float(x) for x in v) for v in self.valuations)
+            raise ValueError(f"value_max must be positive and finite, got {self.value_max!r}")
+        object.__setattr__(self, "value_max", float(self.value_max))
+        vals = tuple(map(tuple, self.valuations))
         for v in vals:
-            finite = all(map(math.isfinite, v))
+            finite = all(map(is_finite_number, v))
             if len(v) != 3 or not finite or v[2] <= 0 or sorted(v, reverse=True) != list(v):
                 raise ValueError(f"valuations must be finite positive descending triples: {v}")
+        vals = tuple(tuple(map(float, v)) for v in vals)
         thetas = tuple(_require_int("thetas", t) for t in self.thetas)
         if not thetas:
             raise ValueError("thetas must name at least one theta")
@@ -154,8 +161,32 @@ def _sort_network(n: int) -> tuple[tuple[int, int], ...]:
     return tuple(out)
 
 
+class _Workspace:
+    """The buffers of :func:`_classify_draws` for up to ``theta`` columns and ``n`` draws.
+
+    A harness makes one per call and passes it to every row or valuation: per chunk the kernel
+    allocates only the generator's block, and one class buffer ``rev`` serves every row (with
+    one per row, the tables benchmark's peak RSS alternated between two levels 6 MB apart)."""
+
+    def __init__(self, theta: int, n: int) -> None:
+        rows = min(n, _CHUNK_ROWS)
+        self.cols, self.rev = np.empty((theta, rows)), np.empty(n)
+        self.floats = np.empty((6, rows))  # total, the sort spare, S, A, ratio, a revenue
+        self.masks = np.empty((3, rows), dtype=bool)  # ordered, risky, truthful
+        self._views: dict[tuple[int, int], tuple] = {}
+
+    def views(self, theta: int, rows: int) -> tuple:
+        """The (theta, rows) column block, its rows and every float and mask buffer, ``rows`` long;
+        made once per shape, as slicing them per chunk costs 3-7% of a table-4 call."""
+        key = theta, rows
+        if key not in self._views:
+            block = self.cols[:theta, :rows]
+            self._views[key] = (block, tuple(block), *self.floats[:, :rows], *self.masks[:, :rows])
+        return self._views[key]
+
+
 def _classify_draws(
-    rng: np.random.Generator, theta: int, n: int, v: tuple[float, float, float]
+    rng: np.random.Generator, theta: int, n: int, v: tuple[float, float, float], ws=None
 ) -> tuple[np.ndarray, np.ndarray, int]:
     """Draw ``n`` exclusion vectors Y and classify each against valuations ``v``.
 
@@ -167,24 +198,29 @@ def _classify_draws(
     constraint are discarded.  S = Y_1 + ... + Y_{theta-2} is summed from the
     largest entry down (as numpy sums a descending row), A = Y_{theta-1} +
     Y_theta, and a class's revenue is S * v1 + A * v3 (risky) or
-    S * v2 + A * v3 (truthful).  Needs theta >= 3.
+    S * v2 + A * v3 (truthful).  Needs theta >= 3.  The revenues are views of
+    the :class:`_Workspace` ``ws`` (a new one if None), valid until its next call.
     """
     v1, v2, v3 = v
     if v2 == v3:
         raise DegenerateRatioError(f"v2 == v3 in {v}: gap ratio undefined")
     r = (v1 - v2) / (v2 - v3)
     network = _sort_network(theta)
-    rev_risky = np.empty(n)
-    rev_truthful = np.empty(n)
+    if ws is None:
+        ws = _Workspace(theta, n)
+    # Risky revenues fill rev from the front, truthful ones from the back, backwards.
+    rev = ws.rev[:n]
     n_risky = n_truthful = 0
     for start in range(0, n, _CHUNK_ROWS):
-        stop = min(start + _CHUNK_ROWS, n)
-        # One contiguous array per column; the row sums are taken in numpy's
-        # order (as w.sum(axis=1) would) before the network sorts the columns
-        # ascending.
-        cols = list(np.ascontiguousarray(rng.random((stop - start, theta)).T))
-        total = _pairwise_sum(cols)
-        spare = np.empty_like(total)
+        rows = min(_CHUNK_ROWS, n - start)
+        # One contiguous row of ws.cols per column; the row sums are taken in
+        # numpy's order (as w.sum(axis=1) would) before the network sorts the
+        # columns ascending.
+        block, cols, total, spare, S, A, ratio, tmp, *masks = ws.views(theta, rows)
+        ordered, risky, truthful = masks
+        np.copyto(block, rng.random((rows, theta)).T)
+        cols = list(cols)
+        _pairwise_sum(cols, out=total)
         for i, j in network:
             lo, hi = cols[i], cols[j]
             np.minimum(lo, hi, out=spare)
@@ -193,22 +229,25 @@ def _classify_draws(
         for col in cols:
             np.divide(col, total, out=col)
         y_last, y_pen = cols[0], cols[1]
-        S = _pairwise_sum(cols[:1:-1])
-        A = y_pen + y_last
-        ratio = (y_pen - y_last) / S
-        ordered = (cols[2] > y_pen) & (y_pen > y_last)
+        _pairwise_sum(cols[:1:-1], out=S)
+        np.add(y_pen, y_last, out=A)
+        np.divide(np.subtract(y_pen, y_last, out=ratio), S, out=ratio)
+        np.greater(cols[2], y_pen, out=ordered)
+        ordered &= np.greater(y_pen, y_last, out=risky)
         A *= v3
-        risky = ratio > r
+        np.greater(ratio, r, out=risky)
         risky &= ordered
-        truthful = ratio < r
+        np.less(ratio, r, out=truthful)
         truthful &= ordered
         k = int(np.count_nonzero(risky))
-        np.compress(risky, S * v1 + A, out=rev_risky[n_risky : n_risky + k])
+        np.add(np.multiply(S, v1, out=tmp), A, out=tmp)
+        np.compress(risky, tmp, out=rev[n_risky : n_risky + k])
         n_risky += k
         k = int(np.count_nonzero(truthful))
-        np.compress(truthful, S * v2 + A, out=rev_truthful[n_truthful : n_truthful + k])
+        np.add(np.multiply(S, v2, out=tmp), A, out=tmp)
+        np.compress(truthful, tmp, out=rev[n - n_truthful - k : n - n_truthful][::-1])
         n_truthful += k
-    return rev_risky[:n_risky], rev_truthful[:n_truthful], n - n_risky - n_truthful
+    return rev[:n_risky], rev[n - n_truthful :][::-1], n - n_risky - n_truthful
 
 
 def _class_row(
@@ -240,8 +279,9 @@ def _class_row(
 def _sweep(config: ExperimentConfig, cells) -> list[ExperimentRow]:
     """One row per ``(experiment_id, v, theta)`` cell, in order, all drawn from one generator."""
     rng = np.random.default_rng(config.seed)
+    ws = _Workspace(max(theta for _, _, theta in cells), config.draws)
     return [
-        _class_row(eid, v, theta, *_classify_draws(rng, theta, config.draws, v))
+        _class_row(eid, v, theta, *_classify_draws(rng, theta, config.draws, v, ws))
         for eid, v, theta in cells
     ]
 
@@ -251,7 +291,7 @@ def run_gap_experiment(config: ExperimentConfig) -> list[ExperimentRow]:
     if not config.valuations:
         raise ValueError("gap experiment needs a list of valuation triples")
     theta = config.thetas[0]
-    cells = ((f"gap-{idx}", v, theta) for idx, v in enumerate(config.valuations, start=1))
+    cells = [(f"gap-{idx}", v, theta) for idx, v in enumerate(config.valuations, start=1)]
     return _sweep(config, cells)
 
 
@@ -260,7 +300,7 @@ def run_theta_experiment(config: ExperimentConfig) -> list[ExperimentRow]:
     if len(config.valuations) != 1:
         raise ValueError("theta experiment needs exactly one valuation triple")
     v = config.valuations[0]
-    cells = ((f"theta-{idx}", v, theta) for idx, theta in enumerate(config.thetas, start=1))
+    cells = [(f"theta-{idx}", v, theta) for idx, theta in enumerate(config.thetas, start=1)]
     return _sweep(config, cells)
 
 
@@ -275,6 +315,7 @@ def run_random_valuation_experiment(config: ExperimentConfig) -> list[Experiment
     valuations).
     """
     rng = np.random.default_rng(config.seed)
+    ws = _Workspace(max(config.thetas), config.draws)
     rows = []
     for idx, theta in enumerate(config.thetas, start=1):
         risky_best: list[float] = []
@@ -284,7 +325,7 @@ def run_random_valuation_experiment(config: ExperimentConfig) -> list[Experiment
             v = tuple(np.sort(rng.uniform(0.0, config.value_max, size=3))[::-1])
             while v[0] == v[1] or v[1] == v[2]:
                 v = tuple(np.sort(rng.uniform(0.0, config.value_max, size=3))[::-1])
-            rev_risky, rev_truthful, lost = _classify_draws(rng, theta, config.draws, v)
+            rev_risky, rev_truthful, lost = _classify_draws(rng, theta, config.draws, v, ws)
             discarded += lost
             if not len(rev_risky) or not len(rev_truthful):
                 skipped += 1

@@ -17,6 +17,8 @@ from dataclasses import dataclass, field
 from itertools import accumulate
 from typing import Sequence
 
+from .selection import is_finite_number
+
 
 class ContractViolation(ValueError):
     """Input violates a documented precondition (e.g. a wrong bid count)."""
@@ -34,11 +36,12 @@ class AllocationRule:
     _winner_cdf: list[float] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        x = tuple(float(v) for v in self.x)
+        x = tuple(self.x)
         if not x:
             raise ContractViolation("allocation vector must be non-empty")
-        if not all(math.isfinite(v) for v in x):
+        if not all(map(is_finite_number, x)):
             raise ContractViolation(f"allocation probabilities must be finite: {x}")
+        x = tuple(map(float, x))
         if any(b > a + 1e-15 for a, b in zip(x, x[1:])):
             raise ContractViolation(f"allocation must be non-increasing: {x}")
         if min(x) < 0:

@@ -16,7 +16,7 @@ import sys
 from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass, field
-from functools import cached_property, reduce
+from functools import cached_property, partial, reduce
 from itertools import accumulate, combinations
 from operator import iadd
 from typing import Iterable, Mapping, Sequence
@@ -32,8 +32,13 @@ class SelectionError(ValueError):
 
 
 def is_finite_number(v) -> bool:
-    """A JSON number a float holds finitely: not a bool, NaN, an infinity or too large an integer."""
-    return isinstance(v, (int, float)) and not isinstance(v, bool) and abs(v) <= sys.float_info.max
+    """A number (Python or numpy) a float holds finitely: not a bool, NaN, an infinity or too large
+    an integer, so ``float(v)`` neither raises nor overflows."""
+    if isinstance(v, (float, np.floating)):
+        return math.isfinite(v)
+    if isinstance(v, int) and not isinstance(v, bool):
+        return abs(v) <= sys.float_info.max
+    return isinstance(v, np.integer)
 
 
 def _as_ints(values: Iterable, error: type[ValueError] = SelectionError) -> tuple[int, ...]:
@@ -48,19 +53,22 @@ def _as_ints(values: Iterable, error: type[ValueError] = SelectionError) -> tupl
     raise error(f"expected integers, got {values!r}")
 
 
-def _pairwise_sum(a: list):
+def _pairwise_sum(a: list, out: np.ndarray | None = None):
     """numpy's pairwise summation of ``a``, bit for bit: ``np.sum`` of a list of floats as one
     float64 array, or, for a list of equal-length float64 columns, ``sum(axis=1)`` of the array
     that holds them as columns.  Left to right below 8 entries, eight interleaved lanes up to 128,
-    halves split at a multiple of 8 above.  It adds into a new float or array, not into ``a``."""
+    halves split at a multiple of 8 above.  It adds into a new float or array, not into ``a``;
+    columns may instead be added into ``out``, an array that is none of them (below 8 columns
+    without any temporary)."""
+    add = operator.add if out is None else partial(np.add, out=out)
     n = len(a)
     if n > 128:
-        return _pairwise_sum(a[: n // 16 * 8]) + _pairwise_sum(a[n // 16 * 8 :])
+        return add(_pairwise_sum(a[: n // 16 * 8], out), _pairwise_sum(a[n // 16 * 8 :]))
     if n < 8:
-        return reduce(iadd, a[2:], a[0] + a[1]) if n > 1 else a[0] + 0.0
+        return reduce(iadd, a[2:], add(a[0], a[1])) if n > 1 else add(a[0], 0.0)
     head = n - n % 8
     r = [reduce(iadd, a[j + 16 : head : 8], a[j] + a[j + 8]) for j in range(8)] if head > 8 else a
-    return reduce(iadd, a[head:], ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7])))
+    return reduce(iadd, a[head:], add((r[0] + r[1]) + (r[2] + r[3]), (r[4] + r[5]) + (r[6] + r[7])))
 
 
 def enumerate_subsets(theta: int, alpha: int) -> list[tuple[int, ...]]:
@@ -95,6 +103,8 @@ class SelectionDistribution:
             tkey = tuple(sorted(_as_ints(key)))
             if tkey in canonical:
                 raise SelectionError(f"duplicate subset {tkey}")
+            if not is_finite_number(p):
+                raise SelectionError(f"subset probabilities must be finite, got {p!r}")
             canonical[tkey] = float(p)
         valid = set(subsets)
         missing = [s for s in subsets if s not in canonical]
@@ -104,8 +114,6 @@ class SelectionDistribution:
                 f"subset keys do not match C({self.theta},{self.alpha}): "
                 f"missing={missing[:3]} extra={extra[:3]}"
             )
-        if not all(math.isfinite(p) for p in canonical.values()):
-            raise SelectionError("subset probabilities must be finite")
         if any(p < -SIMPLEX_ATOL for p in canonical.values()):
             raise SelectionError("negative subset probability")
         total = sum(canonical.values())
@@ -206,9 +214,10 @@ class ExclusionY:
     y_vec: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        vec = tuple(float(v) for v in self.y_vec)
-        if not all(math.isfinite(v) for v in vec):
+        vec = tuple(self.y_vec)
+        if not all(map(is_finite_number, vec)):
             raise SelectionError(f"exclusion probabilities must be finite: {vec}")
+        vec = tuple(map(float, vec))
         if any(v < -SIMPLEX_ATOL for v in vec):
             raise SelectionError("negative exclusion probability")
         if abs(sum(vec) - 1.0) > NORMALIZE_ATOL:

@@ -17,8 +17,16 @@ from tworound.engine import (
     settle,
     simulate_run,
 )
-from tworound.secondround import AllocationRule, settle_round, u2
-from tworound.selection import ExclusionY, SelectionDistribution, enumerate_subsets, from_exclusion_Y
+from tworound.dsic import find_deviation
+from tworound.equilibrium import N12Params, RankProfile, is_nash_equilibrium
+from tworound.secondround import AllocationRule, ContractViolation, settle_round, u2
+from tworound.selection import (
+    ExclusionY,
+    SelectionDistribution,
+    SelectionError,
+    enumerate_subsets,
+    from_exclusion_Y,
+)
 
 from conftest import make_dsic_mechanism, make_non_dsic_mechanism, random_allocation
 
@@ -63,6 +71,68 @@ class TestBidProfile:
             BidProfile((5.0, bad), (5.0, 5.0))
         with pytest.raises(ConfigurationError):
             BidProfile((5.0, 4.0), (5.0, bad))
+
+
+# An int past the float range: float() of it raises OverflowError, which no entry point documents.
+HUGE = 10**400
+V3, BIG = (450.0, 350.0, 200.0), (HUGE, 350.0, 200.0)
+
+
+def _n11():
+    return n11_mech((0.6, 0.25, 0.15))
+
+
+@pytest.mark.parametrize(
+    "call, error",
+    [
+        pytest.param(
+            lambda: evaluate(_n11(), BIG, BidProfile.truthful(V3)),
+            ConfigurationError,
+            id="evaluate",
+        ),
+        pytest.param(
+            lambda: expected_utility(_n11(), BIG, BidProfile.truthful(V3), 0),
+            ConfigurationError,
+            id="expected_utility",
+        ),
+        pytest.param(
+            lambda: is_nash_equilibrium(_n11(), BIG, RankProfile((0, 1, 2), V3)),
+            ConfigurationError,
+            id="is_nash_equilibrium",
+        ),
+        pytest.param(
+            lambda: BidProfile((5.0, 4.0), (5.0, HUGE)), ConfigurationError, id="BidProfile"
+        ),
+        pytest.param(
+            lambda: BidProfile.truthful(BIG), ConfigurationError, id="BidProfile.truthful"
+        ),
+        pytest.param(lambda: RankProfile((0, 1), (HUGE, 4.0)), ValueError, id="RankProfile"),
+        pytest.param(
+            lambda: N12Params((HUGE, 400, 300, 200, 100), (0.4, 0.3, 0.2, 0.1), 0.25),
+            ValueError,
+            id="N12Params",
+        ),
+        pytest.param(lambda: ExclusionY((0.5, 0.5, HUGE)), SelectionError, id="ExclusionY"),
+        pytest.param(lambda: AllocationRule((1.0, -HUGE)), ContractViolation, id="AllocationRule"),
+        pytest.param(
+            lambda: SelectionDistribution(3, 2, {(1, 2): HUGE, (1, 3): 0.0, (2, 3): 0.0}),
+            SelectionError,
+            id="SelectionDistribution",
+        ),
+        pytest.param(lambda: find_deviation(_n11(), (0.0, HUGE)), ValueError, id="find_deviation"),
+    ],
+)
+def test_values_past_the_float_range_raise_the_documented_error(call, error):
+    with pytest.raises(error, match="finite"):
+        call()
+
+
+def test_numpy_numbers_pass_the_finite_check():
+    bids = BidProfile(np.array([5, 4]), np.array([5.0, 4.0], dtype=np.float32))
+    assert bids == BidProfile((5.0, 4.0), (5.0, 4.0))
+    values = np.array([450, 350, 200])
+    want = evaluate(_n11(), V3, BidProfile.truthful(V3))
+    assert evaluate(_n11(), tuple(values), BidProfile.truthful(values)) == want
 
 
 class TestFirstRound:

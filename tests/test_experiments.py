@@ -14,6 +14,7 @@ from tworound.experiments import (
     ExperimentConfig,
     ExperimentRow,
     _CHUNK_ROWS,
+    _Workspace,
     _classify_draws,
     _sort_network,
     run_gap_experiment,
@@ -55,11 +56,26 @@ class TestConfig:
             ExperimentConfig(draws=0)
 
     @pytest.mark.parametrize(
-        "field", [{"n_valuations": 0}, {"value_max": 0.0}, {"value_max": float("inf")}]
+        "field",
+        [
+            {"n_valuations": 0},
+            {"value_max": 0.0},
+            {"value_max": float("inf")},
+            {"value_max": 10**400},
+            {"value_max": True},
+            {"value_max": "1000"},
+            {"value_max": None},
+            {"valuations": ((10**400, 350, 200),)},
+            {"valuations": ((450, "350", 200),)},
+        ],
     )
     def test_rejects_empty_or_degenerate_valuation_draws(self, field):
         with pytest.raises(ValueError):
             ExperimentConfig(**field)
+
+    def test_value_max_is_stored_as_a_float(self):
+        config = ExperimentConfig(value_max=np.int64(500))
+        assert type(config.value_max) is float and config.value_max == 500.0
 
     @pytest.mark.parametrize(
         "field",
@@ -165,6 +181,24 @@ class TestClassifyDraws:
                 want = _classify_batch(_draw_sorted_Y(np.random.default_rng(4), theta, 200), v)
                 got = _classify_draws(np.random.default_rng(4), theta, 200, v)
                 _assert_same_classes(got, _class_arrays(*want))
+
+    @pytest.mark.parametrize("n", [1, 3, 8191, 8193, _CHUNK_ROWS - 1, _CHUNK_ROWS + 1, 100_000])
+    def test_a_dirty_workspace_gives_the_bits_of_a_fresh_one(self, n):
+        # One workspace for theta <= 6 serves calls of other thetas and valuations in turn;
+        # each call after the first starts from the buffers the previous one left.
+        ws = _Workspace(6, n)
+        wide, narrow = (812.5, 301.25, 17.0), (450.0, 440.0, 200.0)
+        calls = [(6, wide), (4, narrow), (6, narrow), (3, wide), (5, wide)]
+        for seed, (theta, v) in enumerate(calls):
+            fresh = _classify_draws(np.random.default_rng(seed), theta, n, v)
+            got = _classify_draws(np.random.default_rng(seed), theta, n, v, ws)
+            _assert_same_classes(got, fresh)
+            Y = _draw_sorted_Y(np.random.default_rng(seed), theta, n)
+            _assert_same_classes(got, _class_arrays(*_classify_batch(Y, v)))
+            # The truthful class is a reversed view; its mean has the bits of its copy's.
+            for rev in got[:2]:
+                if len(rev):
+                    assert rev.mean() == np.ascontiguousarray(rev).mean()
 
     def test_reads_the_stream_like_one_draw(self):
         rng = np.random.default_rng(9)
@@ -281,11 +315,14 @@ class TestGapExperiment:
 
 
 def test_gap_experiment_keeps_only_the_class_revenues():
-    # Per draw, one double in the buffer of its class (two buffers of n are
-    # allocated, 16 bytes) plus the chunk's working set: no full-length masks
-    # or revenue arrays, and a row's buffers are freed before the next row draws.
-    draws = 1_000_000
-    config = ExperimentConfig(valuations=GAP_VALUATIONS, thetas=(3,), draws=draws)
+    # Per draw, one double in the class buffer that every row reuses (risky
+    # revenues from the front, truthful ones from the back), plus the chunk
+    # workspace (theta columns, six float and three bool buffers) and the
+    # generator's (rows, theta) block: no full-length masks or revenue arrays.
+    draws, theta = 1_000_000, 3
+    config = ExperimentConfig(valuations=GAP_VALUATIONS, thetas=(theta,), draws=draws)
+    # Warm up first, so that imports made on a first call are not counted.
+    run_gap_experiment(ExperimentConfig(valuations=GAP_VALUATIONS, thetas=(theta,), draws=10))
     tracemalloc.start()
     try:
         base, _ = tracemalloc.get_traced_memory()
@@ -293,7 +330,8 @@ def test_gap_experiment_keeps_only_the_class_revenues():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak - base < 24 * draws + 4 * 2**20
+    chunk = _CHUNK_ROWS * (8 * (theta + 6) + 3 + 8 * theta)
+    assert peak - base < 8 * draws + chunk + 64 * 2**10
 
 
 class TestThetaExperiment:
@@ -327,6 +365,32 @@ class TestThetaExperiment:
 
 
 class TestRandomValuationExperiment:
+    def test_buffers_do_not_grow_with_n_valuations(self, monkeypatch):
+        # Keep every class array the kernel returns alive: buffers allocated per
+        # valuation would then all stay traced; the one workspace stays one.
+        kept = []
+
+        def keep(*args):
+            kept.append(_classify_draws(*args))
+            return kept[-1]
+
+        monkeypatch.setattr(experiments, "_classify_draws", keep)
+        traced = []
+        for n_valuations in (1, 4, 40):
+            kept.clear()
+            config = ExperimentConfig(thetas=(3, 4), draws=2_000, n_valuations=n_valuations)
+            tracemalloc.start()
+            try:
+                run_random_valuation_experiment(config)
+                snapshot = tracemalloc.take_snapshot()
+            finally:
+                tracemalloc.stop()
+            numpy_domain = tracemalloc.DomainFilter(True, np.lib.tracemalloc_domain)
+            traces = snapshot.filter_traces([numpy_domain]).traces
+            traced.append((len(traces), sum(t.size for t in traces)))
+        # The first run is a warm-up: it may trace a one-time allocation.
+        assert traced[1] == traced[2] == (1, 8 * config.draws)
+
     def test_structure_of_small_run(self):
         config = ExperimentConfig(thetas=(3, 4), draws=300, n_valuations=40)
         rows = run_random_valuation_experiment(config)
