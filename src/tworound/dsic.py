@@ -28,7 +28,7 @@ from typing import Sequence
 import numpy as np
 
 from .engine import BidProfile, ConfigurationError, Mechanism, expected_utility
-from .engine import _rank_slot_plan, _utilities
+from .engine import _plan_arrays, _rank_slot_plan, _utilities
 from .selection import is_finite_number, marginal_probabilities
 
 MARGINAL_ATOL = 1e-9
@@ -182,7 +182,8 @@ def find_deviation(
         raise ResourceLimitError(f"need n >= theta={mech.theta}")
 
     chunks = _grid_tables(tuple(grid), n)
-    plan = _rank_slot_plan(mech, n, [(p, k) for p in range(1, mech.theta + 1) for k in range(p)])
+    slots = [(p, k) for p in range(1, mech.theta + 1) for k in range(p)]
+    plan = _plan_arrays(_rank_slot_plan(mech, n, slots))
     if len(chunks) > 1 and _rays_gain_nothing(plan, n, grid[-1]):
         return None
     g = np.array(grid)

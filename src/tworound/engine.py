@@ -25,16 +25,17 @@ through ``settle_round``, faster there (see the constant).
 :func:`expected_utility`, :func:`expected_revenue` and :func:`evaluate` read X
 and P from it; ``evaluate`` settles every subset once more only for its outcome table.
 Both deviation checks, ``dsic.find_deviation`` and ``equilibrium.is_nash_equilibrium``,
-price rank slots: :func:`_rank_slot_plan` lays out the slots a caller reads and
-:func:`_utilities` prices them over many opponent columns and values at once.
+price rank slots: :func:`_rank_slot_plan` lays out the slots' terms; :func:`_payments` walks
+them on float lists below ``_NUMPY_MIN_TERM_COLUMNS`` terms times opponent columns, and
+:func:`_utilities` (the oracle's) prices them in one numpy pass, to the same bits.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -48,6 +49,10 @@ UTILITY_ATOL = 1e-9
 # C = 15: 38-62 vs 22; C = 495: 2,761 vs 115; C = 3,432: 17,219 vs 527.  The pass has a fixed
 # cost of about 20 us and a subset costs the loop 3-5 us, so below 10 the loop wins or they tie.
 _NUMPY_MIN_SUBSETS = 10
+# _payments walks a plan below this many terms times opponent columns, in one numpy pass from there
+# on.  A new plan, walk vs pass, in us (same host and versions): 6 term-columns: 8-13 vs 19-27; 18:
+# 18-23 vs 22-29; 24: 35-38 vs 37-42; 27: 22-28 vs 22-29; 30-72: 40-153 vs 37-113.
+_NUMPY_MIN_TERM_COLUMNS = 25
 
 
 class ConfigurationError(ValueError):
@@ -149,11 +154,10 @@ class SubsetOutcome:
     payment: float  # total payment collected in this outcome
 
 
-@dataclass(frozen=True)
-class AuctionResult:
+class AuctionResult(NamedTuple):
     expected_utilities: tuple[float, ...]
     expected_revenue: float
-    outcomes: tuple[SubsetOutcome, ...] = field(default=())
+    outcomes: tuple[SubsetOutcome, ...] = ()
     realized_subset: tuple[int, ...] | None = None
     realized_winner: int | None = None
     realized_payment: float | None = None
@@ -215,7 +219,7 @@ def _settle_all(mech: Mechanism, s: Sequence[float]) -> tuple[list[float], list[
     return X.tolist(), P.tolist()
 
 
-def _rank_slot_plan(mech: Mechanism, n: int, slots):
+def _rank_slot_plan(mech: Mechanism, n: int, slots) -> tuple:
     """A bidder's expected allocation X[slot] among n, and the payment terms that sum to P[slot].
 
     ``slots`` lists the (p, k), k < p, that the caller reads: first-round position p, outranked
@@ -223,30 +227,57 @@ def _rank_slot_plan(mech: Mechanism, n: int, slots):
     others bid alike in both rounds, so those k sit at positions 1..k and the slot fixes its rank
     r and the positions below it in every subset; its own bid never enters its payment.  X and
     the terms follow the live-subset table in :func:`settle`'s order, so a slot is row p of
-    ``settle`` with the bidder inserted at p, to the bit.  A term is prob times ``rank_payments``'
-    rank-1 payment, laid out top-down: the members below the bidder in position order, then r
-    pads (zero row n - 1, step 0.0).
+    ``settle`` with the bidder inserted at p, to the bit.  Returns lists (X, slots, probs, order,
+    coefs, w): term i adds probs[i] times ``rank_payments(bids, order[i * w:][:w + 1],
+    coefs[i * w:][:w])[0]`` to slot slots[i], over the steps up to beta (later ones are 0.0 and
+    add exact zeros).  Its w entries of order run top-down after one that is never read (a pad,
+    or the previous term's last): the members below the bidder, then r pads (zero row n - 1).
     """
-    alloc, steps, beta = mech.allocation.x, mech.allocation.steps, mech.beta
-    X, rows, probs, cols, coefs = [0.0] * (n * n), [], [], [], []
+    alloc, beta, steps = mech.allocation.x, mech.beta, mech.allocation.steps[: mech.beta]
+    X, rows, probs, order, coefs, w = [0.0] * (n * n), [], [], [n - 1], [], len(steps)
     for p, k in slots:
+        slot = (p - 1) * n + k
         for subset, prob in mech.selection._live_table[0]:
             r = bisect_right(subset, k)  # subsets are sorted tuples
             if p in subset and r < beta:
-                X[(p - 1) * n + k] += prob * alloc[r]
-                rows.append((p - 1) * n + k)
+                X[slot] += prob * alloc[r]
+                rows.append(slot)
                 probs.append(prob)
-                cols += [q - 2 + (q < p) for q in subset[r:] if q != p] + [n - 1] * r
+                order += [q - 2 + (q < p) for q in subset[r:] if q != p][: w - r] + [n - 1] * r
                 coefs += steps[r:] + (0.0,) * r
-    shape = (len(rows), len(steps))
-    order = [None, *np.array(cols, dtype=np.intp).reshape(shape).T]  # no top bid: never read
-    coefs = np.array(coefs).reshape(shape).T[..., None]  # probs and coefs broadcast over profiles
-    return np.array(X), np.array(rows, dtype=np.intp), np.array(probs)[:, None], order, coefs
+    return X, rows, probs, order, coefs, w
+
+
+def _plan_arrays(plan: tuple) -> tuple:
+    """A plan as the numpy pass reads it: X, slots, probs and coefs, and order by rank."""
+    X, slots, probs, order, coefs, w = plan
+    order = [None, *np.array(order[1:], dtype=np.intp).reshape(len(slots), w).T]  # no top bid
+    coefs = np.array(coefs).reshape(len(slots), w).T[..., None]  # probs and coefs broadcast
+    return np.array(X), np.array(slots, dtype=np.intp), np.array(probs)[:, None], order, coefs
+
+
+def _payments(plan: tuple, bids) -> list | np.ndarray:
+    """P[slot][column]: a slot's terms against a column of ``bids`` (the n - 1 others' bids,
+    descending, then the zero row), added in term order from 0.0.  Below
+    ``_NUMPY_MIN_TERM_COLUMNS`` terms times columns they are walked on float lists; from there on
+    P is 0.0 - U at v = 0 of the numpy pass, which is P to the bit, because X * 0.0 is 0.0."""
+    X, slots, probs, order, coefs, w = plan
+    m = len(bids[0])
+    if len(slots) * m >= _NUMPY_MIN_TERM_COLUMNS:
+        return 0.0 - _utilities(_plan_arrays(plan), np.asarray(bids, dtype=float), np.zeros(1))[:, 0]
+    columns = [*zip(*bids)]
+    P = [[0.0] * m for _ in X]
+    for i, (slot, prob) in enumerate(zip(slots, probs)):
+        term = order[i * w : (i + 1) * w + 1], coefs[i * w : (i + 1) * w]
+        for c, column in enumerate(columns):
+            P[slot][c] += prob * rank_payments(column, *term)[0]
+    return P
 
 
 def _utilities(plan: tuple, bids: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """U[slot, v, column] = v X[slot] - P[slot] at every value in ``g`` and column of ``bids``:
-    the n - 1 others' bids, descending, then the zero row."""
+    """U[slot, v, column] = v X[slot] - P[slot] at every value in ``g`` and column of ``bids``,
+    from :func:`_plan_arrays` in one numpy pass: the oracle wants arrays, and turning the walk's
+    lists into arrays costs more than the walk saves at its sizes."""
     X, slots, probs, order, coefs = plan
     m = bids.shape[1]
     with np.errstate(over="ignore", invalid="ignore"):  # inf and nan as Python floats make them
@@ -311,28 +342,27 @@ def simulate_run(
 ) -> AuctionResult:
     """One sampled run: draw a subset, settle the second round, collect payments.
 
-    The subset is sampled; payments within the subset are the exact expected
-    payments of the rule, and the realized winner is sampled from the
-    allocation probabilities.  Each draw is one ``rng.random()`` and a bisection
-    of a cached CDF, O(log C): the same draws and stream position as
-    ``rng.choice(..., p=...)``.  A run whose second-round bids break the
-    line of competition s_beta >= b_{theta-alpha+beta} raises
+    The subset is sampled; payments within the subset are the exact expected payments of the
+    rule (``rank_payments`` on the profile's cached ranking), and the realized winner is sampled
+    from the allocation probabilities.  Each draw is one ``rng.random()`` and a bisection of a
+    cached CDF, O(log C): the same draws and stream position as ``rng.choice(..., p=...)``.  A run
+    whose second-round bids break the line of competition s_beta >= b_{theta-alpha+beta} raises
     :class:`ConfigurationError`.
     """
-    positions = first_round_positions(mech, bids)
+    if bids.n < mech.theta:
+        raise ConfigurationError(f"need at least theta={mech.theta} bidders, got {bids.n}")
     subset = sample_subset(mech.selection, rng)
-    ranked_s = bids._ranked_second_round
+    ranking, ranked_s, alloc = bids._ranking, bids._ranked_second_round, mech.allocation
     s = [ranked_s[p - 1] for p in subset]
-    alloc = mech.allocation
-    order, pay = settle_round(s, alloc)
+    order = sorted(range(len(s)), key=s.__getitem__, reverse=True)  # stable: settle_round's order
     s_beta = s[order[alloc.beta - 1]]
-    b_ref = bids.first_round[positions[mech.competition_rank - 1]]
+    b_ref = bids.first_round[ranking[mech.competition_rank - 1]]
     if s_beta < b_ref - UTILITY_ATOL:
         raise ConfigurationError(
             f"line of competition violated: s_beta={s_beta} < b_ref={b_ref} "
             f"(subset={subset})"
         )
     idx = bisect_right(alloc._winner_cdf, rng.random())
-    winner = positions[subset[order[idx]] - 1] if idx < alloc.beta else None
-    total = sum(pay)
+    winner = ranking[subset[order[idx]] - 1] if idx < alloc.beta else None
+    total = sum(rank_payments(s, order, alloc.steps))
     return AuctionResult((), total, (), subset, winner, total)

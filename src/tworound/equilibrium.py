@@ -25,9 +25,7 @@ import sys
 from dataclasses import asdict, dataclass
 from typing import NamedTuple, Sequence
 
-import numpy as np
-
-from .engine import Mechanism, _check_values, _rank_slot_plan, _utilities
+from .engine import Mechanism, _check_values, _payments, _rank_slot_plan
 from .secondround import AllocationRule
 from .selection import ExclusionY, _as_ints, from_exclusion_Y, is_finite_number
 
@@ -98,11 +96,11 @@ def is_nash_equilibrium(
 ) -> tuple[bool, list[DeviationRecord]]:
     """Check a rank profile against all single-bidder position deviations.
 
-    Bidders occupying competitive positions (<= theta - alpha + beta) may move
-    to any other competitive position, or retreat just below the competition
-    line.  Moving to position t, like staying there, is rank slot (t, t - 1) of
-    the engine's plan: position t, outranked in round two by the t - 1 others
-    above it.  Returns (no bidder strictly gains, per-deviation utility table).
+    Bidders occupying competitive positions (<= theta - alpha + beta) may move to any other
+    competitive position, or retreat just below the competition line.  Moving to position t, like
+    staying there, is rank slot (t, t - 1) of the engine's plan, outranked in round two by the
+    t - 1 others above it; theta terms by 2 columns (one winner) or 8 by 3 (n12) take the engine's
+    walk on float lists.  Returns (no bidder strictly gains, per-deviation utility table).
     """
     bids, n = rank.bids, len(rank.bids)
     _check_values(mech, values, n)
@@ -110,13 +108,13 @@ def is_nash_equilibrium(
     # realizes "stop competing" (its allocation probability is always zero).
     top = min(mech.competition_rank, n)
     targets = range(1, min(top + 1, n) + 1)
-    # One _utilities call prices every move: column j holds the others of the bidder at position
+    # One _payments call prices every move: column j holds the others of the bidder at position
     # j + 1, descending, then the zero row; U[t - 1][j] is its utility at slot (t, t - 1).
-    others = np.array([bids[:j] + bids[j + 1 :] + (0.0,) for j in range(top)]).T
-    v = np.array([values[i] for i in rank.ordering[:top]], dtype=float)
-    j = np.arange(top)
+    others = [bids[:j] + bids[j + 1 :] + (0.0,) for j in range(top)]
     plan = _rank_slot_plan(mech, n, [(t, t - 1) for t in targets])
-    U = _utilities(plan, others, v)[:: n + 1, j, j].tolist()
+    X, P = plan[0][:: n + 1], _payments(plan, [*zip(*others)])[:: n + 1]  # slots (t, t - 1)
+    v = [float(values[i]) for i in rank.ordering[:top]]
+    U = [[float(x * w - p[j]) for j, w in enumerate(v)] for x, p, _ in zip(X, P, targets)]
     records = [
         DeviationRecord(rank.ordering[p - 1], p, t, U[p - 1][p - 1], U[t - 1][p - 1])
         for p in range(1, top + 1)

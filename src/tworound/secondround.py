@@ -12,7 +12,6 @@ ranks with positive allocation.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from itertools import accumulate
 from typing import Sequence
@@ -69,11 +68,11 @@ class AllocationRule:
 def settle_round(bids: Sequence[float], x: AllocationRule) -> tuple[list[int], list[float]]:
     """Rank the advanced bidders and price every rank.
 
-    ``bids`` holds one second-round bid per advanced bidder in tie-priority
-    order: of two equal bids, the earlier one ranks higher.  Returns
-    ``(order, pay)``: ``order[r]`` indexes ``bids`` for the bidder at rank
-    r + 1 and ``pay[r]`` is that rank's payment, 0 for ranks without
-    allocation.
+    ``bids`` holds one second-round bid per advanced bidder in tie-priority order: of two equal
+    bids, the earlier one ranks higher.  They must be finite floats, which is not checked here:
+    ``settle`` and ``evaluate`` call this per subset on bids that ``BidProfile`` has checked.
+    Returns ``(order, pay)``: ``order[r]`` indexes ``bids`` for the bidder at rank r + 1 and
+    ``pay[r]`` is that rank's payment, 0 for ranks without allocation.
     """
     alpha = len(x.x)
     if len(bids) != alpha:
@@ -114,8 +113,10 @@ def u2(
     highest-priority bidder.
     """
     bids = [own_bid, *other_bids]
-    if not all(0 <= b < math.inf for b in bids):
-        raise ContractViolation("bids must be finite and nonnegative")
+    if not is_finite_number(value) or not all(is_finite_number(b) and b >= 0 for b in bids):
+        raise ContractViolation("value and bids must be finite numbers, the bids nonnegative")
+    if other_keys is not None and len(other_keys) != len(other_bids):
+        raise ContractViolation(f"expected {len(other_bids)} other keys, got {len(other_keys)}")
     keys = [own_key, *(other_keys or [(1, i + 1) for i in range(len(other_bids))])]
     # Stable: the caller, listed first, keeps priority over an equal key.
     prio = sorted(range(len(keys)), key=keys.__getitem__)

@@ -504,7 +504,8 @@ class TestRayCertificate:
     @staticmethod
     def _fires(mech, grid, n):
         slots = [(p, k) for p in range(1, mech.theta + 1) for k in range(p)]
-        return dsic._rays_gain_nothing(engine._rank_slot_plan(mech, n, slots), n, float(max(grid)))
+        plan = engine._plan_arrays(engine._rank_slot_plan(mech, n, slots))
+        return dsic._rays_gain_nothing(plan, n, float(max(grid)))
 
     def test_the_certificate_never_changes_a_result(self, monkeypatch):
         # alpha = theta - 1 selections near uniform, with e moved between two subsets: from far

@@ -251,9 +251,9 @@ def price_slot(m, others, p, k, v=0.0):
     """Rank slot (p, k) against ``others``, descending, as the kernel prices it: (X, P, v X - P)."""
     n = len(others) + 1
     plan = engine._rank_slot_plan(m, n, [(p, k)])
-    U = engine._utilities(plan, np.array([*others, 0.0])[:, None], np.array([0.0, v]))
+    U = engine._utilities(engine._plan_arrays(plan), np.array([*others, 0.0])[:, None], np.array([0.0, v]))
     u0, u = U[(p - 1) * n + k, :, 0].tolist()
-    return plan[0][(p - 1) * n + k].item(), 0.0 - u0, u
+    return plan[0][(p - 1) * n + k], 0.0 - u0, u
 
 
 def slot_of(others, s, p):
@@ -329,11 +329,15 @@ class TestPlaceRow:
             seen["p>theta"] += p > theta
         assert min(seen.values()) > 40, seen
 
-    def test_a_plan_over_some_slots_prices_them_as_the_full_plan(self):
+    @pytest.mark.filterwarnings("error")  # overflow to inf is silent on both paths
+    def test_a_plan_over_some_slots_prices_them_as_the_full_plan(self, monkeypatch):
+        # A plan over some slots prices them as the full plan, and both payment paths, forced
+        # through the size constant, give every (slot, value, column) the numpy pass's bits.
         rng = np.random.default_rng(20261020)
-        for _ in range(200):
-            theta = int(rng.integers(1, 8))
-            alpha = int(rng.integers(1, theta + 1))
+        seen = {"alpha=1": 0, "zero-prob": 0, "p>theta": 0, "tie": 0, "signed-zero": 0, "inf": 0}
+        for trial in range(240):
+            theta = int(rng.integers(1, 9))
+            alpha = 1 if trial % 5 == 0 else int(rng.integers(1, theta + 1))
             beta = int(rng.integers(1, alpha + 1))
             subsets = enumerate_subsets(theta, alpha)
             probs = rng.dirichlet(np.ones(len(subsets)))
@@ -341,22 +345,73 @@ class TestPlaceRow:
                 probs[rng.random(len(subsets)) < 0.4] = 0.0
                 probs[rng.integers(len(subsets))] += 0.5
                 probs /= probs.sum()
+                seen["zero-prob"] += 1
             sel = SelectionDistribution(theta, alpha, dict(zip(subsets, probs.tolist())))
-            m = Mechanism(theta, alpha, sel, random_allocation(rng, alpha, beta))
-            n = theta + int(rng.integers(0, 3))
-            full = [(p, k) for p in range(1, theta + 1) for k in range(p)]
+            x = random_allocation(rng, alpha, beta)
+            n, cols = theta + int(rng.integers(0, 3)), int(rng.integers(1, 7))
+            if trial % 4 == 3:  # x[0] > 1, within the rule's 1e-12 tolerance, takes these to inf
+                x = AllocationRule((1.0 + 1e-12,) + (0.0,) * (alpha - 1))
+                pool = sys.float_info.max * (1.0 - rng.uniform(0, 1e-13, size=3))
+            else:
+                pool = [-0.0, 0.0, 1.0, 2.5, rng.uniform(0, 4)]
+            m = Mechanism(theta, alpha, sel, x)
+            full = [(p, k) for p in range(1, n + 1) for k in range(p)]  # p > theta included
             some = [full[i] for i in rng.permutation(len(full))[: rng.integers(0, len(full) + 1)]]
-            pool = [-0.0, 0.0, 1.0, 2.5, rng.uniform(0, 4)]
-            bids = np.vstack([-np.sort(-rng.choice(pool, size=(n - 1, 4)), axis=0), np.zeros(4)])
+            bids = np.vstack([-np.sort(-rng.choice(pool, size=(n - 1, cols)), axis=0), np.zeros(cols)])
             g = np.array([-1.5, 0.0, 3.0])
-            want = engine._utilities(engine._rank_slot_plan(m, n, full), bids, g)
-            plan = engine._rank_slot_plan(m, n, some)
-            got = engine._utilities(plan, bids, g)
             read = np.zeros(n * n, dtype=bool)
             read[[(p - 1) * n + k for p, k in some]] = True
+            want = engine._utilities(engine._plan_arrays(engine._rank_slot_plan(m, n, full)), bids, g)
+            plan = engine._rank_slot_plan(m, n, some)
+            got = engine._utilities(engine._plan_arrays(plan), bids, g)
             assert got[read].tobytes() == want[read].tobytes()
-            assert not plan[0][~read].any()
+            assert not any(np.array(plan[0])[~read])
             assert got[~read].tobytes() == np.broadcast_to(g[:, None] * 0.0 - 0.0, got[~read].shape).tobytes()
+            # _payments walks float lists (as the Nash check passes them) or takes the pass.
+            rows, payments = [tuple(row) for row in bids.tolist()], set()
+            for threshold, data in ((math.inf, rows), (0, rows), (0, bids)):
+                monkeypatch.setattr(engine, "_NUMPY_MIN_TERM_COLUMNS", threshold)
+                P = np.asarray(engine._payments(plan, data), dtype=float)
+                with np.errstate(over="ignore", invalid="ignore"):
+                    U = np.array(plan[0])[:, None, None] * g[:, None] - P[:, None]
+                assert U.tobytes() == got.tobytes(), (theta, alpha, beta, n, threshold)
+                payments.add(P.tobytes())
+            assert len(payments) == 1
+            seen["alpha=1"] += alpha == 1
+            seen["p>theta"] += any(p > theta for p, _ in some)
+            seen["tie"] += len(set(bids[:-1, 0].tolist())) < n - 1
+            seen["signed-zero"] += any(math.copysign(1.0, b) < 0 for b in bids[:-1].ravel())
+            seen["inf"] += bool(np.isinf(want).any())
+        assert min(seen.values()) > 20, seen
+
+
+class TestPaymentPathChoice:
+    """_payments walks plans below _NUMPY_MIN_TERM_COLUMNS terms times columns in Python."""
+
+    def test_nash_checks_take_the_python_walk(self, monkeypatch):
+        def forbidden(plan):
+            raise AssertionError("the numpy pass built the plan's arrays")
+
+        monkeypatch.setattr(engine, "_plan_arrays", forbidden)
+        for y_vec in ((0.6, 0.25, 0.15), (0.3, 0.25, 0.2, 0.15, 0.1)):
+            m = n11_mech(y_vec)
+            values = tuple(100.0 * (m.theta - i) for i in range(m.theta))
+            is_nash_equilibrium(m, values, RankProfile(tuple(range(m.theta)), values))
+        params = N12Params((900.0, 700.0, 500.0, 300.0, 100.0), (0.4, 0.3, 0.2, 0.1), 0.3)
+        plan = engine._rank_slot_plan(params.mechanism(), 5, [(t, t - 1) for t in range(1, 5)])
+        assert len(plan[1]) * 3 == 24 < engine._NUMPY_MIN_TERM_COLUMNS  # 3 competitive bidders
+        is_nash_equilibrium(params.mechanism(), params.v[:4], RankProfile((0, 1, 2, 3), params.v[:4]))
+
+    def test_a_full_oracle_chunk_takes_the_numpy_pass(self, monkeypatch):
+        from tworound.dsic import _grid_tables
+
+        built, plan_arrays = [], engine._plan_arrays
+        monkeypatch.setattr(engine, "_plan_arrays", lambda plan: built.append(1) or plan_arrays(plan))
+        m = Mechanism(3, 2, SelectionDistribution.uniform(3, 2), AllocationRule((0.7, 0.3)))
+        _, bids, _, _ = _grid_tables(tuple(map(float, range(9))), 4)[0]
+        assert bids.shape == (4, 64)
+        engine._payments(engine._rank_slot_plan(m, 4, [(p, k) for p in range(1, 4) for k in range(p)]), bids)
+        assert built == [1]
 
 
 class TestSettlePaths:

@@ -845,7 +845,7 @@ class TestN12Reference:
     def test_never_reaches_the_engine(self, rng, monkeypatch):
         # Criterion 10 cross-checks these conditions against the engine; that only
         # means something while the n12 path does not price through the engine itself.
-        originals = (engine.settle, engine._rank_slot_plan, secondround.settle_round)
+        originals = (engine.settle, engine._rank_slot_plan, engine._payments, secondround.settle_round)
 
         def forbidden(*args, **kwargs):
             raise AssertionError("the n12 conditions called the engine")

@@ -165,6 +165,25 @@ class TestU2:
         with pytest.raises(ContractViolation):
             u2(10, -1, (5,), x)
 
+    def test_value_and_bids_must_be_finite_numbers(self):
+        # A bid no float holds, a bool, an overflowing or NaN value: none is priced.
+        x = AllocationRule((1.0, 0.0))
+        for bad in (10**400, True, math.nan, math.inf, -math.inf, "5"):
+            for value, own, other in ((bad, 5.0, 3.0), (5.0, bad, 3.0), (5.0, 5.0, bad)):
+                with pytest.raises(ContractViolation, match="value and bids must be finite numbers"):
+                    u2(value, own, [other], x)
+        assert u2(np.float64(5.0), np.int64(5), [3], x) == 2.0
+
+    def test_other_keys_must_match_the_other_bids(self):
+        x = AllocationRule((0.6, 0.4))
+        for keys in ([(1, 1)], [(1, 1), (1, 2), (1, 3)], []):
+            with pytest.raises(ContractViolation, match=f"expected 2 other keys, got {len(keys)}"):
+                u2(5.0, 3.0, [4.0, 1.0], x, other_keys=keys)
+        # Three bids against a two-rank rule is a bid count error, not a dropped bid.
+        with pytest.raises(ContractViolation, match="expected 2 bids, got 3"):
+            u2(5.0, 3.0, [4.0, 1.0], x)
+        assert u2(5.0, 3.0, [4.0], x, other_keys=[(0, 1)]) == u2(5.0, 3.0, [4.0], x) == 5.0 * 0.4
+
     def test_truthful_dominates_on_small_grid(self):
         # The payment rule makes the second round itself strategyproof.
         grid = range(0, 11, 2)
