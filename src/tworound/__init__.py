@@ -7,7 +7,6 @@ from .selection import (
     from_exclusion_Y,
     marginal_probabilities,
     sample_subset,
-    to_exclusion_Y,
 )
 from .secondround import AllocationRule, settle_round, u2
 from .engine import (
@@ -28,7 +27,6 @@ from .equilibrium import (
     is_nash_equilibrium,
     n11_classify,
     n11_construct_better_Y,
-    n11_improvement_threshold,
     n11_mechanism,
     n11_revenue,
     n11_supremum_bound,

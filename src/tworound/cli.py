@@ -64,11 +64,12 @@ def _parse_seed(name: str, text: str) -> int:
 
 def _load_json(path: str):
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             return json.load(fh)
     except OSError as exc:
         raise SchemaError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    # ValueError: bad syntax, bytes or integer length; RecursionError: nesting too deep
+    except (ValueError, RecursionError) as exc:
         raise SchemaError(f"malformed JSON in {path}: {exc}") from exc
 
 

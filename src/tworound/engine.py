@@ -24,10 +24,9 @@ every bit.  Fewer live subsets are settled one by one from the table's (subset, 
 through ``settle_round``, faster there (see the constant).
 :func:`expected_utility`, :func:`expected_revenue` and :func:`evaluate` read X
 and P from it; ``evaluate`` settles every subset once more only for its outcome table.
-Both deviation checks, ``dsic.find_deviation`` and ``equilibrium.is_nash_equilibrium``,
-price rank slots: :func:`_rank_slot_plan` lays out the slots' terms; :func:`_payments` walks
-them on float lists below ``_NUMPY_MIN_TERM_COLUMNS`` terms times opponent columns, and
-:func:`_utilities` (the oracle's) prices them in one numpy pass, to the same bits.
+Both deviation checks price rank slots: :func:`_rank_slot_plan` lays out the slots' terms,
+``equilibrium.is_nash_equilibrium`` walks them on float lists with :func:`_payments`, and
+``dsic.find_deviation`` prices them in one numpy pass with :func:`_utilities`, to the same bits.
 """
 
 from __future__ import annotations
@@ -49,10 +48,6 @@ UTILITY_ATOL = 1e-9
 # C = 15: 38-62 vs 22; C = 495: 2,761 vs 115; C = 3,432: 17,219 vs 527.  The pass has a fixed
 # cost of about 20 us and a subset costs the loop 3-5 us, so below 10 the loop wins or they tie.
 _NUMPY_MIN_SUBSETS = 10
-# _payments walks a plan below this many terms times opponent columns, in one numpy pass from there
-# on.  A new plan, walk vs pass, in us (same host and versions): 6 term-columns: 8-13 vs 19-27; 18:
-# 18-23 vs 22-29; 24: 35-38 vs 37-42; 27: 22-28 vs 22-29; 30-72: 40-153 vs 37-113.
-_NUMPY_MIN_TERM_COLUMNS = 25
 
 
 class ConfigurationError(ValueError):
@@ -256,17 +251,11 @@ def _plan_arrays(plan: tuple) -> tuple:
     return np.array(X), np.array(slots, dtype=np.intp), np.array(probs)[:, None], order, coefs
 
 
-def _payments(plan: tuple, bids) -> list | np.ndarray:
-    """P[slot][column]: a slot's terms against a column of ``bids`` (the n - 1 others' bids,
-    descending, then the zero row), added in term order from 0.0.  Below
-    ``_NUMPY_MIN_TERM_COLUMNS`` terms times columns they are walked on float lists; from there on
-    P is 0.0 - U at v = 0 of the numpy pass, which is P to the bit, because X * 0.0 is 0.0."""
+def _payments(plan: tuple, columns: Sequence[Sequence[float]]) -> list[list[float]]:
+    """P[slot][c]: a slot's terms against ``columns[c]`` (the n - 1 others' bids, descending, then
+    0.0), walked on floats and added in term order from 0.0: :func:`_utilities`' P to the bit."""
     X, slots, probs, order, coefs, w = plan
-    m = len(bids[0])
-    if len(slots) * m >= _NUMPY_MIN_TERM_COLUMNS:
-        return 0.0 - _utilities(_plan_arrays(plan), np.asarray(bids, dtype=float), np.zeros(1))[:, 0]
-    columns = [*zip(*bids)]
-    P = [[0.0] * m for _ in X]
+    P = [[0.0] * len(columns) for _ in X]
     for i, (slot, prob) in enumerate(zip(slots, probs)):
         term = order[i * w : (i + 1) * w + 1], coefs[i * w : (i + 1) * w]
         for c, column in enumerate(columns):
@@ -276,8 +265,7 @@ def _payments(plan: tuple, bids) -> list | np.ndarray:
 
 def _utilities(plan: tuple, bids: np.ndarray, g: np.ndarray) -> np.ndarray:
     """U[slot, v, column] = v X[slot] - P[slot] at every value in ``g`` and column of ``bids``,
-    from :func:`_plan_arrays` in one numpy pass: the oracle wants arrays, and turning the walk's
-    lists into arrays costs more than the walk saves at its sizes."""
+    from :func:`_plan_arrays` in one numpy pass, as the oracle prices its chunks of profiles."""
     X, slots, probs, order, coefs = plan
     m = bids.shape[1]
     with np.errstate(over="ignore", invalid="ignore"):  # inf and nan as Python floats make them

@@ -99,8 +99,8 @@ def is_nash_equilibrium(
     Bidders occupying competitive positions (<= theta - alpha + beta) may move to any other
     competitive position, or retreat just below the competition line.  Moving to position t, like
     staying there, is rank slot (t, t - 1) of the engine's plan, outranked in round two by the
-    t - 1 others above it; theta terms by 2 columns (one winner) or 8 by 3 (n12) take the engine's
-    walk on float lists.  Returns (no bidder strictly gains, per-deviation utility table).
+    t - 1 others above it, and the engine's walk prices every slot on float lists, one column
+    per competitive bidder.  Returns (no bidder strictly gains, per-deviation utility table).
     """
     bids, n = rank.bids, len(rank.bids)
     _check_values(mech, values, n)
@@ -109,12 +109,12 @@ def is_nash_equilibrium(
     top = min(mech.competition_rank, n)
     targets = range(1, min(top + 1, n) + 1)
     # One _payments call prices every move: column j holds the others of the bidder at position
-    # j + 1, descending, then the zero row; U[t - 1][j] is its utility at slot (t, t - 1).
+    # j + 1, descending, then 0.0; U[t - 1][j] is its utility at slot (t, t - 1).
     others = [bids[:j] + bids[j + 1 :] + (0.0,) for j in range(top)]
     plan = _rank_slot_plan(mech, n, [(t, t - 1) for t in targets])
-    X, P = plan[0][:: n + 1], _payments(plan, [*zip(*others)])[:: n + 1]  # slots (t, t - 1)
+    X, P = plan[0][:: n + 1], _payments(plan, others)[:: n + 1]  # slots (t, t - 1)
     v = [float(values[i]) for i in rank.ordering[:top]]
-    U = [[float(x * w - p[j]) for j, w in enumerate(v)] for x, p, _ in zip(X, P, targets)]
+    U = [[x * w - p[j] for j, w in enumerate(v)] for x, p, _ in zip(X, P, targets)]
     records = [
         DeviationRecord(rank.ordering[p - 1], p, t, U[p - 1][p - 1], U[t - 1][p - 1])
         for p in range(1, top + 1)
@@ -231,17 +231,6 @@ def n11_supremum_bound(v1: float, v2: float, Yp: ExclusionY) -> float:
         raise ZeroDivisionError("bound undefined when the tail entries are equal")
     y_t = Yp.y_vec[t - 1]
     return (A * (1 - 2 * y_t) * v2 - 2 * y_t * S * v1) / D
-
-
-def n11_improvement_threshold(v1: float, v2: float, v3: float) -> float:
-    """Tail-mass threshold below which risky revenue beats the one-round price.
-
-    Risky-order revenue exceeds v2 (the single-round second-price revenue)
-    iff Y_{t-1} + Y_t < (v1 - v2)/(v1 - v3).
-    """
-    if v1 == v3:
-        raise DegenerateRatioError("v1 == v3 makes the threshold undefined")
-    return (v1 - v2) / (v1 - v3)
 
 
 def _build_exclusion(theta: int, S: float, A: float, D: float) -> ExclusionY:

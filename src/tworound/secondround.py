@@ -60,10 +60,6 @@ class AllocationRule:
     def alpha(self) -> int:
         return len(self.x)
 
-    def prob(self, rank: int) -> float:
-        """Allocation probability for a 1-based rank; 0 beyond alpha."""
-        return self.x[rank - 1] if 1 <= rank <= self.alpha else 0.0
-
 
 def settle_round(bids: Sequence[float], x: AllocationRule) -> tuple[list[int], list[float]]:
     """Rank the advanced bidders and price every rank.
@@ -122,4 +118,4 @@ def u2(
     prio = sorted(range(len(keys)), key=keys.__getitem__)
     order, pay = settle_round([bids[i] for i in prio], x)
     rank = next(r for r, k in enumerate(order) if prio[k] == 0)
-    return value * x.prob(rank + 1) - pay[rank]
+    return value * x.x[rank] - pay[rank]

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from functools import cached_property, partial, reduce
 from itertools import accumulate, combinations
 from operator import iadd
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
 import numpy as np
 
@@ -234,10 +234,6 @@ class ExclusionY:
             raise IndexError(index)
         return self.y_vec[index - 1]
 
-    def excluding(self, rank: int) -> float:
-        """Probability of the subset that excludes first-round position ``rank``."""
-        return self[self.theta - rank + 1]
-
     @property
     def ordered(self) -> bool:
         """True iff Y_i > Y_{theta-1} > Y_theta for every i <= theta - 2."""
@@ -250,17 +246,12 @@ class ExclusionY:
         return all(self.y_vec[i] > y_pen for i in range(t - 2))
 
 
-def to_exclusion_Y(dist: SelectionDistribution) -> ExclusionY:
-    """Re-index an alpha = theta - 1 distribution by excluded position."""
-    if dist.alpha != dist.theta - 1:
-        raise SelectionError(
-            f"exclusion indexing needs alpha = theta - 1, got theta={dist.theta} alpha={dist.alpha}"
-        )
-    return ExclusionY(tuple(dist.probs.values()))  # lexicographic: excluding theta, ..., 1
-
-
 def from_exclusion_Y(y: ExclusionY) -> SelectionDistribution:
-    """Inverse of :func:`to_exclusion_Y`; exact round-trip."""
+    """The alpha = theta - 1 distribution of an exclusion vector.
+
+    Its ``probs``, in lexicographic order, exclude positions theta, ..., 1, so they list ``y_vec``,
+    to the bit unless :class:`SelectionDistribution` renormalizes a sum that is not exactly 1.
+    """
     subsets = enumerate_subsets(y.theta, y.theta - 1)[::-1]  # excluding 1 first, as __post_init__ sums
     return SelectionDistribution(y.theta, y.theta - 1, dict(zip(subsets, y.y_vec[::-1])))
 

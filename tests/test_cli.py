@@ -968,6 +968,23 @@ class TestFuzz:
         path.write_text(json.dumps(doc))
         assert_clean_exit(*run_main(["validate", flag, str(path)]))
 
+    @pytest.mark.parametrize(
+        "data",
+        [b"[" * 200_000 + b"]" * 200_000, b"[" + b"9" * 5000 + b"]", b'[1, "\xff"]'],
+        ids=["deeply-nested", "long-int", "not-utf-8"],
+    )
+    @pytest.mark.parametrize("flag", sorted(VALID))
+    def test_unparsable_document(self, fuzz_dir, flag, data):
+        # json raises RecursionError past the recursion limit, and a ValueError that is no
+        # JSONDecodeError for an integer over 4,300 digits or bytes that are not UTF-8.
+        path = fuzz_dir / f"unparsable-{flag[2:]}.json"
+        path.write_bytes(data)
+        code, out, err = run_main(["validate", flag, str(path)])
+        assert_clean_exit(code, out, err)
+        assert code == EXIT_SCHEMA
+        error = json.loads(err)
+        assert error["error"] == "schema" and error["message"].startswith(f"malformed JSON in {path}: ")
+
     @settings(max_examples=100, deadline=None)
     @given(values=st.lists(EXTREME, min_size=3, max_size=3), y=st.sampled_from(N11_Y))
     def test_n11_extreme_valuations(self, fuzz_dir, values, y):

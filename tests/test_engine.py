@@ -18,7 +18,7 @@ from tworound.engine import (
     simulate_run,
 )
 from tworound.dsic import find_deviation
-from tworound.equilibrium import N12Params, RankProfile, is_nash_equilibrium
+from tworound.equilibrium import EQ_ATOL, N12Params, RankProfile, is_nash_equilibrium
 from tworound.secondround import AllocationRule, ContractViolation, settle_round, u2
 from tworound.selection import (
     ExclusionY,
@@ -330,9 +330,9 @@ class TestPlaceRow:
         assert min(seen.values()) > 40, seen
 
     @pytest.mark.filterwarnings("error")  # overflow to inf is silent on both paths
-    def test_a_plan_over_some_slots_prices_them_as_the_full_plan(self, monkeypatch):
-        # A plan over some slots prices them as the full plan, and both payment paths, forced
-        # through the size constant, give every (slot, value, column) the numpy pass's bits.
+    def test_a_plan_over_some_slots_prices_them_as_the_full_plan(self):
+        # A plan over some slots prices them as the full plan, and the walk on float lists gives
+        # every (slot, value, column) the numpy pass's bits.
         rng = np.random.default_rng(20261020)
         seen = {"alpha=1": 0, "zero-prob": 0, "p>theta": 0, "tie": 0, "signed-zero": 0, "inf": 0}
         for trial in range(240):
@@ -367,16 +367,11 @@ class TestPlaceRow:
             assert got[read].tobytes() == want[read].tobytes()
             assert not any(np.array(plan[0])[~read])
             assert got[~read].tobytes() == np.broadcast_to(g[:, None] * 0.0 - 0.0, got[~read].shape).tobytes()
-            # _payments walks float lists (as the Nash check passes them) or takes the pass.
-            rows, payments = [tuple(row) for row in bids.tolist()], set()
-            for threshold, data in ((math.inf, rows), (0, rows), (0, bids)):
-                monkeypatch.setattr(engine, "_NUMPY_MIN_TERM_COLUMNS", threshold)
-                P = np.asarray(engine._payments(plan, data), dtype=float)
-                with np.errstate(over="ignore", invalid="ignore"):
-                    U = np.array(plan[0])[:, None, None] * g[:, None] - P[:, None]
-                assert U.tobytes() == got.tobytes(), (theta, alpha, beta, n, threshold)
-                payments.add(P.tobytes())
-            assert len(payments) == 1
+            # _payments walks float lists, one column of opponents' bids each, as the Nash check does.
+            P = np.array(engine._payments(plan, [tuple(c) for c in bids.T.tolist()]), dtype=float)
+            with np.errstate(over="ignore", invalid="ignore"):
+                U = np.array(plan[0])[:, None, None] * g[:, None] - P[:, None]
+            assert U.tobytes() == got.tobytes(), (theta, alpha, beta, n)
             seen["alpha=1"] += alpha == 1
             seen["p>theta"] += any(p > theta for p, _ in some)
             seen["tie"] += len(set(bids[:-1, 0].tolist())) < n - 1
@@ -386,7 +381,7 @@ class TestPlaceRow:
 
 
 class TestPaymentPathChoice:
-    """_payments walks plans below _NUMPY_MIN_TERM_COLUMNS terms times columns in Python."""
+    """Nash checks price their rank slots on the walk, whatever the plan's size: no array is built."""
 
     def test_nash_checks_take_the_python_walk(self, monkeypatch):
         def forbidden(plan):
@@ -398,20 +393,35 @@ class TestPaymentPathChoice:
             values = tuple(100.0 * (m.theta - i) for i in range(m.theta))
             is_nash_equilibrium(m, values, RankProfile(tuple(range(m.theta)), values))
         params = N12Params((900.0, 700.0, 500.0, 300.0, 100.0), (0.4, 0.3, 0.2, 0.1), 0.3)
-        plan = engine._rank_slot_plan(params.mechanism(), 5, [(t, t - 1) for t in range(1, 5)])
-        assert len(plan[1]) * 3 == 24 < engine._NUMPY_MIN_TERM_COLUMNS  # 3 competitive bidders
         is_nash_equilibrium(params.mechanism(), params.v[:4], RankProfile((0, 1, 2, 3), params.v[:4]))
 
-    def test_a_full_oracle_chunk_takes_the_numpy_pass(self, monkeypatch):
-        from tworound.dsic import _grid_tables
+    def test_a_large_check_walks_to_the_numpy_pass_bits(self, monkeypatch):
+        # Uniform (theta, alpha, beta) = (8, 4, 4): 280 terms by 8 competitive bidders' columns.
+        m = Mechanism(8, 4, SelectionDistribution.uniform(8, 4), AllocationRule((0.4, 0.3, 0.2, 0.1)))
+        values = (97.0, 90.5, 71.0, 70.25, 44.0, 31.5, 12.0, 3.0)
+        rank = RankProfile((2, 0, 1, 3, 4, 5, 7, 6), (98.0, 91.0, 88.0, 70.25, 50.0, 31.5, 12.0, 5.0))
+        n, top = 8, m.competition_rank
+        plan = engine._rank_slot_plan(m, n, [(t, t - 1) for t in range(1, n + 1)])
+        assert len(plan[1]) * top == 2240
+        # The reference prices the same plan in one numpy pass: U[slot, value j, column j].
+        others = np.array([rank.bids[:j] + rank.bids[j + 1 :] + (0.0,) for j in range(top)]).T
+        v = np.array([values[i] for i in rank.ordering])
+        U = engine._utilities(engine._plan_arrays(plan), others, v)[:: n + 1, range(top), range(top)]
+        want = [
+            (rank.ordering[p - 1], p, t, U[p - 1, p - 1], U[t - 1, p - 1])
+            for p in range(1, top + 1)
+            for t in range(1, n + 1)
+            if t != p
+        ]
+        monkeypatch.setattr(engine, "_plan_arrays", lambda plan: pytest.fail("built the plan's arrays"))
+        verdict, records = is_nash_equilibrium(m, values, rank)
 
-        built, plan_arrays = [], engine._plan_arrays
-        monkeypatch.setattr(engine, "_plan_arrays", lambda plan: built.append(1) or plan_arrays(plan))
-        m = Mechanism(3, 2, SelectionDistribution.uniform(3, 2), AllocationRule((0.7, 0.3)))
-        _, bids, _, _ = _grid_tables(tuple(map(float, range(9))), 4)[0]
-        assert bids.shape == (4, 64)
-        engine._payments(engine._rank_slot_plan(m, 4, [(p, k) for p in range(1, 4) for k in range(p)]), bids)
-        assert built == [1]
+        def bits(rows):
+            return [(*row[:3], *(float(u).hex() for u in row[3:])) for row in rows]
+
+        assert bits(records) == bits(want)
+        assert verdict == (not any(dev > cur + EQ_ATOL for *_, cur, dev in want))
+        assert not verdict  # bidder 2, overbidding at the top, gains by moving down to 2-5
 
 
 class TestSettlePaths:

@@ -33,7 +33,6 @@ from tworound.equilibrium import (
     is_nash_equilibrium,
     n11_classify,
     n11_construct_better_Y,
-    n11_improvement_threshold,
     n11_mechanism,
     n11_revenue,
     n11_supremum_bound,
@@ -383,22 +382,12 @@ class TestN11SupremumBound:
 
 
 class TestN11ImprovementThreshold:
-    def test_hand_value(self):
-        assert n11_improvement_threshold(*V_EX) == pytest.approx(0.4)
-
-    def test_equal_values_collapse(self):
-        assert n11_improvement_threshold(450, 450, 200) == 0.0
-
     def test_threshold_separates_revenue(self):
-        thr = n11_improvement_threshold(*V_EX)
+        # Risky revenue beats v2 iff the tail mass is below (v1 - v2)/(v1 - v3) = 0.4.
         below = ExclusionY((0.7, 0.2, 0.1))  # tail mass 0.3 < 0.4
         above = ExclusionY((0.5, 0.3, 0.2))  # tail mass 0.5 > 0.4
         assert n11_revenue("risky", *V_EX, below) > V_EX[1]
         assert n11_revenue("risky", *V_EX, above) < V_EX[1]
-
-    def test_degenerate_rejected(self):
-        with pytest.raises(DegenerateRatioError):
-            n11_improvement_threshold(450, 300, 450)
 
 
 class TestN11Construction:

@@ -27,7 +27,6 @@ PUBLIC_NAMES = [
     "marginal_probabilities",
     "n11_classify",
     "n11_construct_better_Y",
-    "n11_improvement_threshold",
     "n11_mechanism",
     "n11_revenue",
     "n11_supremum_bound",
@@ -38,7 +37,6 @@ PUBLIC_NAMES = [
     "sample_subset",
     "settle_round",
     "simulate_run",
-    "to_exclusion_Y",
     "u2",
     "verify_witness",
 ]

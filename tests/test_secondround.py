@@ -64,11 +64,6 @@ class TestAllocationRule:
         with pytest.raises(ContractViolation):
             AllocationRule((bad, 0.0))
 
-    def test_prob_out_of_range_is_zero(self):
-        x = AllocationRule((0.7, 0.3))
-        assert x.prob(3) == 0.0
-        assert x.prob(1) == 0.7
-
 
 def _rank(bids, x, entrant=0):
     """1-based second-round rank of ``bids[entrant]`` (bids in tie-priority order)."""
@@ -131,7 +126,7 @@ class TestMyersonPayment:
         for rank in range(1, alpha + 1):
             p = pay[rank - 1]
             assert p >= -1e-12
-            assert p <= bids[rank - 1] * x.prob(rank) + 1e-9
+            assert p <= bids[rank - 1] * x.x[rank - 1] + 1e-9
 
 
 class TestSecondRoundRank:
@@ -202,5 +197,5 @@ class TestU2:
             for others in itertools.product(grid, repeat=alpha - 1):
                 probs = []
                 for s in grid:
-                    probs.append(x.prob(_rank((s, *others), x)))
+                    probs.append(x.x[_rank((s, *others), x) - 1])
                 assert all(b >= a for a, b in zip(probs, probs[1:]))

@@ -18,7 +18,6 @@ from tworound.selection import (
     from_exclusion_Y,
     marginal_probabilities,
     sample_subset,
-    to_exclusion_Y,
 )
 
 
@@ -182,31 +181,23 @@ class TestMarginals:
 
 class TestExclusionIndexing:
     def test_three_candidate_mapping(self):
-        d = SelectionDistribution(3, 2, {(2, 3): 0.15, (1, 3): 0.25, (1, 2): 0.6})
-        y = to_exclusion_Y(d)
+        y = ExclusionY((0.6, 0.25, 0.15))
         # subset {2,3} excludes rank 1 -> Y_3; subset {1,2} excludes rank 3 -> Y_1
-        assert y[3] == pytest.approx(0.15)
-        assert y[1] == pytest.approx(0.6)
-        assert y.excluding(1) == pytest.approx(0.15)
+        assert from_exclusion_Y(y).probs == {(1, 2): 0.6, (1, 3): 0.25, (2, 3): 0.15}
+        assert (y[1], y[3]) == (0.6, 0.15)
 
     def test_two_candidate_mapping(self):
-        d = SelectionDistribution(2, 1, {(2,): 0.7, (1,): 0.3})
-        y = to_exclusion_Y(d)
-        assert y[2] == pytest.approx(0.7)  # subset {2} excludes rank 1
-        assert y[1] == pytest.approx(0.3)
+        y = ExclusionY((0.3, 0.7))
+        assert from_exclusion_Y(y).probs == {(1,): 0.3, (2,): 0.7}  # subset {2} excludes rank 1
 
     def test_round_trip_is_exact(self):
         y = ExclusionY((0.6, 0.25, 0.15))
-        assert to_exclusion_Y(from_exclusion_Y(y)).y_vec == y.y_vec
+        assert tuple(from_exclusion_Y(y).probs.values()) == y.y_vec
 
     @pytest.mark.parametrize("bad", [math.nan, -math.inf])
     def test_rejects_non_finite(self, bad):
         with pytest.raises(SelectionError):
             ExclusionY((0.5, 0.5, bad))
-
-    def test_mode_error_when_alpha_wrong(self):
-        with pytest.raises(SelectionError):
-            to_exclusion_Y(SelectionDistribution.uniform(4, 2))
 
     def test_marginal_consistency(self):
         y = ExclusionY((0.5, 0.3, 0.2))
