@@ -230,6 +230,9 @@ def _rank_slot_plan(mech: Mechanism, n: int, slots) -> tuple:
     """
     alloc, beta, steps = mech.allocation.x, mech.beta, mech.allocation.steps[: mech.beta]
     X, rows, probs, order, coefs, w = [0.0] * (n * n), [], [], [n - 1], [], len(steps)
+    # Per rank r < beta, a term's r pads and its coefficients (the steps from r, then r zeros).
+    pads = [[n - 1] * r for r in range(beta)]
+    tails = [steps[r:] + (0.0,) * r for r in range(beta)]
     for p, k in slots:
         slot = (p - 1) * n + k
         for subset, prob in mech.selection._live_table[0]:
@@ -238,15 +241,18 @@ def _rank_slot_plan(mech: Mechanism, n: int, slots) -> tuple:
                 X[slot] += prob * alloc[r]
                 rows.append(slot)
                 probs.append(prob)
-                order += [q - 2 + (q < p) for q in subset[r:] if q != p][: w - r] + [n - 1] * r
-                coefs += steps[r:] + (0.0,) * r
+                members = [q - 2 + (q < p) for q in subset[r:] if q != p]
+                del members[w - r :]  # cut in place, as mostly nothing is cut
+                order += members
+                order += pads[r]
+                coefs += tails[r]
     return X, rows, probs, order, coefs, w
 
 
 def _plan_arrays(plan: tuple) -> tuple:
     """A plan as the numpy pass reads it: X, slots, probs and coefs, and order by rank."""
     X, slots, probs, order, coefs, w = plan
-    order = [None, *np.array(order[1:], dtype=np.intp).reshape(len(slots), w).T]  # no top bid
+    order = [None, *np.array(order, dtype=np.intp)[1:].reshape(len(slots), w).T]  # no top bid
     coefs = np.array(coefs).reshape(len(slots), w).T[..., None]  # probs and coefs broadcast
     return np.array(X), np.array(slots, dtype=np.intp), np.array(probs)[:, None], order, coefs
 

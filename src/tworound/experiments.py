@@ -15,9 +15,10 @@ sorted descending; draws that fail the strict ordering constraint, or sit
 exactly on the class boundary, are discarded (and counted).  All runs are
 deterministic in the seed.
 
-Every harness draws and classifies through :func:`_classify_draws`.  It draws
-``_CHUNK_ROWS`` rows at a time with ``rng.random((rows, theta))``, which reads
-the generator's stream exactly as one ``(n, theta)`` draw would.  Per chunk it
+Every harness classifies through :func:`_classify_draws`, which draws
+through its front half :func:`_ordered_chunks`.  That draws ``_CHUNK_ROWS``
+rows at a time with ``rng.random((rows, theta))``, which reads the
+generator's stream exactly as one ``(n, theta)`` draw would.  Per chunk it
 copies the raw uniforms into contiguous columns, adds them up per row, sorts
 the columns ascending with Batcher's odd-even merge sort network of
 elementwise minima and maxima (:func:`_sort_network`, built once per theta),
@@ -49,6 +50,13 @@ contiguous copy).  Every row, table 4's included, is built by
 :func:`_class_row`; gap and theta rows are built from the kernel's result at
 once (:func:`_sweep`), before the next row overwrites the buffer.  The tests
 keep the sort-based implementation as the reference and compare bit for bit.
+
+Table 4 classifies a valuation's draws only while its r is at most
+1/(theta-2) with a 2**-40 relative margin (:func:`_risky_bound`): every
+ordered Y has R = (Y_{theta-1} - Y_theta) / S < 1/(theta-2), so above that
+a valuation has no risky and no boundary draw.  Its batch still runs through
+the front half, which keeps the generator's stream, and only its ordered
+draws, all truthful-class, are counted.
 """
 
 from __future__ import annotations
@@ -185,6 +193,34 @@ class _Workspace:
         return self._views[key]
 
 
+def _ordered_chunks(rng: np.random.Generator, theta: int, n: int, ws: _Workspace):
+    """Draw ``n`` exclusion vectors in chunks of up to ``_CHUNK_ROWS`` rows and yield per chunk
+    (cols, ordered, bufs): the columns sorted ascending (cols[0] holds Y_theta), of which the
+    three smallest are divided by the raw row sum ``bufs[0]`` and the others not yet; the mask of
+    rows with Y_{theta-2} > Y_{theta-1} > Y_theta; and the chunk's float buffers (total, S, A,
+    ratio, a revenue) and risky and truthful masks.  All are views of ``ws``."""
+    network = _sort_network(theta)
+    for start in range(0, n, _CHUNK_ROWS):
+        rows = min(_CHUNK_ROWS, n - start)
+        # One contiguous row of ws.cols per column; the row sums are taken in
+        # numpy's order (as w.sum(axis=1) would) before the network sorts the
+        # columns ascending.
+        block, cols, total, spare, *bufs, ordered, risky, truthful = ws.views(theta, rows)
+        np.copyto(block, rng.random((rows, theta)).T)
+        cols = list(cols)
+        _pairwise_sum(cols, out=total)
+        for i, j in network:
+            lo, hi = cols[i], cols[j]
+            np.minimum(lo, hi, out=spare)
+            np.maximum(lo, hi, out=hi)
+            cols[i], spare = spare, lo
+        for col in cols[:3]:
+            np.divide(col, total, out=col)
+        np.greater(cols[2], cols[1], out=ordered)
+        ordered &= np.greater(cols[1], cols[0], out=risky)
+        yield cols, ordered, (total, *bufs, risky, truthful)
+
+
 def _classify_draws(
     rng: np.random.Generator, theta: int, n: int, v: tuple[float, float, float], ws=None
 ) -> tuple[np.ndarray, np.ndarray, int]:
@@ -205,35 +241,19 @@ def _classify_draws(
     if v2 == v3:
         raise DegenerateRatioError(f"v2 == v3 in {v}: gap ratio undefined")
     r = (v1 - v2) / (v2 - v3)
-    network = _sort_network(theta)
     if ws is None:
         ws = _Workspace(theta, n)
     # Risky revenues fill rev from the front, truthful ones from the back, backwards.
     rev = ws.rev[:n]
     n_risky = n_truthful = 0
-    for start in range(0, n, _CHUNK_ROWS):
-        rows = min(_CHUNK_ROWS, n - start)
-        # One contiguous row of ws.cols per column; the row sums are taken in
-        # numpy's order (as w.sum(axis=1) would) before the network sorts the
-        # columns ascending.
-        block, cols, total, spare, S, A, ratio, tmp, *masks = ws.views(theta, rows)
-        ordered, risky, truthful = masks
-        np.copyto(block, rng.random((rows, theta)).T)
-        cols = list(cols)
-        _pairwise_sum(cols, out=total)
-        for i, j in network:
-            lo, hi = cols[i], cols[j]
-            np.minimum(lo, hi, out=spare)
-            np.maximum(lo, hi, out=hi)
-            cols[i], spare = spare, lo
-        for col in cols:
+    chunks = _ordered_chunks(rng, theta, n, ws)
+    for cols, ordered, (total, S, A, ratio, tmp, risky, truthful) in chunks:
+        for col in cols[3:]:
             np.divide(col, total, out=col)
         y_last, y_pen = cols[0], cols[1]
         _pairwise_sum(cols[:1:-1], out=S)
         np.add(y_pen, y_last, out=A)
         np.divide(np.subtract(y_pen, y_last, out=ratio), S, out=ratio)
-        np.greater(cols[2], y_pen, out=ordered)
-        ordered &= np.greater(y_pen, y_last, out=risky)
         A *= v3
         np.greater(ratio, r, out=risky)
         risky &= ordered
@@ -304,6 +324,18 @@ def run_theta_experiment(config: ExperimentConfig) -> list[ExperimentRow]:
     return _sweep(config, cells)
 
 
+def _risky_bound(theta: int) -> float:
+    """A float above the tail-gap ratio R of every ordered Y draw at ``theta``, as the kernel
+    computes R: a valuation whose gap ratio r exceeds it has no risky and no boundary draw.
+
+    An ordered draw has S >= (theta-2) Y_{theta-2} > (theta-2) Y_{theta-1}, so R < 1/(theta-2).
+    Float R can reach fl(1/(theta-2)) itself: it exceeds the exact ratio of the normalized
+    doubles by less than (theta-1) 2**-52 relative.  The margin, 2**-40 (theta 2**-52 above
+    theta = 4096), covers that error and the rounding of the bound.
+    """
+    return (1 + max(2**-40, theta * 2**-52)) / (theta - 2)
+
+
 def run_random_valuation_experiment(config: ExperimentConfig) -> list[ExperimentRow]:
     """Random valuations; per valuation record each class's best revenue.
 
@@ -313,18 +345,31 @@ def run_random_valuation_experiment(config: ExperimentConfig) -> list[Experiment
     per retained valuation the maximum revenue within each class is recorded,
     and the row reports the average of those maxima (counts are retained
     valuations).
+
+    No ordered draw is risky once r = (v1-v2)/(v2-v3) reaches 1/(theta-2), so
+    a valuation's draws are classified only while r is at most that bound
+    with a 2**-40 relative margin for rounding (:func:`_risky_bound`).  Above
+    it the valuation is skipped: its batch is still drawn, and its ordered
+    draws, all truthful-class, are counted for its discards.
     """
     rng = np.random.default_rng(config.seed)
     ws = _Workspace(max(config.thetas), config.draws)
     rows = []
     for idx, theta in enumerate(config.thetas, start=1):
+        bound = _risky_bound(theta)
         risky_best: list[float] = []
         truthful_best: list[float] = []
-        skipped = discarded = 0
+        skipped = settled = discarded = 0
         for _ in range(config.n_valuations):
             v = tuple(np.sort(rng.uniform(0.0, config.value_max, size=3))[::-1])
             while v[0] == v[1] or v[1] == v[2]:
                 v = tuple(np.sort(rng.uniform(0.0, config.value_max, size=3))[::-1])
+            if (v[0] - v[1]) / (v[1] - v[2]) > bound:
+                chunks = _ordered_chunks(rng, theta, config.draws, ws)
+                discarded += config.draws - sum(int(np.count_nonzero(o)) for _, o, _ in chunks)
+                skipped += 1
+                settled += 1
+                continue
             rev_risky, rev_truthful, lost = _classify_draws(rng, theta, config.draws, v, ws)
             discarded += lost
             if not len(rev_risky) or not len(rev_truthful):
@@ -333,11 +378,13 @@ def run_random_valuation_experiment(config: ExperimentConfig) -> list[Experiment
             risky_best.append(float(rev_risky.max()))
             truthful_best.append(float(rev_truthful.max()))
         logger.info(
-            "random-valuation theta=%d: retained %d/%d valuations (%d skipped)",
+            "random-valuation theta=%d: retained %d/%d valuations"
+            " (%d skipped, %d by r >= 1/(theta-2))",
             theta,
             len(risky_best),
             config.n_valuations,
             skipped,
+            settled,
         )
         risky, truthful = np.array(risky_best), np.array(truthful_best)
         rows.append(_class_row(f"random-{idx}", (math.nan,) * 3, theta, risky, truthful, discarded))

@@ -1,5 +1,7 @@
 import csv
 import hashlib
+import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -199,6 +201,15 @@ class TestClassifyDraws:
             for rev in got[:2]:
                 if len(rev):
                     assert rev.mean() == np.ascontiguousarray(rev).mean()
+
+    @pytest.mark.parametrize("theta", [3, 4, 6])
+    def test_bit_identical_to_reference_with_ties(self, theta):
+        # Four uniform values: many rows tie, at the top and at the bottom alike.
+        v = (450.0, 350.0, 200.0)
+        Y = _draw_sorted_Y(CoarseGenerator(theta), theta, 3000)
+        assert (Y[:, -2] == Y[:, -1]).any()
+        got = _classify_draws(CoarseGenerator(theta), theta, 3000, v)
+        _assert_same_classes(got, _class_arrays(*_classify_batch(Y, v)))
 
     def test_reads_the_stream_like_one_draw(self):
         rng = np.random.default_rng(9)
@@ -486,3 +497,175 @@ class TestCsv:
         record = rows_to_record(row)
         assert record[1] == record[2] == record[3] == ""
         assert record[9] != ""
+
+
+def _threshold(theta):
+    """1/(theta-2) widened by the 2**-40 relative margin table 4 skips valuations above."""
+    return (1 + 2**-40) / (theta - 2)
+
+
+def _triple_with_ratio(r):
+    """A descending positive triple whose (v1 - v2) / (v2 - v3) is the float ``r`` exactly."""
+    for i in range(1, 400):
+        v3, v2 = 1.0, 1.0 + i / 7
+        v1 = v2 + r * (v2 - v3)
+        for _ in range(4):
+            got = (v1 - v2) / (v2 - v3)
+            if got == r:
+                return v1, v2, v3
+            v1 = math.nextafter(v1, math.inf if got < r else 0.0)
+    raise AssertionError(f"no triple with gap ratio {r!r}")
+
+
+def _edge_ratios(theta):
+    """One ulp below the threshold, the threshold, and one ulp above it."""
+    t = _threshold(theta)
+    return math.nextafter(t, 0.0), t, math.nextafter(t, math.inf)
+
+
+def _near_bound_block(theta):
+    """Ordered-looking rows near R = 1/(theta-2): equal head entries, then (y, ~0), y a few
+    ulps below the head, so the tail gap is nearly as large as a head entry."""
+    rows = []
+    for a in (0.5, 0.6, 0.625, 0.7, 0.75, 0.8, 0.875, 0.9, 1.0):
+        y = a
+        for _ in range(16):
+            y = math.nextafter(y, 0.0)
+            rows += [[a] * (theta - 2) + [y, tiny] for tiny in (0.0, 1e-300)]
+    return np.array(rows)
+
+
+class ScriptedGenerator:
+    """Returns one hand-built block for every ``random`` call."""
+
+    def __init__(self, block):
+        self._block = block
+
+    def random(self, size):
+        assert size == self._block.shape
+        return self._block.copy()
+
+
+class TestRiskyBound:
+    @pytest.mark.parametrize("theta", range(3, 9))
+    def test_no_draw_is_risky_or_on_the_boundary_above_the_threshold(self, theta):
+        block = _near_bound_block(theta)
+        Y = _draw_sorted_Y(ScriptedGenerator(block), theta, len(block))
+        head, pen, last = Y[:, theta - 3], Y[:, theta - 2], Y[:, theta - 1]
+        ordered = (head > pen) & (pen > last)
+        R = ((pen - last) / Y[:, : theta - 2].sum(axis=1))[ordered]
+        # Float R comes within one ulp of fl(1/(theta-2)) (reaches it at theta 5 and 8): at r
+        # equal to that, such a draw would be on the boundary or risky, hence the margin.
+        assert len(R) > 0
+        assert R.max() >= math.nextafter(1 / (theta - 2), 0.0)
+        assert R.max() < _threshold(theta)
+        if R.max() == 1 / (theta - 2):
+            # At r = fl(1/(theta-2)) that draw is a boundary draw, discarded though ordered.
+            v = _triple_with_ratio(1 / (theta - 2))
+            lost = _classify_draws(ScriptedGenerator(block), theta, len(block), v)[2]
+            assert lost > len(block) - int(ordered.sum())
+        r = _edge_ratios(theta)[2]
+        v = _triple_with_ratio(r)
+        assert (v[0] - v[1]) / (v[1] - v[2]) == r > _threshold(theta)
+        rev_risky, rev_truthful, discarded = _classify_draws(
+            ScriptedGenerator(block), theta, len(block), v
+        )
+        assert len(rev_risky) == 0
+        assert len(rev_truthful) == int(ordered.sum())
+        assert discarded == len(block) - int(ordered.sum())
+
+    def test_risky_bound_is_the_threshold_up_to_theta_4096(self):
+        for theta in (3, 4, 5, 8, 100, 4096):
+            assert experiments._risky_bound(theta) == _threshold(theta)
+        assert experiments._risky_bound(8192) > _threshold(8192)
+
+    def test_log_counts_the_valuations_settled_by_the_bound(self, caplog):
+        config = ExperimentConfig(thetas=(3, 4, 5, 6), draws=200, n_valuations=60, seed=3)
+        with caplog.at_level("INFO", logger="tworound.experiments"):
+            run_random_valuation_experiment(config)
+        settled = (re.search(r"(\d+) by r >= ", rec.getMessage()) for rec in caplog.records)
+        logged = [int(m.group(1)) for m in settled if m]
+        rng = np.random.default_rng(config.seed)
+        want = []
+        for theta in config.thetas:
+            over = 0
+            for _ in range(config.n_valuations):
+                v = tuple(np.sort(rng.uniform(0.0, config.value_max, size=3))[::-1])
+                while v[0] == v[1] or v[1] == v[2]:
+                    v = tuple(np.sort(rng.uniform(0.0, config.value_max, size=3))[::-1])
+                over += (v[0] - v[1]) / (v[1] - v[2]) > _threshold(theta)
+                rng.random((config.draws, theta))
+            want.append(over)
+        assert logged == want
+        assert all(want) and all(n < config.n_valuations for n in want)
+
+
+class PlantedGenerator:
+    """Wraps ``base``; every other ``uniform`` call returns the next of ``triples`` instead."""
+
+    def __init__(self, base, triples):
+        self._base, self._triples, self._calls = base, triples, 0
+
+    def random(self, size):
+        return self._base.random(size)
+
+    def uniform(self, low, high, size):
+        self._calls += 1
+        if self._calls % 2:
+            return self._base.uniform(low, high, size=size)
+        return np.array(self._triples[self._calls // 2 % len(self._triples)])
+
+
+def _reference_table4(config, rng):
+    """Table 4 with every valuation classified by the full kernel, and each valuation's r."""
+    rows, ratios = [], []
+    for idx, theta in enumerate(config.thetas, start=1):
+        risky, truthful, discarded = [], [], 0
+        for _ in range(config.n_valuations):
+            v = tuple(np.sort(rng.uniform(0.0, config.value_max, size=3))[::-1])
+            while v[0] == v[1] or v[1] == v[2]:
+                v = tuple(np.sort(rng.uniform(0.0, config.value_max, size=3))[::-1])
+            ratios.append((theta, (v[0] - v[1]) / (v[1] - v[2])))
+            rev_risky, rev_truthful, lost = _classify_draws(rng, theta, config.draws, v)
+            discarded += lost
+            if len(rev_risky) and len(rev_truthful):
+                risky.append(float(rev_risky.max()))
+                truthful.append(float(rev_truthful.max()))
+        rows.append(
+            (f"random-{idx}", theta, len(risky), float(np.array(risky).mean()) if risky else None,
+             len(truthful), float(np.array(truthful).mean()) if truthful else None, discarded)
+        )
+    return rows, ratios
+
+
+class TestTable4SkipsByBound:
+    @pytest.mark.parametrize("base", [_default_rng, CoarseGenerator])
+    def test_rows_and_stream_match_full_classification(self, base, monkeypatch):
+        config = ExperimentConfig(thetas=(3, 4, 5, 6, 7, 8), draws=400, n_valuations=72, seed=5)
+        triples = [_triple_with_ratio(r) for t in config.thetas for r in _edge_ratios(t)]
+        made = []
+
+        def planted(seed):
+            made.append(PlantedGenerator(base(seed), triples))
+            return made[-1]
+
+        monkeypatch.setattr(experiments.np.random, "default_rng", planted)
+        rows = run_random_valuation_experiment(config)
+        ref_rng = PlantedGenerator(base(config.seed), triples)
+        want, ratios = _reference_table4(config, ref_rng)
+        got = [
+            (r.experiment_id, r.theta, r.risky_count, r.risky_avg_rev, r.truthful_count,
+             r.truthful_avg_rev, r.discarded)
+            for r in rows
+        ]
+        assert got == want
+        assert all(all(map(math.isnan, r.v)) for r in rows)
+        np.testing.assert_array_equal(made[0].random((4,)), ref_rng.random((4,)))
+        # Both paths are taken often, and every edge of every theta is met.
+        over = sum(r > _threshold(t) for t, r in ratios)
+        assert over >= 100 and len(ratios) - over >= 100
+        for theta in config.thetas:
+            for r in _edge_ratios(theta):
+                assert (theta, r) in ratios
+        if base is CoarseGenerator:
+            assert all(row.discarded > 0 for row in rows)
