@@ -29,7 +29,7 @@ import numpy as np
 
 from .engine import BidProfile, ConfigurationError, Mechanism, expected_utility
 from .engine import _plan_arrays, _rank_slot_plan, _utilities
-from .selection import is_finite_number, marginal_probabilities
+from .selection import _as_ints, is_finite_number, marginal_probabilities
 
 MARGINAL_ATOL = 1e-9
 GAIN_ATOL = 1e-9
@@ -171,7 +171,7 @@ def find_deviation(
     if not all(is_finite_number(g) and g >= 0 for g in grid):
         raise ValueError(f"grid points must be finite and nonnegative, got {grid}")
     grid = sorted(map(float, grid))
-    n = mech.theta if n is None else n
+    n = mech.theta if n is None else _as_ints((n,), ConfigurationError)[0]
     if len(grid) > MAX_GRID_POINTS:
         raise ResourceLimitError(
             f"grid of {len(grid)} points exceeds the {MAX_GRID_POINTS}-point limit"

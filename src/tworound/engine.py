@@ -14,14 +14,11 @@ subset's bids, and none of the caches reads the generator, so a run on a
 reused profile draws the same subset and winner from the same stream position.
 
 :func:`settle` is the one function that computes each position's expected allocation X
-and payment P, and it picks its method by the number of live (nonzero-probability)
-subsets in the selection distribution's one table, whose CDF sampled runs draw from.
-With at least ``_NUMPY_MIN_SUBSETS`` of them, one numpy pass reads the table's arrays,
-which the distribution builds on the pass's first call: one stable ranking of the theta
-bids orders every subset, ``rank_payments`` prices them all from one row of bids per
-rank, and ``bincount`` adds the terms in the loop's (subset, rank) order, so X and P keep
-every bit.  Fewer live subsets are settled one by one from the table's (subset, p) pairs
-through ``settle_round``, faster there (see the constant).
+and payment P, in one numpy pass over the arrays of the selection distribution's live
+(nonzero-probability) subset table, whose CDF sampled runs draw from: one stable ranking of
+the theta bids orders every subset, ``rank_payments`` prices them all from one row of bids
+per rank, and ``bincount`` adds the terms in (subset, rank) order, so X and P are the floats
+that ``settle_round`` summed subset by subset gives, to the bit.
 :func:`expected_utility`, :func:`expected_revenue` and :func:`evaluate` read X
 and P from it; ``evaluate`` settles every subset once more only for its outcome table.
 Both deviation checks price rank slots: :func:`_rank_slot_plan` lays out the slots' terms,
@@ -42,13 +39,6 @@ from .secondround import AllocationRule, rank_payments, settle_round
 from .selection import SelectionDistribution, is_finite_number, sample_subset
 
 UTILITY_ATOL = 1e-9
-# settle prices a mechanism with at least this many live subsets in one numpy pass.  One settle
-# call with all C subsets live, loop vs numpy, in microseconds (Python 3.11, numpy 2.4, 2-core
-# Xeon): C = 3: 9 vs 19; C = 6: 16-27 vs 21-26; C = 9: 52 vs 47; C = 10: 39-42 vs 28-33;
-# C = 15: 38-62 vs 22; C = 495: 2,761 vs 115; C = 3,432: 17,219 vs 527.  The pass has a fixed
-# cost of about 20 us and a subset costs the loop 3-5 us, so below 10 the loop wins or they tie.
-_NUMPY_MIN_SUBSETS = 10
-
 
 class ConfigurationError(ValueError):
     """Mechanism/profile combination violates a structural precondition."""
@@ -180,21 +170,6 @@ def settle(mech: Mechanism, s: Sequence[float]) -> tuple[list[float], list[float
     """
     if len(s) < mech.theta:
         raise ConfigurationError(f"need theta={mech.theta} second-round bids, got {len(s)}")
-    if len(mech.selection._live_table[0]) >= _NUMPY_MIN_SUBSETS:
-        return _settle_all(mech, s)
-    alloc, beta = mech.allocation.x, mech.beta
-    X, P = [0.0] * mech.theta, [0.0] * mech.theta
-    for subset, prob in mech.selection._live_table[0]:
-        order, pay = settle_round([s[q - 1] for q in subset], mech.allocation)
-        for r in range(beta):
-            k = subset[order[r]] - 1
-            X[k] += prob * alloc[r]
-            P[k] += prob * pay[r]
-    return X, P
-
-
-def _settle_all(mech: Mechanism, s: Sequence[float]) -> tuple[list[float], list[float]]:
-    """:func:`settle` in one numpy pass over the live table, every float as the loop makes it."""
     table, prob = mech.selection._live_arrays
     bids = np.array(s[: mech.theta], dtype=float)
     # A stable descending rank of all theta bids orders every subset as settle_round does:
@@ -203,11 +178,11 @@ def _settle_all(mech: Mechanism, s: Sequence[float]) -> tuple[list[float], list[
     rank = np.argsort(ranked)  # rank[position]: the inverse permutation
     order = ranked[np.sort(rank[table], axis=1)]  # (C, alpha) positions, second-round rank order
     alloc, beta = mech.allocation.x, mech.beta
-    with np.errstate(over="ignore"):  # a payment past the float range is inf, as in the loop
+    with np.errstate(over="ignore"):  # a payment past the float range is inf
         # Row r of bids[order.T] holds every subset's rank-(r + 1) bid; with beta = alpha the
         # last rank's payment is rank_payments' scalar 0.0, and prob * 0.0 makes its column.
         pay = rank_payments(bids[order.T], range(mech.alpha), mech.allocation.steps)[:beta]
-        # bincount adds its weights one at a time in (subset, rank) order, the loop's order.
+        # bincount adds its weights one at a time, in (subset, rank) order.
         winners = order[:, :beta].ravel()
         X = np.bincount(winners, (prob[:, None] * alloc[:beta]).ravel(), mech.theta)
         P = np.bincount(winners, np.column_stack([prob * p for p in pay]).ravel(), mech.theta)

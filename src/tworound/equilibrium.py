@@ -440,7 +440,7 @@ _N12_TERMS = (
 )
 
 
-# Hand-expanded instead of engine.settle: a third of its cost on these tiny
+# Hand-expanded instead of engine.settle, which costs far more on these tiny
 # mechanisms, and criterion 10 relies on it being derived apart from the engine.
 def _n12_position_utilities(
     Y: Sequence[float], x1: float, x2: float, w: float, others: Sequence[float]

@@ -66,7 +66,8 @@ def settle_round(bids: Sequence[float], x: AllocationRule) -> tuple[list[int], l
 
     ``bids`` holds one second-round bid per advanced bidder in tie-priority order: of two equal
     bids, the earlier one ranks higher.  They must be finite floats, which is not checked here:
-    ``settle`` and ``evaluate`` call this per subset on bids that ``BidProfile`` has checked.
+    ``evaluate`` calls this per subset on bids that ``BidProfile`` has checked, ``u2`` on bids
+    it has checked itself.
     Returns ``(order, pay)``: ``order[r]`` indexes ``bids`` for the bidder at rank r + 1 and
     ``pay[r]`` is that rank's payment, 0 for ranks without allocation.
     """

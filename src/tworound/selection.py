@@ -145,7 +145,7 @@ class SelectionDistribution:
         built in Python on first use: ``(subset, p)`` pairs in lexicographic order, the subsets
         and the probabilities, and the sampling CDF.  That divides by ``np.sum`` of all C weights:
         zero weights add exact zeros to a cumulative sum, so it is ``Generator.choice``'s CDF at
-        the live indices.  Only ``engine._settle_all`` reads numpy arrays, :attr:`_live_arrays`."""
+        the live indices.  Only ``engine.settle`` reads numpy arrays, :attr:`_live_arrays`."""
         pairs = [(s, p) for s, p in self.probs.items() if p != 0.0]
         subsets, prob = zip(*pairs)
         total = _pairwise_sum(list(self.probs.values()))

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from tworound.engine import Mechanism, settle
-from tworound.secondround import AllocationRule
+from tworound.secondround import AllocationRule, settle_round
 from tworound.selection import SelectionDistribution
 
 
@@ -82,6 +82,21 @@ def off_grid_violation(e: float = 0.01) -> Mechanism:
     """
     dist = SelectionDistribution(3, 2, {(1, 2): 1 / 3, (1, 3): 1 / 3 + e, (2, 3): 1 / 3 - e})
     return Mechanism(3, 2, dist, AllocationRule((1.0, 0.0)))
+
+
+def settle_reference(mech: Mechanism, s) -> tuple[list[float], list[float]]:
+    """``engine.settle`` one live subset at a time: ``settle_round`` ranks and prices each
+    subset, and every rank's terms are added in (subset, rank) order.  The numpy pass in
+    ``settle`` must give these floats bit for bit."""
+    alloc, beta = mech.allocation.x, mech.beta
+    X, P = [0.0] * mech.theta, [0.0] * mech.theta
+    for subset, prob in mech.selection._live_table[0]:
+        order, pay = settle_round([s[q - 1] for q in subset], mech.allocation)
+        for r in range(beta):
+            k = subset[order[r]] - 1
+            X[k] += prob * alloc[r]
+            P[k] += prob * pay[r]
+    return X, P
 
 
 def place(mech: Mechanism, others, p: int, s: float) -> tuple[float, float]:

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import re
 from functools import cache
 from itertools import combinations_with_replacement, islice
 
@@ -169,6 +170,16 @@ class TestFindDeviation:
             find_deviation(m, GRID, n=7)
         with pytest.raises(ResourceLimitError):
             find_deviation(m, GRID, n=3)
+
+    @pytest.mark.parametrize("n", [True, 4.0, "4", np.int64(4)])
+    def test_n_is_an_int(self, n):
+        # A bool would count one bidder, a float would fail inside itertools.
+        m = mech_from_q((0.6, 0.3, 0.1))
+        if isinstance(n, np.integer):
+            assert find_deviation(m, GRID, n) == find_deviation(m, GRID, 4) is not None
+        else:
+            with pytest.raises(ConfigurationError, match=re.escape(f"expected integers, got ({n!r},)")):
+                find_deviation(m, GRID, n)
 
     @pytest.mark.parametrize("grid", [[math.nan, 1, 2], [-1, 0, 1], [0, 1, math.inf]])
     def test_grid_points_must_be_finite_and_nonnegative(self, grid):

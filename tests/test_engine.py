@@ -28,7 +28,7 @@ from tworound.selection import (
     from_exclusion_Y,
 )
 
-from conftest import make_dsic_mechanism, make_non_dsic_mechanism, random_allocation
+from conftest import make_dsic_mechanism, make_non_dsic_mechanism, random_allocation, settle_reference
 
 
 def n11_mech(y_vec):
@@ -323,7 +323,7 @@ class TestPlaceRow:
                 Xs, Ps = settle(m, [*others[: p - 1], s, *others[p - 1 : theta - 1]])
                 want = (Xs[p - 1], Ps[p - 1])
             assert [X.hex(), P.hex()] == [v.hex() for v in want], (theta, alpha, beta, p, s)
-            seen["large" if len(subsets) >= engine._NUMPY_MIN_SUBSETS else "small"] += 1
+            seen["large" if len(subsets) >= 10 else "small"] += 1
             seen["tie"] += s in others[: theta - 1]
             seen["p=theta"] += p == theta
             seen["p>theta"] += p > theta
@@ -425,14 +425,14 @@ class TestPaymentPathChoice:
 
 
 class TestSettlePaths:
-    """settle prices large mechanisms in one numpy pass; the per-subset loop is the reference."""
+    """settle prices every mechanism in one numpy pass; the per-subset loop is the reference."""
 
     @staticmethod
     def bits(values):
         return [float(v).hex() for v in values]
 
-    @pytest.mark.filterwarnings("error")  # overflow to inf is silent on both paths
-    def test_numpy_pass_matches_the_loop_bit_for_bit(self, monkeypatch):
+    @pytest.mark.filterwarnings("error")  # overflow to inf is silent in the pass and the loop
+    def test_numpy_pass_matches_the_loop_bit_for_bit(self):
         rng = np.random.default_rng(20261018)
         seen = {"zero-prob": 0, "tie": 0, "signed-zero": 0, "overflow": 0}
         for trial in range(300):
@@ -461,34 +461,38 @@ class TestSettlePaths:
                 bids = (sys.float_info.max * (1.0 - rng.uniform(0, 1e-13, size=n))).tolist()
             m = Mechanism(theta, alpha, sel, x)
             s = bids[:theta]
+            X, P = settle(m, s)
+            want = settle_reference(m, s)
+            assert [self.bits(X), self.bits(P)] == [self.bits(v) for v in want], (theta, alpha, beta, s)
+            # evaluate, expected_utility and expected_revenue read settle's X and P to the bit.
             profile = BidProfile(tuple(bids), tuple(bids))
             positions = first_round_positions(m, profile)
+            ranked = [bids[i] for i in positions]
+            X, P = settle_reference(m, ranked)
+            utils = [0.0] * n
+            for k, i in enumerate(positions):
+                utils[i] = bids[i] * X[k] - P[k]
+            result = evaluate(m, bids, profile)
+            assert self.bits(result.expected_utilities) == self.bits(utils)
+            mine = [expected_utility(m, bids, profile, i) for i in range(n)]
+            assert self.bits(mine) == self.bits(utils)
+            assert result.expected_revenue.hex() == expected_revenue(m, profile).hex() == sum(P).hex()
+            # evaluate's outcome table settles every subset, zero-probability ones included.
+            table = []
+            for subset, prob in m.selection.probs.items():
+                order, pay = settle_round([ranked[q - 1] for q in subset], m.allocation)
+                table.append((subset, prob.hex(), positions[subset[order[0]] - 1], sum(pay).hex()))
+            rows = [(o.subset, o.probability.hex(), o.winner_bidder, o.payment.hex()) for o in result.outcomes]
+            assert rows == table
             # Rank slot (p, k) puts bids[0] at position p among the others; p > theta is below the top.
             others, own = sorted(bids[1:], reverse=True), bids[0]
             above = sum(o > own for o in others)
             p = above + 1 + trial % (n - above)
-            results = []
-            for threshold in (math.inf, 0):
-                monkeypatch.setattr(engine, "_NUMPY_MIN_SUBSETS", threshold)
-                X, P = settle(m, s)
-                results.append((self.bits(X), self.bits(P), expected_revenue(m, profile).hex()))
-                # evaluate and expected_revenue read settle's X and P to the bit, and the kernel
-                # prices them alike.
-                X, P = settle(m, [bids[i] for i in positions])
-                utils = [0.0] * n
-                for k, i in enumerate(positions):
-                    utils[i] = bids[i] * X[k] - P[k]
-                result = evaluate(m, bids, profile)
-                assert self.bits(result.expected_utilities) == self.bits(utils)
-                mine = [expected_utility(m, bids, profile, i) for i in range(n)]
-                assert self.bits(mine) == self.bits(result.expected_utilities)
-                assert result.expected_revenue.hex() == expected_revenue(m, profile).hex() == sum(P).hex()
-                want = (0.0, 0.0)
-                if p <= theta:
-                    X, P = settle(m, [*others[: p - 1], own, *others[p - 1 : theta - 1]])
-                    want = (X[p - 1], P[p - 1])
-                assert self.bits(price_slot(m, others, p, slot_of(others, own, p))[:2]) == self.bits(want)
-            assert results[0] == results[1], (theta, alpha, beta, s)
+            want = (0.0, 0.0)
+            if p <= theta:
+                X, P = settle_reference(m, [*others[: p - 1], own, *others[p - 1 : theta - 1]])
+                want = (X[p - 1], P[p - 1])
+            assert self.bits(price_slot(m, others, p, slot_of(others, own, p))[:2]) == self.bits(want)
             seen["tie"] += len(set(s)) < len(s)
             seen["signed-zero"] += any(math.copysign(1.0, b) < 0 for b in s)  # a -0.0
             seen["overflow"] += math.inf in settle(m, s)[1]
@@ -507,36 +511,14 @@ class TestSettlePaths:
         assert result.expected_revenue == expected_revenue(m, bids) == math.inf
         assert [o.probability for o in result.outcomes] == [1.0, 0.0, 0.0]
 
-    def test_large_mechanisms_take_the_numpy_pass(self, monkeypatch):
-        m = Mechanism(6, 3, SelectionDistribution.uniform(6, 3), AllocationRule((0.7, 0.3, 0.0)))
-        assert len(m.selection.probs) >= engine._NUMPY_MIN_SUBSETS
-        monkeypatch.setattr(engine, "settle_round", None)  # the loop would call it
-        X, P = settle(m, [60.0, 50.0, 40.0, 30.0, 20.0, 10.0])
-        assert sum(X) == pytest.approx(1.0) and P[0] > P[-1] == 0.0
-
-
-class TestSettlePathChoice:
-    """settle picks its path by the number of live subsets, not by C."""
-
-    def test_few_live_subsets_take_the_loop_with_the_same_floats(self, monkeypatch):
-        rng = np.random.default_rng(20261021)
-        for theta, alpha in ((6, 3), (8, 4), (5, 2)):
-            subsets = enumerate_subsets(theta, alpha)
-            live = rng.choice(len(subsets), size=3, replace=False)
-            probs = dict.fromkeys(subsets, 0.0)
-            probs.update((subsets[i], p) for i, p in zip(live, (0.5, 0.3, 0.2)))
-            sel = SelectionDistribution(theta, alpha, probs)
-            m = Mechanism(theta, alpha, sel, random_allocation(rng, alpha, 2))
-            assert len(subsets) >= engine._NUMPY_MIN_SUBSETS > len(m.selection._live_table[0])
-            s = [float(v) for v in rng.choice([0.0, 1.0, 2.5, 4.0, 7.0], size=theta)]
-            with monkeypatch.context() as patch:
-                patch.setattr(engine, "_settle_all", None)  # the numpy pass would call it
-                X, P = settle(m, s)
-            assert "_live_arrays" not in m.selection.__dict__  # no numpy table was built
-            with monkeypatch.context() as patch:
-                patch.setattr(engine, "_NUMPY_MIN_SUBSETS", 0)
-                want = settle(m, s)
-            assert [v.hex() for v in X + P] == [v.hex() for v in want[0] + want[1]]
+    def test_settle_never_calls_settle_round(self, monkeypatch):
+        # Three live subsets, the smallest table a two-of-three mechanism has: still the numpy pass.
+        m = n11_mech((0.6, 0.25, 0.15))
+        s = [450.0, 350.0, 200.0]
+        want = settle_reference(m, s)
+        monkeypatch.setattr(engine, "settle_round", None)  # a per-subset loop would call it
+        X, P = settle(m, s)
+        assert self.bits(X + P) == self.bits(want[0] + want[1])
 
 
 class TestShortBidVectors:

@@ -308,5 +308,5 @@ class TestLiveTable:
                 assert "_live_arrays" not in sel.__dict__
                 assert not any(isinstance(part, np.ndarray) for part in sel._live_table)
         m = Mechanism(6, 3, SelectionDistribution.uniform(6, 3), AllocationRule((0.7, 0.3, 0.0)))
-        settle(m, [6.0, 5.0, 4.0, 3.0, 2.0, 1.0])  # 20 live subsets: the numpy pass
+        settle(m, [6.0, 5.0, 4.0, 3.0, 2.0, 1.0])  # settle's numpy pass builds them
         assert "_live_arrays" in m.selection.__dict__
