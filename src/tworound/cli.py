@@ -122,10 +122,13 @@ def _parse_grid(spec: str) -> list[float]:
         raise SchemaError(f"--grid needs finite start:stop:step, got {spec!r}")
     if start < 0 or step <= 0 or stop < start:
         raise SchemaError(f"bad --grid bounds {spec!r}")
+    end = stop + step / 2
+    if math.isinf(end):
+        raise SchemaError(f"--grid {spec!r} overflows: stop + step/2 is past the float range")
     # np.arange below makes ceil of this many points.
-    if (stop + step / 2 - start) / step > MAX_GRID_POINTS:
+    if (end - start) / step > MAX_GRID_POINTS:
         raise SchemaError(f"--grid {spec!r} has more than {MAX_GRID_POINTS} points")
-    return list(np.arange(start, stop + step / 2, step))
+    return np.arange(start, end, step).tolist()
 
 
 def _cmd_validate(args) -> int:
@@ -256,9 +259,14 @@ def _cmd_reproduce(args) -> int:
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The CLI parser, built once per process; each parse returns a fresh Namespace."""
+    """The CLI parser, built once per process; each parse returns a fresh Namespace.
+
+    ``parser.commands`` maps each subcommand's name to its parser, with which :func:`main`
+    parses a call that names one, so its arguments are scanned once.
+    """
     parser = _Parser(prog="tworound", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.commands = sub.choices
 
     p = sub.add_parser("validate", help="validate input documents")
     p.add_argument("--mechanism")
@@ -303,8 +311,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    command = parser.commands.get(argv[0]) if argv else None
     try:
-        args = parser.parse_args(argv)
+        if command is None:  # no subcommand, --help or an unknown name
+            args = parser.parse_args(argv)
+        else:
+            # What the full parse does after the name, but leftovers get the top-level usage.
+            args, extra = command.parse_known_args(argv[1:])
+            if extra:
+                parser.error(f"unrecognized arguments: {' '.join(extra)}")
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -102,24 +102,28 @@ def check_dsic(mech: Mechanism) -> DsicVerdict:
 
 @functools.lru_cache(maxsize=8)
 def _grid_tables(grid: tuple[float, ...], n: int) -> tuple:
-    """Per chunk of ``CHUNK_PROFILES`` opponent profiles, read-only (opp, bids, p1, reached).
+    """Per chunk of ``CHUNK_PROFILES`` opponent profiles, read-only (opp, bids, p1, truth, reached).
 
     ``opp`` indexes the sorted grid, so a witness keeps the caller's floats (-0.0 shares an entry);
     ``bids`` has a row per opponent and a zero row.  Bidding b then s >= b, the deviator (it wins
-    ties) sits at position 1 + p1[b, profile] and is outranked by the k others before it at >= s;
-    ``reached`` marks the slots that some (b, s) reaches.
+    ties) sits at position 1 + p1[b, profile] and is outranked by the k others before it at >= s.
+    ``truth`` indexes the flat [slot, v, profile] utilities at the truthful slot (p1, p1) of each
+    (v, profile), and ``reached``, shaped [slot, 1, profile], marks the slots that some (b, s)
+    reaches.
     """
     g = np.array(grid)
     bi, si = np.nonzero(g >= g[:, None])  # the (b, s >= b) pairs, row-major
     profiles = combinations_with_replacement(range(len(grid) - 1, -1, -1), n - 1)
     chunks = []
     while opp := tuple(islice(profiles, CHUNK_PROFILES)):
-        bids = g[np.array(opp, dtype=np.intp)]  # shape (len(opp), n - 1), also for n = 1
+        m = len(opp)
+        bids = g[np.array(opp, dtype=np.intp)]  # shape (m, n - 1), also for n = 1
         p1 = (bids[:, :, None] > g).sum(1)
         k = np.minimum(p1[:, :, None], (bids[:, :, None] >= g).sum(1)[:, None, :])
-        reached = np.zeros((len(opp), n * n), dtype=bool)
-        reached[np.arange(len(opp))[:, None], p1[:, bi] * n + k[:, bi, si]] = True
-        arrays = np.vstack([bids.T, np.zeros(len(opp))]), p1.T.copy(), reached.T.copy()
+        reached = np.zeros((m, n * n), dtype=bool)
+        reached[np.arange(m)[:, None], p1[:, bi] * n + k[:, bi, si]] = True
+        truth = (p1.T * (n + 1) * len(g) + np.arange(len(g))[:, None]) * m + np.arange(m)
+        arrays = np.vstack([bids.T, np.zeros(m)]), p1.T.copy(), truth, reached.T[:, None].copy()
         for a in arrays:
             a.flags.writeable = False
         chunks.append((opp, *arrays))
@@ -168,7 +172,7 @@ def find_deviation(
     grid = list(grid)
     if not grid:
         raise ValueError("grid must not be empty: nothing would be searched")
-    if not all(is_finite_number(g) and g >= 0 for g in grid):
+    if not (all(map(is_finite_number, grid)) and min(grid) >= 0):
         raise ValueError(f"grid points must be finite and nonnegative, got {grid}")
     grid = sorted(map(float, grid))
     n = mech.theta if n is None else _as_ints((n,), ConfigurationError)[0]
@@ -187,14 +191,14 @@ def find_deviation(
     if len(chunks) > 1 and _rays_gain_nothing(plan, n, grid[-1]):
         return None
     g = np.array(grid)
-    for opp, bids, p1, reached in chunks:
+    for opp, bids, p1, truth, reached in chunks:
         U = _utilities(plan, bids, g)  # [slot, v, profile]
-        u_truth = U[p1 * (n + 1), np.arange(len(g))[:, None], np.arange(len(opp))]  # b = s = v
-        hits = (U > u_truth + GAIN_ATOL) & reached[:, None]
+        u_truth = U.take(truth)  # b = s = v
+        hits = (U > u_truth + GAIN_ATOL) & reached
         if hits.any():
             i, v = divmod(hits.any(0).T.argmax(), len(g))  # the first (profile, v) with a hit
             slot = p1[:, i, None] * n + np.minimum(p1[:, i, None], (bids[:-1, i, None] >= g).sum(0))
-            b, s = np.unravel_index((hits[slot, v, i] & (g >= g[:, None])).argmax(), slot.shape)
+            b, s = divmod((hits[slot, v, i] & (g >= g[:, None])).argmax(), len(g))  # row-major (b, s)
             return DeviationWitness(
                 value=grid[v], first_round_bid=grid[b], second_round_bid=grid[s],
                 opponent_bids=tuple(grid[j] for j in opp[i]),

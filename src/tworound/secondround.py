@@ -12,6 +12,7 @@ ranks with positive allocation.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from itertools import accumulate
 from typing import Sequence
@@ -41,18 +42,22 @@ class AllocationRule:
         if not all(map(is_finite_number, x)):
             raise ContractViolation(f"allocation probabilities must be finite: {x}")
         x = tuple(map(float, x))
-        if any(b > a + 1e-15 for a, b in zip(x, x[1:])):
+        steps = tuple(map(operator.sub, x, x[1:]))
+        # A step is negative exactly where x rises; without a rise the pairwise checks pass and
+        # the last entry is the smallest, so only a rise walks x pair by pair.
+        rises = steps and min(steps) < 0
+        if rises and any(b > a + 1e-15 for a, b in zip(x, x[1:])):
             raise ContractViolation(f"allocation must be non-increasing: {x}")
-        if min(x) < 0:
+        if (min(x) if rises else x[-1]) < 0:
             raise ContractViolation("allocation probabilities must be nonnegative")
-        if any(a <= 0 < b for a, b in zip(x, x[1:])):
+        if rises and any(a <= 0 < b for a, b in zip(x, x[1:])):
             raise ContractViolation(f"allocation is positive after a zero: {x}")
         if sum(x) > 1 + 1e-12:
             raise ContractViolation(f"allocation probabilities sum to {sum(x)} > 1")
         object.__setattr__(self, "x", x)
         # No positive entry follows a zero (checked above), so the positives are the leading run.
         object.__setattr__(self, "beta", sum(1 for v in x if v > 0))
-        object.__setattr__(self, "steps", tuple(a - b for a, b in zip(x, x[1:])))
+        object.__setattr__(self, "steps", steps)
         cdf = list(accumulate([*x[: self.beta], max(1.0 - sum(x[: self.beta]), 0.0)]))
         object.__setattr__(self, "_winner_cdf", [c / cdf[-1] for c in cdf])
 

@@ -17,7 +17,7 @@ from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property, partial, reduce
-from itertools import accumulate, combinations
+from itertools import accumulate, chain, combinations
 from operator import iadd
 from typing import Iterable, Mapping
 
@@ -83,6 +83,42 @@ def enumerate_subsets(theta: int, alpha: int) -> list[tuple[int, ...]]:
     return list(combinations(range(1, theta + 1), alpha))
 
 
+def _checked_probs(theta: int, alpha: int, pairs: Iterable) -> dict[tuple[int, ...], float]:
+    """The probabilities of :class:`SelectionDistribution` checked and normalized, keyed in
+    lexicographic subset order.
+
+    ``pairs`` yields each (key as a sorted tuple of ints, probability) in input order; it is drawn
+    one pair at a time, so a key it rejects is reported after the checks on the keys before it.
+    """
+    subsets = enumerate_subsets(theta, alpha)
+    canonical: dict[tuple[int, ...], float] = {}
+    for key, p in pairs:
+        if key in canonical:
+            raise SelectionError(f"duplicate subset {key}")
+        if not is_finite_number(p):
+            raise SelectionError(f"subset probabilities must be finite, got {p!r}")
+        canonical[key] = float(p)
+    valid = set(subsets)
+    if canonical.keys() != valid:
+        missing = [s for s in subsets if s not in canonical]
+        extra = [s for s in canonical if s not in valid]
+        raise SelectionError(
+            f"subset keys do not match C({theta},{alpha}): missing={missing[:3]} extra={extra[:3]}"
+        )
+    low = min(canonical.values())
+    if low < -SIMPLEX_ATOL:
+        raise SelectionError("negative subset probability")
+    total = sum(canonical.values())
+    if abs(total - 1.0) > NORMALIZE_ATOL:
+        raise SelectionError(f"subset probabilities sum to {total!r}, not 1")
+    if total != 1.0:
+        canonical = {k: p / total for k, p in canonical.items()}
+    # Lexicographic order whatever the input order; negatives within SIMPLEX_ATOL become 0.0.
+    if low < 0:
+        return {s: max(canonical[s], 0.0) for s in subsets}
+    return {s: canonical[s] for s in subsets}
+
+
 @dataclass(frozen=True)
 class SelectionDistribution:
     """Joint probability over the alpha-subsets of the top theta positions.
@@ -97,32 +133,8 @@ class SelectionDistribution:
     probs: dict[tuple[int, ...], float] = field(compare=False)
 
     def __post_init__(self) -> None:
-        subsets = enumerate_subsets(self.theta, self.alpha)
-        canonical: dict[tuple[int, ...], float] = {}
-        for key, p in self.probs.items():
-            tkey = tuple(sorted(_as_ints(key)))
-            if tkey in canonical:
-                raise SelectionError(f"duplicate subset {tkey}")
-            if not is_finite_number(p):
-                raise SelectionError(f"subset probabilities must be finite, got {p!r}")
-            canonical[tkey] = float(p)
-        valid = set(subsets)
-        missing = [s for s in subsets if s not in canonical]
-        extra = [s for s in canonical if s not in valid]
-        if missing or extra:
-            raise SelectionError(
-                f"subset keys do not match C({self.theta},{self.alpha}): "
-                f"missing={missing[:3]} extra={extra[:3]}"
-            )
-        if any(p < -SIMPLEX_ATOL for p in canonical.values()):
-            raise SelectionError("negative subset probability")
-        total = sum(canonical.values())
-        if abs(total - 1.0) > NORMALIZE_ATOL:
-            raise SelectionError(f"subset probabilities sum to {total!r}, not 1")
-        if total != 1.0:
-            canonical = {k: p / total for k, p in canonical.items()}
-        # Keep canonical lexicographic ordering regardless of input order.
-        object.__setattr__(self, "probs", {s: max(canonical[s], 0.0) for s in subsets})
+        pairs = ((tuple(sorted(_as_ints(key))), p) for key, p in self.probs.items())
+        object.__setattr__(self, "probs", _checked_probs(self.theta, self.alpha, pairs))
 
     @classmethod
     def uniform(cls, theta: int, alpha: int) -> "SelectionDistribution":
@@ -172,8 +184,8 @@ class SelectionDistribution:
             probs = dict(entries)
         except (KeyError, TypeError) as exc:
             raise SelectionError(f"malformed selection distribution document: {exc}") from exc
-        integers = (theta, alpha, *(i for key in probs for i in key))
-        if not all(isinstance(v, int) and not isinstance(v, bool) for v in integers):
+        types = {type(theta), type(alpha), *map(type, chain.from_iterable(probs))}
+        if not all(t is not bool and issubclass(t, int) for t in types):
             raise SelectionError("theta, alpha and subset entries must be integers")
         if len(probs) < len(entries):
             # The dict kept only the last of two equal keys; name the key as __post_init__ would.
@@ -181,7 +193,13 @@ class SelectionDistribution:
             raise SelectionError(f"duplicate subset {tuple(sorted(dup))}")
         if not all(map(is_finite_number, probs.values())):
             raise SelectionError("subset probabilities must be finite numbers")
-        return cls(theta, alpha, probs)
+        # The keys hold ints (checked above), so __post_init__, which would pass every key through
+        # _as_ints again, is skipped.
+        checked = _checked_probs(theta, alpha, ((tuple(sorted(key)), p) for key, p in probs.items()))
+        dist = cls.__new__(cls)
+        for name, value in (("theta", theta), ("alpha", alpha), ("probs", checked)):
+            object.__setattr__(dist, name, value)
+        return dist
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict())

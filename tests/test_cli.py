@@ -427,6 +427,15 @@ class TestCheckDsic:
         assert err["error"] == "schema"
         assert "--grid" in err["message"]
 
+    def test_grid_end_past_the_float_range_is_named(self, dsic_mech_file):
+        # Two points, 0 and 1.6e308, but stop + step/2 overflows to inf.
+        argv = ["check-dsic", "--mechanism", dsic_mech_file, "--oracle", "--grid", "0:1.7e308:1.6e308"]
+        code, out, err = run_main(argv)
+        assert (code, out) == (EXIT_SCHEMA, "")
+        assert json.loads(err)["message"] == (
+            "--grid '0:1.7e308:1.6e308' overflows: stop + step/2 is past the float range"
+        )
+
     def test_grid_at_the_point_limit_is_built(self):
         assert len(_parse_grid(f"0:{MAX_GRID_POINTS - 1}:1")) == MAX_GRID_POINTS
 
@@ -854,6 +863,50 @@ class TestSeedBoundary:
         assert with_env == run_main([*argvs[command], "--seed", "10"])
 
 
+TOP_USAGE = "usage: tworound [-h] {validate,check-dsic,analyze-ne,simulate,reproduce} ...\n"
+CHECK_DSIC_USAGE = (
+    "usage: tworound check-dsic [-h] --mechanism MECHANISM [--oracle] [--grid GRID]\n"
+    "                           [--n N]\n"
+)
+REPRODUCE_USAGE = (
+    "usage: tworound reproduce [-h] --table {2,3,4} [--seed SEED] [--draws DRAWS]\n"
+    "                          [--n-valuations N_VALUATIONS] [--out OUT]\n"
+)
+
+
+def usage_error(usage, message):
+    return usage + json.dumps({"error": "usage", "message": message}) + "\n"
+
+
+# Exit code, stdout (SHA-256 for the help texts) and stderr of the CLI's usage paths; "M" stands
+# for a valid mechanism file.  Arguments no parser takes print the top-level usage line.
+CHOICES = "'validate', 'check-dsic', 'analyze-ne', 'simulate', 'reproduce'"
+USAGE_CASES = [
+    ([], EXIT_USAGE, "",
+     usage_error(TOP_USAGE, "the following arguments are required: command")),
+    (["--help"], EXIT_OK,
+     "a5787a757f582b12295631196c5f213203fb0ae5d7cf590697dff3e291e33d60", ""),
+    (["bogus"], EXIT_USAGE, "",
+     usage_error(TOP_USAGE, f"argument command: invalid choice: 'bogus' (choose from {CHOICES})")),
+    (["check-dsic"], EXIT_USAGE, "",
+     usage_error(CHECK_DSIC_USAGE, "the following arguments are required: --mechanism")),
+    (["check-dsic", "--help"], EXIT_OK,
+     "60ae27ad632409e04e3f092f045e249e227c6482aa5c45e68f0320c8d008b941", ""),
+    (["check-dsic", "--mechanism", "M", "extra"], EXIT_USAGE, "",
+     usage_error(TOP_USAGE, "unrecognized arguments: extra")),
+    (["check-dsic", "--mechanism", "M", "--oracle", "--bogus"], EXIT_USAGE, "",
+     usage_error(TOP_USAGE, "unrecognized arguments: --bogus")),
+    (["check-dsic", "--mechanism", "M", "--", "x"], EXIT_USAGE, "",
+     usage_error(TOP_USAGE, "unrecognized arguments: -- x")),
+    (["check-dsic", "--mechanism", "M", "--n", "x"], EXIT_USAGE, "",
+     usage_error(CHECK_DSIC_USAGE, "argument --n: invalid int value: 'x'")),
+    (["validate", "--mechanism", "M", "check-dsic"], EXIT_USAGE, "",
+     usage_error(TOP_USAGE, "unrecognized arguments: check-dsic")),
+    (["reproduce", "--table", "5"], EXIT_USAGE, "",
+     usage_error(REPRODUCE_USAGE, "argument --table: invalid choice: 5 (choose from 2, 3, 4)")),
+]
+
+
 class TestTopLevel:
     def test_no_subcommand_exits_1(self, capsys):
         assert main([]) == EXIT_USAGE
@@ -861,6 +914,15 @@ class TestTopLevel:
     def test_unknown_subcommand_exits_1(self, capsys):
         assert main(["frobnicate"]) == EXIT_USAGE
 
+    @pytest.mark.parametrize(
+        "argv,code,out,err", USAGE_CASES, ids=["_".join(case[0]) or "no-args" for case in USAGE_CASES]
+    )
+    def test_usage_paths_pinned(self, monkeypatch, dsic_mech_file, argv, code, out, err):
+        monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help and usage to the terminal width
+        got = run_main([dsic_mech_file if a == "M" else a for a in argv])
+        if code == EXIT_OK:
+            got = (got[0], hashlib.sha256(got[1].encode()).hexdigest(), got[2])
+        assert got == (code, out, err)
 
     def test_python_m_runs_the_cli(self):
         env = {**os.environ, "PYTHONPATH": str(Path(tworound.__file__).parent.parent)}
