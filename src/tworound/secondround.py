@@ -43,14 +43,11 @@ class AllocationRule:
             raise ContractViolation(f"allocation probabilities must be finite: {x}")
         x = tuple(map(float, x))
         steps = tuple(map(operator.sub, x, x[1:]))
-        # A step is negative exactly where x rises; without a rise the pairwise checks pass and
-        # the last entry is the smallest, so only a rise walks x pair by pair.
-        rises = steps and min(steps) < 0
-        if rises and any(b > a + 1e-15 for a, b in zip(x, x[1:])):
+        if any(b > a + 1e-15 for a, b in zip(x, x[1:])):
             raise ContractViolation(f"allocation must be non-increasing: {x}")
-        if (min(x) if rises else x[-1]) < 0:
+        if min(x) < 0:
             raise ContractViolation("allocation probabilities must be nonnegative")
-        if rises and any(a <= 0 < b for a, b in zip(x, x[1:])):
+        if any(a <= 0 < b for a, b in zip(x, x[1:])):
             raise ContractViolation(f"allocation is positive after a zero: {x}")
         if sum(x) > 1 + 1e-12:
             raise ContractViolation(f"allocation probabilities sum to {sum(x)} > 1")

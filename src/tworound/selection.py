@@ -83,42 +83,6 @@ def enumerate_subsets(theta: int, alpha: int) -> list[tuple[int, ...]]:
     return list(combinations(range(1, theta + 1), alpha))
 
 
-def _checked_probs(theta: int, alpha: int, pairs: Iterable) -> dict[tuple[int, ...], float]:
-    """The probabilities of :class:`SelectionDistribution` checked and normalized, keyed in
-    lexicographic subset order.
-
-    ``pairs`` yields each (key as a sorted tuple of ints, probability) in input order; it is drawn
-    one pair at a time, so a key it rejects is reported after the checks on the keys before it.
-    """
-    subsets = enumerate_subsets(theta, alpha)
-    canonical: dict[tuple[int, ...], float] = {}
-    for key, p in pairs:
-        if key in canonical:
-            raise SelectionError(f"duplicate subset {key}")
-        if not is_finite_number(p):
-            raise SelectionError(f"subset probabilities must be finite, got {p!r}")
-        canonical[key] = float(p)
-    valid = set(subsets)
-    if canonical.keys() != valid:
-        missing = [s for s in subsets if s not in canonical]
-        extra = [s for s in canonical if s not in valid]
-        raise SelectionError(
-            f"subset keys do not match C({theta},{alpha}): missing={missing[:3]} extra={extra[:3]}"
-        )
-    low = min(canonical.values())
-    if low < -SIMPLEX_ATOL:
-        raise SelectionError("negative subset probability")
-    total = sum(canonical.values())
-    if abs(total - 1.0) > NORMALIZE_ATOL:
-        raise SelectionError(f"subset probabilities sum to {total!r}, not 1")
-    if total != 1.0:
-        canonical = {k: p / total for k, p in canonical.items()}
-    # Lexicographic order whatever the input order; negatives within SIMPLEX_ATOL become 0.0.
-    if low < 0:
-        return {s: max(canonical[s], 0.0) for s in subsets}
-    return {s: canonical[s] for s in subsets}
-
-
 @dataclass(frozen=True)
 class SelectionDistribution:
     """Joint probability over the alpha-subsets of the top theta positions.
@@ -133,8 +97,35 @@ class SelectionDistribution:
     probs: dict[tuple[int, ...], float] = field(compare=False)
 
     def __post_init__(self) -> None:
-        pairs = ((tuple(sorted(_as_ints(key))), p) for key, p in self.probs.items())
-        object.__setattr__(self, "probs", _checked_probs(self.theta, self.alpha, pairs))
+        subsets = enumerate_subsets(self.theta, self.alpha)
+        canonical: dict[tuple[int, ...], float] = {}
+        for key, p in self.probs.items():
+            tkey = tuple(sorted(_as_ints(key)))
+            if tkey in canonical:
+                raise SelectionError(f"duplicate subset {tkey}")
+            if not is_finite_number(p):
+                raise SelectionError(f"subset probabilities must be finite, got {p!r}")
+            canonical[tkey] = float(p)
+        valid = set(subsets)
+        if canonical.keys() != valid:
+            missing = [s for s in subsets if s not in canonical]
+            extra = [s for s in canonical if s not in valid]
+            raise SelectionError(
+                f"subset keys do not match C({self.theta},{self.alpha}): "
+                f"missing={missing[:3]} extra={extra[:3]}"
+            )
+        low = min(canonical.values())
+        if low < -SIMPLEX_ATOL:
+            raise SelectionError("negative subset probability")
+        total = sum(canonical.values())
+        if abs(total - 1.0) > NORMALIZE_ATOL:
+            raise SelectionError(f"subset probabilities sum to {total!r}, not 1")
+        if total != 1.0:
+            canonical = {k: p / total for k, p in canonical.items()}
+        # Lexicographic order whatever the input order; negatives within SIMPLEX_ATOL become 0.0.
+        if low < 0:
+            canonical = {k: max(p, 0.0) for k, p in canonical.items()}
+        object.__setattr__(self, "probs", {s: canonical[s] for s in subsets})
 
     @classmethod
     def uniform(cls, theta: int, alpha: int) -> "SelectionDistribution":
@@ -193,13 +184,7 @@ class SelectionDistribution:
             raise SelectionError(f"duplicate subset {tuple(sorted(dup))}")
         if not all(map(is_finite_number, probs.values())):
             raise SelectionError("subset probabilities must be finite numbers")
-        # The keys hold ints (checked above), so __post_init__, which would pass every key through
-        # _as_ints again, is skipped.
-        checked = _checked_probs(theta, alpha, ((tuple(sorted(key)), p) for key, p in probs.items()))
-        dist = cls.__new__(cls)
-        for name, value in (("theta", theta), ("alpha", alpha), ("probs", checked)):
-            object.__setattr__(dist, name, value)
-        return dist
+        return cls(theta, alpha, probs)
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict())

@@ -129,14 +129,20 @@ class TestToleranceDisagreement:
             m = near_uniform(e)
             assert check_dsic(m).is_dsic == (find_deviation(m, GRID, 3) is None)
 
+    @staticmethod
+    def large_grid_mechanism():
+        dist = SelectionDistribution(3, 2, {(1, 2): 0.4, (1, 3): 0.3, (2, 3): 0.3})
+        return Mechanism(3, 2, dist, AllocationRule((1.0, 0.0)))
+
+    def test_large_grid_mechanism_is_dsic(self):
+        assert check_dsic(self.large_grid_mechanism()).is_dsic
+
     @pytest.mark.xfail(strict=True, reason="ROADMAP item 4")
     def test_no_rounding_witness_on_a_large_grid(self):
         # Truthful at v = 7e11 against (7e11, 7e11), the bidder's utility is exactly 0; the float
         # sums price it at -6.1e-5, so b = s = 0 "gains" 6.1e-5 (8192 on 0:1e20:1e19), and
         # verify_witness repeats the same arithmetic.
-        dist = SelectionDistribution(3, 2, {(1, 2): 0.4, (1, 3): 0.3, (2, 3): 0.3})
-        m = Mechanism(3, 2, dist, AllocationRule((1.0, 0.0)))
-        assert check_dsic(m).is_dsic
+        m = self.large_grid_mechanism()
         assert find_deviation(m, np.arange(0, 1.05e12, 1e11).tolist(), 3) is None
 
 
