@@ -7,11 +7,11 @@ noise.  Single sampled runs are available for simulation-style checks; each
 draws its subset and winner from cached CDFs in O(log C), with the same draws
 as ``Generator.choice``.
 
-What does not change between runs is computed once: a :class:`BidProfile`
-keeps its first-round ranking and its second-round bids in that order, and
-``AllocationRule.beta`` is set when the rule is built.  A run builds only its
-subset's bids, and none of the caches reads the generator, so a run on a
-reused profile draws the same subset and winner from the same stream position.
+What does not change between runs is computed once: a :class:`BidProfile` keeps its first-round
+ranking and its second-round bids in that order, ``AllocationRule.beta`` is set when the rule is
+built, and a :class:`Mechanism`, a (selection, allocation) pair, reads theta and alpha from its
+selection then.  A run builds only its subset's bids, and none of the caches reads the generator,
+so a run on a reused profile draws the same subset and winner from the same stream position.
 
 :func:`settle` is the one function that computes each position's expected allocation X
 and payment P, in one numpy pass over the arrays of the selection distribution's live
@@ -29,7 +29,7 @@ Both deviation checks price rank slots: :func:`_rank_slot_plan` lays out the slo
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import NamedTuple, Sequence
 
@@ -46,24 +46,22 @@ class ConfigurationError(ValueError):
 
 @dataclass(frozen=True)
 class Mechanism:
-    """Two-round auction: keep top theta, advance alpha, allocate via x."""
+    """Two-round auction: keep top theta, advance an alpha-subset drawn from ``selection``,
+    allocate via ``allocation``.  theta and alpha are the selection's, read on construction."""
 
-    theta: int
-    alpha: int
     selection: SelectionDistribution
     allocation: AllocationRule
+    theta: int = field(init=False, repr=False, compare=False)
+    alpha: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if self.selection.theta != self.theta or self.selection.alpha != self.alpha:
-            raise ConfigurationError(
-                "selection distribution shape does not match mechanism "
-                f"(theta={self.theta}, alpha={self.alpha})"
-            )
+        object.__setattr__(self, "theta", self.selection.theta)
+        object.__setattr__(self, "alpha", self.selection.alpha)
         if self.allocation.alpha != self.alpha:
             raise ConfigurationError(
                 f"allocation length {self.allocation.alpha} != alpha {self.alpha}"
             )
-        if not 1 <= self.allocation.beta <= self.alpha <= self.theta:
+        if self.allocation.beta < 1:  # beta <= alpha <= theta hold by construction
             raise ConfigurationError("need theta >= alpha >= beta >= 1")
 
     @property
@@ -86,7 +84,7 @@ class Mechanism:
         x = doc.get("x")
         if not isinstance(x, (list, tuple)) or not all(map(is_finite_number, x)):
             raise ConfigurationError("mechanism needs x, a list of finite numbers")
-        return cls(selection.theta, selection.alpha, selection, AllocationRule(tuple(x)))
+        return cls(selection, AllocationRule(tuple(x)))
 
 
 @dataclass(frozen=True)
@@ -148,14 +146,19 @@ class AuctionResult(NamedTuple):
     realized_payment: float | None = None
 
 
+def _check_bidders(mech: Mechanism, n: int) -> None:
+    """At least theta bidders, or :class:`ConfigurationError`."""
+    if n < mech.theta:
+        raise ConfigurationError(f"need at least theta={mech.theta} bidders, got {n}")
+
+
 def first_round_positions(mech: Mechanism, bids: BidProfile) -> list[int]:
     """Bidder ids of the top theta first-round bids, position 1 first.
 
     Ties are broken by bidder id ascending (lower id wins the higher
     position).  Bidders below position theta are dropped.
     """
-    if bids.n < mech.theta:
-        raise ConfigurationError(f"need at least theta={mech.theta} bidders, got {bids.n}")
+    _check_bidders(mech, bids.n)
     # A slice is a new list: callers cannot change the profile's cached ranking.
     return bids._ranking[: mech.theta]
 
@@ -263,8 +266,7 @@ def _check_values(mech: Mechanism, values: Sequence[float], n: int) -> None:
         raise ConfigurationError("values and bid profile differ in length")
     if not all(map(is_finite_number, values)):
         raise ConfigurationError("values must be finite")
-    if n < mech.theta:
-        raise ConfigurationError(f"need at least theta={mech.theta} bidders, got {n}")
+    _check_bidders(mech, n)
 
 
 def expected_utility(mech: Mechanism, values: Sequence[float], bids: BidProfile, bidder: int) -> float:
@@ -281,7 +283,7 @@ def expected_utility(mech: Mechanism, values: Sequence[float], bids: BidProfile,
 
 def expected_revenue(mech: Mechanism, bids: BidProfile) -> float:
     """Probability-weighted total payment over all advancing subsets."""
-    first_round_positions(mech, bids)  # at least theta bidders
+    _check_bidders(mech, bids.n)
     return sum(settle(mech, bids._ranked_second_round)[1])
 
 
@@ -293,7 +295,7 @@ def evaluate(mech: Mechanism, values: Sequence[float], bids: BidProfile) -> Auct
     every subset once more, zero-probability ones included, and feeds neither.
     """
     _check_values(mech, values, bids.n)
-    positions = first_round_positions(mech, bids)
+    positions = bids._ranking[: mech.theta]  # first_round_positions, its count checked above
     s = bids._ranked_second_round
     X, P = settle(mech, s)
     outcomes = []
@@ -318,8 +320,7 @@ def simulate_run(
     whose second-round bids break the line of competition s_beta >= b_{theta-alpha+beta} raises
     :class:`ConfigurationError`.
     """
-    if bids.n < mech.theta:
-        raise ConfigurationError(f"need at least theta={mech.theta} bidders, got {bids.n}")
+    _check_bidders(mech, bids.n)
     subset = sample_subset(mech.selection, rng)
     ranking, ranked_s, alloc = bids._ranking, bids._ranked_second_round, mech.allocation
     s = [ranked_s[p - 1] for p in subset]

@@ -155,6 +155,12 @@ def _n11_terms(Y: ExclusionY) -> tuple[float, float, float]:
     return S, A, D
 
 
+def _check_finite(*values) -> None:
+    """``ValueError`` unless every valuation is a finite number (no bool, NaN or None); any order."""
+    if not all(map(is_finite_number, values)):
+        raise ValueError(f"valuations must be finite numbers, got {values}")
+
+
 def _n11_inputs(v1: float, v2: float, v3: float, Y: ExclusionY) -> tuple[float, float, float, float]:
     """(r, S, A, D) of a one-winner input, r = (v1-v2)/(v2-v3), once the input is checked."""
     if not v1 >= v2 >= v3 > 0:
@@ -210,6 +216,7 @@ def n11_revenue(kind: str, v1: float, v2: float, v3: float, Y: ExclusionY) -> fl
     when the top bidder was excluded.  Risky swaps v1 for v2 in the winning
     term.
     """
+    _check_finite(v1, v2, v3)
     S, A, _ = _n11_terms(Y)
     if kind == "truthful":
         return S * v2 + A * v3
@@ -225,6 +232,7 @@ def n11_supremum_bound(v1: float, v2: float, Yp: ExclusionY) -> float:
     approached but never attained while the risky order remains an
     equilibrium; it tends to v1 as v2 -> v1.
     """
+    _check_finite(v1, v2)
     S, A, D = _n11_terms(Yp)
     t = Yp.theta
     if D <= 0:
@@ -291,7 +299,7 @@ def n11_mechanism(Y: ExclusionY) -> Mechanism:
     """The one-winner mechanism realizing an exclusion vector."""
     dist = from_exclusion_Y(Y)
     x = AllocationRule((1.0,) + (0.0,) * (dist.alpha - 1))
-    return Mechanism(dist.theta, dist.alpha, dist, x)
+    return Mechanism(dist, x)
 
 
 # ---------------------------------------------------------------------------
@@ -358,7 +366,7 @@ class N12Params:
 
     def mechanism(self) -> Mechanism:
         dist = from_exclusion_Y(self.exclusion())
-        return Mechanism(4, 3, dist, AllocationRule((self.x1, self.x2, 0.0)))
+        return Mechanism(dist, AllocationRule((self.x1, self.x2, 0.0)))
 
 
 # The condition functions: V23 and V12 = (d2-d1)(x1-x2)/den on the valuation side,

@@ -17,7 +17,7 @@ from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property, partial, reduce
-from itertools import accumulate, chain, combinations
+from itertools import accumulate, combinations
 from operator import iadd
 from typing import Iterable, Mapping
 
@@ -74,8 +74,10 @@ def _pairwise_sum(a: list, out: np.ndarray | None = None):
 def enumerate_subsets(theta: int, alpha: int) -> list[tuple[int, ...]]:
     """All size-``alpha`` subsets of positions {1..theta}, lexicographic.
 
-    Each subset is an ascending tuple of 1-based first-round positions.
+    Each subset is an ascending tuple of 1-based first-round positions.  ``theta`` and ``alpha``
+    are ints or numpy integers; a bool or a float raises :class:`SelectionError`.
     """
+    theta, alpha = _as_ints((theta, alpha))
     if theta < 1 or alpha < 1 or alpha > theta:
         raise SelectionError(f"need 1 <= alpha <= theta, got theta={theta} alpha={alpha}")
     if theta > 20:
@@ -87,9 +89,9 @@ def enumerate_subsets(theta: int, alpha: int) -> list[tuple[int, ...]]:
 class SelectionDistribution:
     """Joint probability over the alpha-subsets of the top theta positions.
 
-    ``probs`` maps each canonical (ascending-tuple) subset to its probability.
-    Probabilities must cover every subset and sum to 1; sums within 1e-9 of 1
-    are renormalized on construction, anything further off is rejected.
+    ``probs`` maps each canonical (ascending-tuple) subset to its probability.  Construction checks
+    documents and calls alike: theta, alpha and subset entries are integers (kept as ints), the
+    probabilities finite, covering every subset and summing to 1 (renormalized within 1e-9).
     """
 
     theta: int
@@ -97,7 +99,8 @@ class SelectionDistribution:
     probs: dict[tuple[int, ...], float] = field(compare=False)
 
     def __post_init__(self) -> None:
-        subsets = enumerate_subsets(self.theta, self.alpha)
+        theta, alpha = _as_ints((self.theta, self.alpha))
+        subsets = enumerate_subsets(theta, alpha)
         canonical: dict[tuple[int, ...], float] = {}
         for key, p in self.probs.items():
             tkey = tuple(sorted(_as_ints(key)))
@@ -111,7 +114,7 @@ class SelectionDistribution:
             missing = [s for s in subsets if s not in canonical]
             extra = [s for s in canonical if s not in valid]
             raise SelectionError(
-                f"subset keys do not match C({self.theta},{self.alpha}): "
+                f"subset keys do not match C({theta},{alpha}): "
                 f"missing={missing[:3]} extra={extra[:3]}"
             )
         low = min(canonical.values())
@@ -125,6 +128,8 @@ class SelectionDistribution:
         # Lexicographic order whatever the input order; negatives within SIMPLEX_ATOL become 0.0.
         if low < 0:
             canonical = {k: max(p, 0.0) for k, p in canonical.items()}
+        object.__setattr__(self, "theta", theta)
+        object.__setattr__(self, "alpha", alpha)
         object.__setattr__(self, "probs", {s: canonical[s] for s in subsets})
 
     @classmethod
@@ -175,15 +180,12 @@ class SelectionDistribution:
             probs = dict(entries)
         except (KeyError, TypeError) as exc:
             raise SelectionError(f"malformed selection distribution document: {exc}") from exc
-        types = {type(theta), type(alpha), *map(type, chain.from_iterable(probs))}
-        if not all(t is not bool and issubclass(t, int) for t in types):
-            raise SelectionError("theta, alpha and subset entries must be integers")
         if len(probs) < len(entries):
-            # The dict kept only the last of two equal keys; name the key as __post_init__ would.
-            dup = next(key for key, count in Counter(key for key, _ in entries).items() if count > 1)
+            # The dict kept the last of two equal keys: check, then name it as __post_init__ would.
+            _as_ints((theta, alpha))
+            counts = Counter(_as_ints(key) for key, _ in entries)
+            dup = next(key for key, count in counts.items() if count > 1)
             raise SelectionError(f"duplicate subset {tuple(sorted(dup))}")
-        if not all(map(is_finite_number, probs.values())):
-            raise SelectionError("subset probabilities must be finite numbers")
         return cls(theta, alpha, probs)
 
     def to_json(self) -> str:

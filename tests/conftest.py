@@ -42,7 +42,7 @@ def make_dsic_mechanism(rng: np.random.Generator, theta: int, beta: int) -> Mech
         slack = 1.0 - theta * c
         q = np.concatenate([np.full(k, c), c + slack * extra / extra.sum()])
     dist = exclusion_distribution(theta, q)
-    return Mechanism(theta, theta - 1, dist, random_allocation(rng, theta - 1, beta))
+    return Mechanism(dist, random_allocation(rng, theta - 1, beta))
 
 
 def make_non_dsic_mechanism(
@@ -64,13 +64,13 @@ def make_non_dsic_mechanism(
         bound_broken = rest.size > 0 and rest.min() <= top[k - 1] - margin
         if equality_broken or bound_broken:
             dist = exclusion_distribution(theta, q)
-            return Mechanism(theta, theta - 1, dist, random_allocation(rng, theta - 1, beta))
+            return Mechanism(dist, random_allocation(rng, theta - 1, beta))
 
 
 def make_all_advance_mechanism(rng: np.random.Generator, theta: int, beta: int) -> Mechanism:
     """alpha = theta mechanism (single advancing subset); always DSIC."""
     dist = SelectionDistribution.uniform(theta, theta)
-    return Mechanism(theta, theta, dist, random_allocation(rng, theta, beta))
+    return Mechanism(dist, random_allocation(rng, theta, beta))
 
 
 def off_grid_violation(e: float = 0.01) -> Mechanism:
@@ -81,7 +81,7 @@ def off_grid_violation(e: float = 0.01) -> Mechanism:
     finds none.
     """
     dist = SelectionDistribution(3, 2, {(1, 2): 1 / 3, (1, 3): 1 / 3 + e, (2, 3): 1 / 3 - e})
-    return Mechanism(3, 2, dist, AllocationRule((1.0, 0.0)))
+    return Mechanism(dist, AllocationRule((1.0, 0.0)))
 
 
 def settle_reference(mech: Mechanism, s) -> tuple[list[float], list[float]]:

@@ -153,7 +153,7 @@ def test_criterion_3_line_of_competition(report):
         from tworound.selection import SelectionDistribution
 
         dist = SelectionDistribution(theta, alpha, dict(zip(subsets, probs)))
-        mech = Mechanism(theta, alpha, dist, random_allocation(rng, alpha, beta))
+        mech = Mechanism(dist, random_allocation(rng, alpha, beta))
         n = theta + int(rng.integers(0, 2))
         b = np.sort(rng.uniform(0, 100, size=n))[::-1]
         s = b + rng.uniform(0, 20, size=n)

@@ -40,7 +40,7 @@ def mech_from_q(q):
     theta = len(q)
     dist = exclusion_distribution(theta, np.asarray(q, dtype=float))
     alloc = AllocationRule((1.0,) + (0.0,) * (theta - 2))
-    return Mechanism(theta, theta - 1, dist, alloc)
+    return Mechanism(dist, alloc)
 
 
 class TestCheckDsic:
@@ -77,7 +77,7 @@ class TestCheckDsic:
         for theta, alpha, gain in ((3, 2, 0.1333), (4, 2, 0.1)):
             for x in ((0.6, 0.4), (1.0, 0.0)):
                 sel = SelectionDistribution.uniform(theta, alpha)
-                m = Mechanism(theta, alpha, sel, AllocationRule(x))
+                m = Mechanism(sel, AllocationRule(x))
                 assert check_dsic(m).is_dsic and find_deviation(m, GRID) is None
                 for n in (theta + 1, theta + 2):
                     w = find_deviation(m, GRID, n)
@@ -105,7 +105,7 @@ class TestCheckDsic:
 def near_uniform(e):
     """theta = 3, alpha = 2, x = (0.6, 0.4), p(1,2) = 1/3, p(1,3) = 1/3 + e, p(2,3) = 1/3 - e."""
     dist = SelectionDistribution(3, 2, {(1, 2): 1 / 3, (1, 3): 1 / 3 + e, (2, 3): 1 / 3 - e})
-    return Mechanism(3, 2, dist, AllocationRule((0.6, 0.4)))
+    return Mechanism(dist, AllocationRule((0.6, 0.4)))
 
 
 class TestToleranceDisagreement:
@@ -132,7 +132,7 @@ class TestToleranceDisagreement:
     @staticmethod
     def large_grid_mechanism():
         dist = SelectionDistribution(3, 2, {(1, 2): 0.4, (1, 3): 0.3, (2, 3): 0.3})
-        return Mechanism(3, 2, dist, AllocationRule((1.0, 0.0)))
+        return Mechanism(dist, AllocationRule((1.0, 0.0)))
 
     def test_large_grid_mechanism_is_dsic(self):
         assert check_dsic(self.large_grid_mechanism()).is_dsic
@@ -219,7 +219,7 @@ class TestFindDeviation:
 class TestTieBreaks:
     @staticmethod
     def _search(theta, subset, x):
-        m = Mechanism(theta, len(subset), SelectionDistribution.point_mass(theta, subset), AllocationRule(x))
+        m = Mechanism(SelectionDistribution.point_mass(theta, subset), AllocationRule(x))
         w = find_deviation(m, list(range(5)))
         assert verify_witness(m, w) == pytest.approx(w.gain, abs=1e-12)
         return (w.value, w.first_round_bid, w.second_round_bid, w.opponent_bids, w.gain)
@@ -338,7 +338,7 @@ class TestReferenceEquivalence:
             dist = SelectionDistribution(theta, alpha, dict(zip(subsets, w / w.sum())))
         if kind == 2 and alpha == theta - 1 and beta < alpha:
             return make_dsic_mechanism(rng, theta, beta)
-        return Mechanism(theta, alpha, dist, random_allocation(rng, alpha, beta))
+        return Mechanism(dist, random_allocation(rng, alpha, beta))
 
     @staticmethod
     def _random_grid(rng, n):
@@ -371,7 +371,7 @@ class TestReferenceEquivalence:
         # Only position 2 advances, and it is out of the deviator's reach
         # while the top two opponents bid alike: the 165 leading profiles
         # (8, 8, ...) hold no witness.
-        mech = Mechanism(2, 1, SelectionDistribution.point_mass(2, (2,)), AllocationRule((1.0,)))
+        mech = Mechanism(SelectionDistribution.point_mass(2, (2,)), AllocationRule((1.0,)))
         want = reference_find_deviation(mech, GRID, 6)
         profiles = list(combinations_with_replacement(reversed(GRID), 5))
         assert profiles.index(want.opponent_bids) == 165 > 2 * CHUNK_PROFILES
@@ -465,7 +465,7 @@ class TestGatheredPass:
 
     def test_signed_zero_grid_points_are_kept(self):
         # Only position 2 advances: the witness bids 0 under an opponent at 1 and above one at 0.
-        mech = Mechanism(3, 1, SelectionDistribution.point_mass(3, (2,)), AllocationRule((1.0,)))
+        mech = Mechanism(SelectionDistribution.point_mass(3, (2,)), AllocationRule((1.0,)))
         _grid_tables.cache_clear()
         for grid, zero in (([0.0, 1.0], "0.0"), ([-0.0, 1.0], "-0.0"), ([1.0, 0.0], "0.0")):
             got = find_deviation(mech, grid, n=3)
@@ -549,7 +549,7 @@ class TestRayCertificate:
             subsets = enumerate_subsets(theta, theta - 1)
             sel = SelectionDistribution(theta, theta - 1, dict(zip(subsets, probs.tolist())))
             x = random_allocation(rng, theta - 1, int(rng.integers(1, theta)))
-            mech = Mechanism(theta, theta - 1, sel, x)
+            mech = Mechanism(sel, x)
             if trial % 3 == 0:
                 grid = GRID
             else:  # random grids, up to 1e6 on every third trial

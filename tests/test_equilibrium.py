@@ -152,9 +152,7 @@ class TestIsNashEquilibrium:
         from tworound.secondround import AllocationRule
         from tworound.engine import Mechanism
 
-        mech = Mechanism(
-            2, 2, SelectionDistribution.uniform(2, 2), AllocationRule((1.0, 0.0))
-        )
+        mech = Mechanism(SelectionDistribution.uniform(2, 2), AllocationRule((1.0, 0.0)))
         values = (450.0, 350.0)
         ok_truth, _ = is_nash_equilibrium(mech, values, RankProfile((0, 1), (450, 350)))
         ok_risky, _ = is_nash_equilibrium(mech, values, RankProfile((1, 0), (500, 450)))
@@ -210,7 +208,7 @@ class TestIsNashEquilibrium:
             subsets = enumerate_subsets(theta, alpha)
             probs = rng.dirichlet(np.ones(len(subsets)))
             sel = SelectionDistribution(theta, alpha, dict(zip(subsets, probs.tolist())))
-            mech = Mechanism(theta, alpha, sel, random_allocation(rng, alpha, beta))
+            mech = Mechanism(sel, random_allocation(rng, alpha, beta))
             n = theta + int(rng.integers(0, 4))
             bids = tuple(np.sort(rng.uniform(1, 100, size=n))[::-1].tolist())
             if any(a <= b for a, b in zip(bids, bids[1:])):
@@ -229,7 +227,7 @@ class TestIsNashEquilibrium:
         top = sys.float_info.max
         for theta, n in ((3, 3), (3, 4), (4, 4)):
             x = secondround.AllocationRule((1.0 + 1e-12,) + (0.0,) * (theta - 2))
-            mech = Mechanism(theta, theta - 1, SelectionDistribution.uniform(theta, theta - 1), x)
+            mech = Mechanism(SelectionDistribution.uniform(theta, theta - 1), x)
             bids = tuple(top * (1 - i * 1e-15) for i in range(n))
             rank = RankProfile(tuple(range(n)), bids)
             values = (top, top / 2, *bids[2:])
@@ -248,7 +246,7 @@ class TestIsNashEquilibrium:
     def test_non_finite_values_rejected(self, bad):
         # A NaN utility compares False with everything, which read as "no bidder gains".
         x = secondround.AllocationRule((1.0, 0.0))
-        mech = Mechanism(2, 2, SelectionDistribution.uniform(2, 2), x)
+        mech = Mechanism(SelectionDistribution.uniform(2, 2), x)
         with pytest.raises(ConfigurationError, match="values must be finite"):
             is_nash_equilibrium(mech, (3.0, bad), RankProfile((0, 1), (3.0, 2.0)))
 
@@ -360,6 +358,30 @@ class TestN11Revenue:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
             n11_revenue("greedy", *V_EX, Y_TRUTH)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: n11_revenue("risky", math.nan, 350, 200, Y_RISKY),
+        lambda: n11_revenue("risky", True, 350, 200, Y_RISKY),
+        lambda: n11_revenue("truthful", 450, 350, None, Y_TRUTH),
+        lambda: n11_revenue("truthful", 450, "350", 200, Y_TRUTH),
+        lambda: n11_revenue("risky", 450, 350, 10**400, Y_RISKY),
+        lambda: n11_supremum_bound(1.0, math.inf, Y_RISKY),
+        lambda: n11_supremum_bound(-math.inf, 440, Y_RISKY),
+        lambda: n11_supremum_bound(False, 440, Y_RISKY),
+    ],
+    ids=["nan", "bool", "none", "str", "huge-int", "inf", "-inf", "bool-bound"],
+)
+def test_n11_closed_forms_reject_non_finite_valuations(call):
+    with pytest.raises(ValueError, match="valuations must be finite numbers"):
+        call()
+
+
+def test_n11_closed_forms_take_valuations_in_any_order():
+    assert n11_revenue("truthful", 200, 350, 450, Y_TRUTH) == pytest.approx(0.6 * 350 + 0.4 * 450)
+    assert math.isfinite(n11_supremum_bound(np.float64(440), 450, Y_RISKY))
 
 
 class TestN11SupremumBound:

@@ -111,6 +111,35 @@ class TestSelectionDistribution:
         with pytest.raises(SelectionError, match="expected integers"):
             SelectionDistribution.point_mass(3, subsets[-1])
 
+    @pytest.mark.parametrize("theta,alpha", [(True, 1), (True, True), (3.0, 2), (3, 2.0), ("3", 2)])
+    def test_rejects_non_integer_theta_and_alpha(self, theta, alpha):
+        # range() would raise TypeError on a float, and True would pass as theta = 1.
+        with pytest.raises(SelectionError, match="expected integers"):
+            enumerate_subsets(theta, alpha)
+        with pytest.raises(SelectionError, match="expected integers"):
+            SelectionDistribution(theta, alpha, {(1,): 1.0})
+
+    def test_numpy_integer_theta_and_alpha_stored_as_ints(self):
+        d = SelectionDistribution(np.int64(3), np.int32(2), {(1, 2): 0.5, (1, 3): 0.3, (2, 3): 0.2})
+        assert (d.theta, d.alpha) == (3, 2)
+        assert type(d.theta) is int and type(d.alpha) is int
+        assert enumerate_subsets(np.int64(3), np.int64(2)) == [(1, 2), (1, 3), (2, 3)]
+
+    @pytest.mark.parametrize(
+        "theta,subsets,message",
+        [
+            (3, [[2, 1], [2, 1], [1, 3]], r"duplicate subset \(1, 2\)"),
+            (3, [[2, "1"], [2, "1"], [1, 3]], "expected integers"),
+            (3, [[2, 1], [2, 1], [1, 3.0]], "expected integers"),
+            (3.0, [[2, 1], [2, 1], [1, 3]], "expected integers"),
+        ],
+        ids=["duplicate", "in-the-duplicate", "after-the-duplicate", "theta"],
+    )
+    def test_from_json_dict_reports_a_non_integer_before_a_duplicate(self, theta, subsets, message):
+        doc = {"theta": theta, "alpha": 2, "probs": [{"subset": s, "p": 0.25} for s in subsets]}
+        with pytest.raises(SelectionError, match=message):
+            SelectionDistribution.from_json_dict(doc)
+
     def test_numpy_integer_subset_entries_accepted(self):
         ids = np.arange(1, 4)
         d = SelectionDistribution(3, 2, {(ids[0], ids[1]): 0.5, (1, 3): 0.3, (ids[1], np.int32(3)): 0.2})
@@ -302,11 +331,11 @@ class TestLiveTable:
             for sel in (
                 SelectionDistribution.uniform(theta, alpha), sparse_distribution(rng, theta, alpha)
             ):
-                m = Mechanism(theta, alpha, sel, AllocationRule(x))
+                m = Mechanism(sel, AllocationRule(x))
                 check_dsic(m)
                 find_deviation(m, range(9), n)
                 assert "_live_arrays" not in sel.__dict__
                 assert not any(isinstance(part, np.ndarray) for part in sel._live_table)
-        m = Mechanism(6, 3, SelectionDistribution.uniform(6, 3), AllocationRule((0.7, 0.3, 0.0)))
+        m = Mechanism(SelectionDistribution.uniform(6, 3), AllocationRule((0.7, 0.3, 0.0)))
         settle(m, [6.0, 5.0, 4.0, 3.0, 2.0, 1.0])  # settle's numpy pass builds them
         assert "_live_arrays" in m.selection.__dict__
