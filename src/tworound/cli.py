@@ -23,7 +23,7 @@ from . import experiments
 from .dsic import MAX_GRID_POINTS, ResourceLimitError, check_dsic, find_deviation
 from .engine import BidProfile, ConfigurationError, Mechanism, simulate_run
 from .equilibrium import N12_ORDERINGS, N12Params, n11_classify, n11_revenue, n12_check_rank
-from .selection import ExclusionY, SelectionError, is_finite_number
+from .selection import ExclusionY, SelectionError, _as_floats
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -85,18 +85,14 @@ def _load_mechanism(path: str) -> Mechanism:
         raise SchemaError(f"invalid mechanism in {path}: {exc}") from exc
 
 
-def _is_number_list(doc) -> bool:
-    """A JSON list of finite floats; booleans, numeric strings and too large integers are not."""
-    return isinstance(doc, list) and all(map(is_finite_number, doc))
-
-
 def _load_vector(path: str, key: str) -> list[float]:
     doc = _load_json(path)
     if isinstance(doc, dict):
         doc = doc.get(key)
-    if not _is_number_list(doc):
-        raise SchemaError(f"{path}: expected a list of finite numbers (or {{\"{key}\": [...]}})")
-    return [float(x) for x in doc]
+    what = f"{path}: expected a list of finite numbers (or {{\"{key}\": [...]}})"
+    if not isinstance(doc, list):
+        raise SchemaError(what)
+    return list(_as_floats(doc, SchemaError, what))
 
 
 def _load_bids(path: str) -> BidProfile:
@@ -105,10 +101,10 @@ def _load_bids(path: str) -> BidProfile:
         rounds = (doc["first_round"], doc["second_round"])
     except (KeyError, TypeError) as exc:
         raise SchemaError(f"invalid bid profile in {path}: {exc}") from exc
-    if not all(_is_number_list(bids) for bids in rounds):
+    if not all(isinstance(bids, list) for bids in rounds):
         raise SchemaError(f"invalid bid profile in {path}: bids must be lists of finite numbers")
     try:
-        return BidProfile(tuple(rounds[0]), tuple(rounds[1]))
+        return BidProfile(*rounds)
     except ConfigurationError as exc:
         raise SchemaError(f"invalid bid profile in {path}: {exc}") from exc
 

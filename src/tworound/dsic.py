@@ -29,7 +29,7 @@ import numpy as np
 
 from .engine import BidProfile, ConfigurationError, Mechanism, expected_utility
 from .engine import _plan_arrays, _rank_slot_plan, _utilities
-from .selection import _as_ints, is_finite_number, marginal_probabilities
+from .selection import _as_floats, _as_ints, marginal_probabilities
 
 MARGINAL_ATOL = 1e-9
 GAIN_ATOL = 1e-9
@@ -169,12 +169,12 @@ def find_deviation(
     cell per (b, s); slots that no s >= b reaches are masked out.  No chunk is scanned when
     :func:`_rays_gain_nothing` proves that no profile gains.
     """
-    grid = list(grid)
+    what = "grid points must be finite and nonnegative"
+    grid = sorted(_as_floats(grid, ValueError, what))
     if not grid:
         raise ValueError("grid must not be empty: nothing would be searched")
-    if not (all(map(is_finite_number, grid)) and min(grid) >= 0):
-        raise ValueError(f"grid points must be finite and nonnegative, got {grid}")
-    grid = sorted(map(float, grid))
+    if grid[0] < 0:
+        raise ValueError(f"{what}, got {grid}")
     n = mech.theta if n is None else _as_ints((n,), ConfigurationError)[0]
     if len(grid) > MAX_GRID_POINTS:
         raise ResourceLimitError(
@@ -213,7 +213,7 @@ def verify_witness(
     """Gain of a witness, re-priced through full bid profiles; ``n`` must be its bidder count."""
     opp = witness.opponent_bids
     values = (witness.value, *opp)
-    if n is not None and n != len(values):
+    if n is not None and _as_ints((n,), ConfigurationError)[0] != len(values):
         raise ConfigurationError(f"n={n}, but the witness has {len(values)} bidders")
     deviated = BidProfile((witness.first_round_bid, *opp), (witness.second_round_bid, *opp))
     u_t = expected_utility(mech, values, BidProfile.truthful(values), 0)

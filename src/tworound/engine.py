@@ -36,7 +36,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .secondround import AllocationRule, rank_payments, settle_round
-from .selection import SelectionDistribution, is_finite_number, sample_subset
+from .selection import SelectionDistribution, _as_floats, sample_subset
 
 UTILITY_ATOL = 1e-9
 
@@ -81,10 +81,10 @@ class Mechanism:
     @classmethod
     def from_json_dict(cls, doc: dict) -> "Mechanism":
         selection = SelectionDistribution.from_json_dict(doc)
-        x = doc.get("x")
-        if not isinstance(x, (list, tuple)) or not all(map(is_finite_number, x)):
-            raise ConfigurationError("mechanism needs x, a list of finite numbers")
-        return cls(selection, AllocationRule(tuple(x)))
+        x, what = doc.get("x"), "mechanism needs x, a list of finite numbers"
+        if not isinstance(x, (list, tuple)):
+            raise ConfigurationError(what)
+        return cls(selection, AllocationRule(_as_floats(x, ConfigurationError, what)))
 
 
 @dataclass(frozen=True)
@@ -102,11 +102,12 @@ class BidProfile:
         b, s = tuple(self.first_round), tuple(self.second_round)
         if len(b) != len(s):
             raise ConfigurationError("first/second round bid vectors differ in length")
-        if not all(is_finite_number(v) and v >= 0 for v in b + s):
-            raise ConfigurationError("bids must be finite and nonnegative")
-        b, s = tuple(map(float, b)), tuple(map(float, s))
-        object.__setattr__(self, "first_round", b)
-        object.__setattr__(self, "second_round", s)
+        what = "bids must be finite and nonnegative"
+        bids = _as_floats(b + s, ConfigurationError, what)
+        if any(v < 0 for v in bids):
+            raise ConfigurationError(what)
+        object.__setattr__(self, "first_round", bids[: len(b)])
+        object.__setattr__(self, "second_round", bids[len(b) :])
 
     @property
     def n(self) -> int:
@@ -260,18 +261,18 @@ def _utilities(plan: tuple, bids: np.ndarray, g: np.ndarray) -> np.ndarray:
         return X[:, None, None] * g[:, None] - P.reshape(len(X), 1, m)
 
 
-def _check_values(mech: Mechanism, values: Sequence[float], n: int) -> None:
-    """One finite value for each of n >= theta bidders, or :class:`ConfigurationError`."""
+def _check_values(mech: Mechanism, values: Sequence[float], n: int) -> tuple[float, ...]:
+    """n >= theta finite values, one per bidder, as floats, or :class:`ConfigurationError`."""
     if len(values) != n:
         raise ConfigurationError("values and bid profile differ in length")
-    if not all(map(is_finite_number, values)):
-        raise ConfigurationError("values must be finite")
+    values = _as_floats(values, ConfigurationError, "values must be finite")
     _check_bidders(mech, n)
+    return values
 
 
 def expected_utility(mech: Mechanism, values: Sequence[float], bids: BidProfile, bidder: int) -> float:
     """``evaluate``'s utility of bidder 0..n - 1 from its row of :func:`settle`; 0.0 below theta."""
-    _check_values(mech, values, bids.n)
+    values = _check_values(mech, values, bids.n)
     if isinstance(bidder, bool) or not hasattr(bidder, "__index__") or not 0 <= bidder < bids.n:
         raise ConfigurationError(f"bidder must be an int in 0..{bids.n - 1}, got {bidder!r}")
     k = bids._ranking.index(bidder)  # the bidder's first-round position, 0-based
@@ -294,7 +295,7 @@ def evaluate(mech: Mechanism, values: Sequence[float], bids: BidProfile) -> Auct
     so the revenue is :func:`expected_revenue`'s to the bit.  The outcome table settles
     every subset once more, zero-probability ones included, and feeds neither.
     """
-    _check_values(mech, values, bids.n)
+    values = _check_values(mech, values, bids.n)
     positions = bids._ranking[: mech.theta]  # first_round_positions, its count checked above
     s = bids._ranked_second_round
     X, P = settle(mech, s)

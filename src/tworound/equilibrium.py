@@ -27,7 +27,7 @@ from typing import NamedTuple, Sequence
 
 from .engine import Mechanism, _check_values, _payments, _rank_slot_plan
 from .secondround import AllocationRule
-from .selection import ExclusionY, _as_ints, from_exclusion_Y, is_finite_number
+from .selection import ExclusionY, _as_floats, _as_ints, from_exclusion_Y
 
 EQ_ATOL = 1e-9
 _WITNESS_STEP = 0.01  # grid of the reported risky overbid
@@ -68,9 +68,9 @@ class RankProfile:
             raise ValueError(f"ordering must be a permutation of bidder ids: {ordering}")
         if len(bids) != len(ordering):
             raise ValueError("bids and ordering differ in length")
-        if not all(is_finite_number(b) and b >= 0 for b in bids):
-            raise ValueError(f"bids must be finite and nonnegative: {bids}")
-        bids = tuple(map(float, bids))
+        bids = _as_floats(bids, ValueError, "bids must be finite and nonnegative")
+        if any(b < 0 for b in bids):
+            raise ValueError(f"bids must be finite and nonnegative, got {bids}")
         if any(bids[i] <= bids[i + 1] for i in range(len(bids) - 1)):
             raise ValueError(f"bids must be strictly decreasing: {bids}")
         object.__setattr__(self, "ordering", ordering)
@@ -103,7 +103,7 @@ def is_nash_equilibrium(
     per competitive bidder.  Returns (no bidder strictly gains, per-deviation utility table).
     """
     bids, n = rank.bids, len(rank.bids)
-    _check_values(mech, values, n)
+    values = _check_values(mech, values, n)
     # Targets: the competitive positions 1..top plus one slot below the line, which
     # realizes "stop competing" (its allocation probability is always zero).
     top = min(mech.competition_rank, n)
@@ -113,7 +113,7 @@ def is_nash_equilibrium(
     others = [bids[:j] + bids[j + 1 :] + (0.0,) for j in range(top)]
     plan = _rank_slot_plan(mech, n, [(t, t - 1) for t in targets])
     X, P = plan[0][:: n + 1], _payments(plan, others)[:: n + 1]  # slots (t, t - 1)
-    v = [float(values[i]) for i in rank.ordering[:top]]
+    v = [values[i] for i in rank.ordering[:top]]
     U = [[x * w - p[j] for j, w in enumerate(v)] for x, p, _ in zip(X, P, targets)]
     records = [
         DeviationRecord(rank.ordering[p - 1], p, t, U[p - 1][p - 1], U[t - 1][p - 1])
@@ -155,22 +155,20 @@ def _n11_terms(Y: ExclusionY) -> tuple[float, float, float]:
     return S, A, D
 
 
-def _check_finite(*values) -> None:
-    """``ValueError`` unless every valuation is a finite number (no bool, NaN or None); any order."""
-    if not all(map(is_finite_number, values)):
-        raise ValueError(f"valuations must be finite numbers, got {values}")
+_VALUATIONS = "valuations must be finite numbers"
 
 
-def _n11_inputs(v1: float, v2: float, v3: float, Y: ExclusionY) -> tuple[float, float, float, float]:
-    """(r, S, A, D) of a one-winner input, r = (v1-v2)/(v2-v3), once the input is checked."""
+def _n11_inputs(v1: float, v2: float, v3: float, Y: ExclusionY) -> tuple:
+    """((v1, v2, v3), r, S, D) of a one-winner input, r = (v1-v2)/(v2-v3), once it is checked."""
+    v1, v2, v3 = _as_floats((v1, v2, v3), ValueError, _VALUATIONS)
     if not v1 >= v2 >= v3 > 0:
         raise ValueError(f"need v1 >= v2 >= v3 > 0, got {(v1, v2, v3)}")
     if v2 == v3:
         raise DegenerateRatioError("v2 == v3 makes the gap ratio undefined")
     if not Y.ordered:
         raise ValueError(f"exclusion vector must be strictly ordered: {Y.y_vec}")
-    S, A, D = _n11_terms(Y)
-    return (v1 - v2) / (v2 - v3), S, A, D
+    S, _, D = _n11_terms(Y)
+    return (v1, v2, v3), (v1 - v2) / (v2 - v3), S, D
 
 
 def n11_classify(
@@ -186,9 +184,10 @@ def n11_classify(
     second bidder overbidding to the top slot is an equilibrium iff r < R
     (some sufficiently large overbid b2' then always validates it; the
     smallest grid multiple is reported as witness, or None when no double is
-    that large).  A gap ratio too large for a double is rejected.
+    that large).  A valuation that is not a finite number raises ``ValueError``,
+    a gap ratio too large for a double :class:`DegenerateRatioError`.
     """
-    r, S, _, D = _n11_inputs(v1, v2, v3, Y)
+    (v1, v2, v3), r, S, D = _n11_inputs(v1, v2, v3, Y)
     if r == math.inf:
         raise DegenerateRatioError(f"the gap ratio (v1-v2)/(v2-v3) overflows at {(v1, v2, v3)}")
     ratio = D / S
@@ -216,7 +215,7 @@ def n11_revenue(kind: str, v1: float, v2: float, v3: float, Y: ExclusionY) -> fl
     when the top bidder was excluded.  Risky swaps v1 for v2 in the winning
     term.
     """
-    _check_finite(v1, v2, v3)
+    v1, v2, v3 = _as_floats((v1, v2, v3), ValueError, _VALUATIONS)
     S, A, _ = _n11_terms(Y)
     if kind == "truthful":
         return S * v2 + A * v3
@@ -232,7 +231,7 @@ def n11_supremum_bound(v1: float, v2: float, Yp: ExclusionY) -> float:
     approached but never attained while the risky order remains an
     equilibrium; it tends to v1 as v2 -> v1.
     """
-    _check_finite(v1, v2)
+    v1, v2 = _as_floats((v1, v2), ValueError, _VALUATIONS)
     S, A, D = _n11_terms(Yp)
     t = Yp.theta
     if D <= 0:
@@ -268,9 +267,10 @@ def n11_construct_better_Y(
     rm < 1/(theta-2), unless the tail mass of Y is so small (about 1e-6) that
     the revenue bound closes the interval.  Y' takes the midpoint of the S'
     interval, then the midpoint of the D' interval.
-    Raises :class:`ConstructionFailure` with a certificate otherwise.
+    Raises :class:`ConstructionFailure` with a certificate otherwise, and
+    ``ValueError`` first for a valuation that is not a finite number.
     """
-    r, S, _, D = _n11_inputs(v1, v2, v3, Y)
+    (v1, v2, v3), r, S, D = _n11_inputs(v1, v2, v3, Y)
     theta = Y.theta
     if not r > D / S:
         raise ValueError("Y does not support the truthful ordering")
@@ -314,6 +314,7 @@ N12_ORDERINGS: tuple[tuple[int, int, int], ...] = (
     (2, 3, 1),
     (3, 2, 1),
 )
+_ORDERINGS = f"ordering must be one of {N12_ORDERINGS}"
 
 
 @dataclass(frozen=True)
@@ -334,11 +335,9 @@ class N12Params:
     b3: float | None = None
 
     def __post_init__(self) -> None:
-        v, Y, x2 = tuple(self.v), tuple(self.Y), self.x2
-        for name, values in (("v", v), ("Y", Y), ("x2", (x2,))):
-            if not all(map(is_finite_number, values)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
-        v, Y, x2 = tuple(map(float, v)), tuple(map(float, Y)), float(x2)
+        v = _as_floats(self.v, ValueError, "v must be finite")
+        Y = _as_floats(self.Y, ValueError, "Y must be finite")
+        (x2,) = _as_floats((self.x2,), ValueError, "x2 must be finite")
         if len(v) != 5 or any(b >= a for a, b in zip(v, v[1:])):
             raise ValueError(f"need five strictly descending valuations, got {v}")
         if v[-1] < 0:
@@ -351,11 +350,12 @@ class N12Params:
             raise ValueError(f"x2 must lie in (0, 0.5), got {x2}")
         object.__setattr__(self, "v", v)
         object.__setattr__(self, "Y", Y)
+        object.__setattr__(self, "x2", x2)
         for name in ("b2", "b3"):
             b = getattr(self, name)
-            if b is not None and not is_finite_number(b):
-                raise ValueError(f"{name} must be a finite number or None, got {b!r}")
-            object.__setattr__(self, name, None if b is None else float(b))
+            if b is not None:
+                (b,) = _as_floats((b,), ValueError, f"{name} must be a finite number or None")
+            object.__setattr__(self, name, b)
 
     @property
     def x1(self) -> float:
@@ -408,7 +408,7 @@ def n12_position_bids(params: N12Params, ordering: tuple[int, int, int]) -> tupl
     default bids.
     """
     if ordering not in N12_ORDERINGS:
-        raise ValueError(f"ordering must be one of {N12_ORDERINGS}, got {ordering}")
+        raise ValueError(f"{_ORDERINGS}, got {ordering}")
     v1, v2, v3, v4, _ = params.v
     if ordering == (1, 2, 3):
         return v1, v2, v3  # N12Params keeps v strictly descending
@@ -506,7 +506,7 @@ def n12_check_rank(params: N12Params, ordering: tuple[int, int, int]) -> N12Rank
     are reported indeterminate rather than coerced.  Each condition's
     ``v_value <direction> ycoef`` holds iff its margin is positive.
     """
-    ordering = tuple(ordering)
+    ordering = _as_ints(ordering, ValueError, _ORDERINGS)
     bids = b1, b2, b3 = n12_position_bids(params, ordering)
     v, Y, x2 = params.v, params.Y, params.x2
     x1 = 1.0 - x2

@@ -71,7 +71,7 @@ from typing import Sequence, TextIO
 import numpy as np
 
 from .equilibrium import DegenerateRatioError
-from .selection import _pairwise_sum, is_finite_number
+from .selection import _as_floats, _as_ints, _pairwise_sum
 
 logger = logging.getLogger(__name__)
 
@@ -83,16 +83,10 @@ DEFAULT_SEED = 20240501
 _CHUNK_ROWS = 16_384
 
 
-def _require_int(name: str, value) -> int:
-    """``value`` as an int; floats, strings and bools are rejected, not truncated."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    return int(value)
-
-
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Shared configuration for the revenue experiments."""
+    """Shared configuration for the revenue experiments.  The counts, seed and thetas are ints or
+    numpy integers of any size; value_max and the valuations are finite numbers, kept as floats."""
 
     valuations: tuple[tuple[float, float, float], ...] = ()
     thetas: tuple[int, ...] = (3,)
@@ -103,24 +97,26 @@ class ExperimentConfig:
 
     def __post_init__(self) -> None:
         for name in ("draws", "n_valuations", "seed"):
-            object.__setattr__(self, name, _require_int(name, getattr(self, name)))
+            (value,) = _as_ints((getattr(self, name),), ValueError, f"{name} must be an integer")
+            object.__setattr__(self, name, value)
         if self.draws < 1:
             raise ValueError("draws must be >= 1")
         if self.n_valuations < 1:
             raise ValueError("n_valuations must be >= 1")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
-        if not is_finite_number(self.value_max) or not self.value_max > 0:
+        what = "value_max must be positive and finite"
+        (value_max,) = _as_floats((self.value_max,), ValueError, what)
+        if not value_max > 0:
             # value_max = 0 would make table 4's tie retry draw (0, 0, 0) forever.
-            raise ValueError(f"value_max must be positive and finite, got {self.value_max!r}")
-        object.__setattr__(self, "value_max", float(self.value_max))
-        vals = tuple(map(tuple, self.valuations))
+            raise ValueError(f"{what}, got {value_max!r}")
+        object.__setattr__(self, "value_max", value_max)
+        what = "valuations must be finite positive descending triples"
+        vals = tuple(_as_floats(v, ValueError, what) for v in self.valuations)
         for v in vals:
-            finite = all(map(is_finite_number, v))
-            if len(v) != 3 or not finite or v[2] <= 0 or sorted(v, reverse=True) != list(v):
-                raise ValueError(f"valuations must be finite positive descending triples: {v}")
-        vals = tuple(tuple(map(float, v)) for v in vals)
-        thetas = tuple(_require_int("thetas", t) for t in self.thetas)
+            if len(v) != 3 or v[2] <= 0 or sorted(v, reverse=True) != list(v):
+                raise ValueError(f"{what}, got {v}")
+        thetas = _as_ints(self.thetas, ValueError, "each of thetas must be an integer")
         if not thetas:
             raise ValueError("thetas must name at least one theta")
         if any(t < 3 for t in thetas):

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from itertools import accumulate
 from typing import Sequence
 
-from .selection import is_finite_number
+from .selection import _as_floats
 
 
 class ContractViolation(ValueError):
@@ -36,12 +36,9 @@ class AllocationRule:
     _winner_cdf: list[float] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        x = tuple(self.x)
+        x = _as_floats(self.x, ContractViolation, "allocation probabilities must be finite")
         if not x:
             raise ContractViolation("allocation vector must be non-empty")
-        if not all(map(is_finite_number, x)):
-            raise ContractViolation(f"allocation probabilities must be finite: {x}")
-        x = tuple(map(float, x))
         steps = tuple(map(operator.sub, x, x[1:]))
         if any(b > a + 1e-15 for a, b in zip(x, x[1:])):
             raise ContractViolation(f"allocation must be non-increasing: {x}")
@@ -111,9 +108,10 @@ def u2(
     go to the smaller key; the default keys make the caller the
     highest-priority bidder.
     """
-    bids = [own_bid, *other_bids]
-    if not is_finite_number(value) or not all(is_finite_number(b) and b >= 0 for b in bids):
-        raise ContractViolation("value and bids must be finite numbers, the bids nonnegative")
+    what = "value and bids must be finite numbers, the bids nonnegative"
+    value, *bids = _as_floats((value, own_bid, *other_bids), ContractViolation, what)
+    if min(bids) < 0:
+        raise ContractViolation(what)
     if other_keys is not None and len(other_keys) != len(other_bids):
         raise ContractViolation(f"expected {len(other_bids)} other keys, got {len(other_keys)}")
     keys = [own_key, *(other_keys or [(1, i + 1) for i in range(len(other_bids))])]

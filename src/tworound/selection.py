@@ -41,16 +41,28 @@ def is_finite_number(v) -> bool:
     return isinstance(v, np.integer)
 
 
-def _as_ints(values: Iterable, error: type[ValueError] = SelectionError) -> tuple[int, ...]:
-    """``values`` as Python ints, each an int or numpy integer: ``int()`` would truncate a float,
-    parse a string and take a bool as 0 or 1."""
+def _as_floats(values: Iterable, error=SelectionError, what="expected finite numbers") -> tuple:
+    """``values`` as Python floats, each a number :func:`is_finite_number` accepts, or ``error``
+    with ``what`` and the values (a lone value as itself).  Every public numeric input converts
+    here or in :func:`_as_ints`; sign and order checks stay with the caller."""
+    values = tuple(values)
+    if {float}.issuperset(map(type, values)) and all(map(math.isfinite, values)):
+        return values  # Python floats, the common case, checked without a call per value
+    if all(map(is_finite_number, values)):
+        return tuple(map(float, values))
+    raise error(f"{what}, got {values[0] if len(values) == 1 else values!r}")
+
+
+def _as_ints(values: Iterable, error=SelectionError, what="expected integers") -> tuple[int, ...]:
+    """``values`` as Python ints, each an int or numpy integer, or ``error`` with ``what`` and the
+    values: ``int()`` would truncate a float, parse a string and take a bool as 0 or 1."""
     values = tuple(values)
     if bool not in map(type, values):
         try:
             return tuple(map(operator.index, values))
         except TypeError:
             pass
-    raise error(f"expected integers, got {values!r}")
+    raise error(f"{what}, got {values!r}")
 
 
 def _pairwise_sum(a: list, out: np.ndarray | None = None):
@@ -106,9 +118,7 @@ class SelectionDistribution:
             tkey = tuple(sorted(_as_ints(key)))
             if tkey in canonical:
                 raise SelectionError(f"duplicate subset {tkey}")
-            if not is_finite_number(p):
-                raise SelectionError(f"subset probabilities must be finite, got {p!r}")
-            canonical[tkey] = float(p)
+            (canonical[tkey],) = _as_floats((p,), SelectionError, "subset probabilities must be finite")
         valid = set(subsets)
         if canonical.keys() != valid:
             missing = [s for s in subsets if s not in canonical]
@@ -141,8 +151,8 @@ class SelectionDistribution:
     @classmethod
     def point_mass(cls, theta: int, subset: Iterable[int]) -> "SelectionDistribution":
         key = tuple(sorted(_as_ints(subset)))
-        subsets = enumerate_subsets(theta, len(key))
-        return cls(theta, len(key), {s: (1.0 if s == key else 0.0) for s in subsets})
+        probs = dict.fromkeys(enumerate_subsets(theta, len(key)), 0.0)
+        return cls(theta, len(key), {**probs, key: 1.0})  # a key outside C(theta, alpha) is named
 
     def subsets(self) -> list[tuple[int, ...]]:
         return list(self.probs.keys())
@@ -219,10 +229,7 @@ class ExclusionY:
     y_vec: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        vec = tuple(self.y_vec)
-        if not all(map(is_finite_number, vec)):
-            raise SelectionError(f"exclusion probabilities must be finite: {vec}")
-        vec = tuple(map(float, vec))
+        vec = _as_floats(self.y_vec, what="exclusion probabilities must be finite")
         if any(v < -SIMPLEX_ATOL for v in vec):
             raise SelectionError("negative exclusion probability")
         if abs(sum(vec) - 1.0) > NORMALIZE_ATOL:

@@ -189,13 +189,17 @@ class TestFindDeviation:
 
     @pytest.mark.parametrize("n", [True, 4.0, "4", np.int64(4)])
     def test_n_is_an_int(self, n):
-        # A bool would count one bidder, a float would fail inside itertools.
+        # A bool would count one bidder, a float would fail inside itertools; verify_witness
+        # would take 4.0 as the bidder count and report "4" as a count mismatch.
         m = mech_from_q((0.6, 0.3, 0.1))
+        witness = find_deviation(m, GRID, 4)
         if isinstance(n, np.integer):
-            assert find_deviation(m, GRID, n) == find_deviation(m, GRID, 4) is not None
+            assert find_deviation(m, GRID, n) == witness is not None
+            assert verify_witness(m, witness, n) == verify_witness(m, witness)
         else:
-            with pytest.raises(ConfigurationError, match=re.escape(f"expected integers, got ({n!r},)")):
-                find_deviation(m, GRID, n)
+            for call in (lambda: find_deviation(m, GRID, n), lambda: verify_witness(m, witness, n)):
+                with pytest.raises(ConfigurationError, match=re.escape(f"expected integers, got ({n!r},)")):
+                    call()
 
     @pytest.mark.parametrize("grid", [[math.nan, 1, 2], [-1, 0, 1], [0, 1, math.inf]])
     def test_grid_points_must_be_finite_and_nonnegative(self, grid):

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -118,6 +119,12 @@ class TestSelectionDistribution:
             enumerate_subsets(theta, alpha)
         with pytest.raises(SelectionError, match="expected integers"):
             SelectionDistribution(theta, alpha, {(1,): 1.0})
+
+    @pytest.mark.parametrize("subset", [(1, 5), (1, 1), (0, 2)])
+    def test_point_mass_names_a_subset_outside_the_family(self, subset):
+        # The key is in the probabilities, so the key check names it instead of a zero sum.
+        with pytest.raises(SelectionError, match=re.escape(f"extra=[{subset}]")):
+            SelectionDistribution.point_mass(3, subset)
 
     def test_numpy_integer_theta_and_alpha_stored_as_ints(self):
         d = SelectionDistribution(np.int64(3), np.int32(2), {(1, 2): 0.5, (1, 3): 0.3, (2, 3): 0.2})
